@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
-from .kernels import border_column, kernel_matrix
+from .kernels import BulkTables, border_column, kernel_matrix
 from .microscopic import gap_micro, micro_density, smallest_micro
 from .pfaffian import AntisymmetricMatrix, pfaffian
 from .specfun import LogScaled, log_sum, tricomi_u
@@ -205,11 +205,12 @@ def _pfaffian_factor(gamma: int, l: int, t: float, k: int,
     """
     if k == 0:
         return pfaffian(AntisymmetricMatrix(data=np.zeros((0, 0)))), 0.0
-    stripped = kernel_matrix(gamma, l, t, k)
+    tables = BulkTables(gamma, l, t)
+    stripped = kernel_matrix(gamma, l, t, k, tables)
     if not bordered:
         pf = pfaffian(AntisymmetricMatrix(data=stripped))
         return pf, k * (gamma + 0.5) + k * (k - 1) / 2.0
-    border = border_column(gamma, l, t, k)
+    border = border_column(gamma, l, t, k, tables)
     data = np.zeros((k + 1, k + 1))
     data[:k, :k] = stripped
     data[:k, k] = border

@@ -17,12 +17,15 @@ eigenvalue densities are Pfaffians of small matrices with these entries.
 
 Two independent evaluation routes are kept side by side.  The reference route
 (xi_big, kernel_sum) works term by term on the polynomial combinations in
-log-scaled arithmetic.  The bulk route (kernel_matrix, border_column) expands
-everything over standard Laguerre values L_n^(mu)(-t), which are positive and
-satisfy a benign forward recurrence, so matrices remain accurate for
-polynomial counts in the hundreds where factorial-laden expressions overflow.
-The closed Christoffel-Darboux form (kernel_cd) provides a third route for
-even l that bypasses the polynomial sum entirely.
+log-scaled arithmetic, with every Tricomi U from its own quadrature.  The bulk
+route (kernel_matrix, border_column) expands everything over standard
+Laguerre values L_n^(mu)(-t), which are positive and satisfy a benign forward
+recurrence, so matrices remain accurate for polynomial counts in the
+thousands where factorial-laden expressions overflow; it reads every Tricomi
+U ratio off a few whole chains U(a0 + i, b, t/2) (specfun.tricomi_u_chain),
+held with the Laguerre rows in one BulkTables per evaluation point.  The
+closed Christoffel-Darboux form (kernel_cd) provides a third route for even l
+that bypasses the polynomial sum entirely.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .sop import (
     WeightParams,
@@ -42,7 +44,7 @@ from .sop import (
     sop_norm,
     sop_odd,
 )
-from .specfun import LogScaled, laguerre_monic, log_sum, tricomi_u
+from .specfun import LogScaled, laguerre_monic, log_sum, tricomi_u, tricomi_u_chain
 
 __all__ = [
     "KernelSpec",
@@ -50,6 +52,7 @@ __all__ = [
     "xi_small",
     "kernel_sum",
     "kernel_cd",
+    "BulkTables",
     "kernel_matrix",
     "border_column",
 ]
@@ -89,35 +92,6 @@ class KernelSpec:
     def weight_params(self) -> WeightParams:
         """Weight parameters shared with the polynomial constructors."""
         return WeightParams(gamma=self.gamma, t=self.t)
-
-
-def _u_quotient(a_num: float, b_num: float, a_den: float, b_den: float,
-                t: float) -> float:
-    """Ratio U(a_num, b_num, t/2) / U(a_den, b_den, t/2)."""
-    return (tricomi_u(a_num, b_num, t / 2.0)
-            / tricomi_u(a_den, b_den, t / 2.0)).value
-
-
-def _rho_coef(j: int, gamma: int, t: float) -> float:
-    return _u_quotient(j + gamma + 0.5, gamma + 0.5,
-                       j + gamma + 0.5, gamma + 1.5, t)
-
-
-def _sigma_coef(j: int, gamma: int, t: float) -> float:
-    return _u_quotient(j + gamma + 0.5, gamma - 0.5,
-                       j + gamma + 0.5, gamma + 1.5, t)
-
-
-def _rho_tilde(gamma: int, l: int, t: float) -> float:
-    """Coefficient mixing the two border terms, a half-integer-index cousin
-    of the even-polynomial coefficient."""
-    return _u_quotient(gamma + (l - 1) / 2.0, gamma + 0.5,
-                       gamma + (l - 1) / 2.0, gamma + 1.5, t)
-
-
-def _sigma_tilde(gamma: int, l: int, t: float) -> float:
-    return _u_quotient(gamma + (l - 1) / 2.0, gamma - 0.5,
-                       gamma + (l - 1) / 2.0, gamma + 1.5, t)
 
 
 # --------------------------------------------------------------------------
@@ -184,26 +158,7 @@ def kernel_sum(xa: float, xb: float, spec: KernelSpec) -> float:
 
 
 # --------------------------------------------------------------------------
-# bulk route: positive Laguerre values by forward recurrence
-
-
-def _phi_rows(n_max: int, mus: list[int], t: float) -> dict[int, np.ndarray]:
-    """Tables of standard Laguerre values L_n^(mu)(-t) for n = 0..n_max.
-
-    All values are positive and the three-term recurrence at negative
-    argument has positive coefficients throughout, so the tables carry no
-    cancellation.
-    """
-    rows: dict[int, np.ndarray] = {}
-    for mu in mus:
-        row = np.empty(max(n_max + 1, 2))
-        row[0] = 1.0
-        row[1] = mu + 1.0 + t
-        for n in range(1, n_max):
-            row[n + 1] = ((2.0 * n + mu + 1.0 + t) * row[n]
-                          - (n + mu) * row[n - 1]) / (n + 1.0)
-        rows[mu] = row[:n_max + 1]
-    return rows
+# bulk route: positive Laguerre values and Tricomi U chains
 
 
 def _check_envelope(l: int, t: float) -> None:
@@ -213,118 +168,190 @@ def _check_envelope(l: int, t: float) -> None:
             "of the Laguerre forward recurrence")
 
 
-def kernel_matrix(gamma: int, l: int, t: float, size: int) -> np.ndarray:
+def _gamma_run(x: float, d: float, count: int) -> np.ndarray:
+    """Gamma(x + i) / Gamma(x + i + d) for i = 0..count-1.
+
+    A running product from i = 0: differences of log-gamma would lose
+    ~|ln Gamma| ulps at the top of a chain.
+    """
+    i = np.arange(count - 1)
+    first = math.exp(math.lgamma(x) - math.lgamma(x + d))
+    return first * np.concatenate(([1.0], np.cumprod((x + i) / (x + i + d))))
+
+
+def _rising(x: np.ndarray, m: int) -> np.ndarray:
+    """Rising factorial x (x + 1) ... (x + m - 1), elementwise."""
+    out = np.ones_like(x)
+    for i in range(m):
+        out = out * (x + i)
+    return out
+
+
+def _gather(rows: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """rows[m, n], with the convention that Laguerre values at n < 0 vanish."""
+    return np.where(n >= 0, rows[m, np.maximum(n, 0)], 0.0)
+
+
+class BulkTables:
+    """The Tricomi U ratios and Laguerre rows the bulk route reads for one
+    (gamma, l, t).
+
+    Every U that kernel_matrix and border_column use is U(a, b, t/2) with a
+    on one of two ladders a0 + i, a0 = 0 or 1/2, and b among gamma - 1/2,
+    gamma + 1/2, gamma + 3/2, 1/2 - gamma and 3/2 - gamma.  Each (a0, b)
+    chain comes whole from tricomi_u_chain, built on first use up to the
+    highest a the route reads, so a point costs a handful of quadratures
+    instead of two per ratio.  The Laguerre rows L_n^(2 gamma + m)(-t) are
+    built once as well.  One table serves one evaluation point: it is made
+    per call and shared by the kernel matrix and its border column.
+    """
+
+    def __init__(self, gamma: int, l: int, t: float) -> None:
+        KernelSpec(gamma=gamma, l=l, t=t)  # validates the parameters
+        _check_envelope(l, t)
+        self.gamma, self.l, self.t = gamma, l, t
+        self._tops = {0.0: l // 2, 0.5: gamma + (l - 1) // 2}
+        self._chains: dict[tuple[float, float], tuple[np.ndarray, float]] = {}
+        self._rows = np.empty((0, l + 1))
+
+    def _segment(self, a: float, b: float, count: int) -> tuple[np.ndarray, float]:
+        a0, start = a % 1.0, int(a)
+        if (a0, b) not in self._chains:
+            self._chains[a0, b] = tricomi_u_chain(a0, b, self.t / 2.0, self._tops[a0])
+        w, log_scale = self._chains[a0, b]
+        assert start + count <= len(w), f"U({a} + {count - 1}, {b}) is past the chain top"
+        return w[start:start + count], log_scale
+
+    def quotient(self, num: tuple[float, float], den: tuple[float, float],
+                 count: int) -> np.ndarray:
+        """U(a_n + i, b_n, t/2) / U(a_d + i, b_d, t/2) for i = 0..count-1.
+
+        num = (a_n, b_n) and den = (a_d, b_d); a_n and a_d are integers or
+        half-integers.
+        """
+        (a_num, b_num), (a_den, b_den) = num, den
+        w_num, s_num = self._segment(a_num, b_num, count)
+        w_den, s_den = self._segment(a_den, b_den, count)
+        return w_num / w_den * math.exp(s_num - s_den) \
+            * _gamma_run(a_den + 1.0, a_num - a_den, count)
+
+    def border_mix(self) -> float:
+        """U(a, gamma + 1/2, t/2) / U(a, gamma + 3/2, t/2) at a = gamma + (l-1)/2,
+        the coefficient mixing the two border terms."""
+        a = self.gamma + (self.l - 1) / 2.0
+        num, den = (a, self.gamma + 0.5), (a, self.gamma + 1.5)
+        if int(a) <= self._tops[a % 1.0]:
+            return float(self.quotient(num, den, 1)[0])
+        # An integer a above the integer ladder's top: two direct quadratures.
+        return (tricomi_u(*num, self.t / 2.0) / tricomi_u(*den, self.t / 2.0)).value
+
+    def laguerre_rows(self, count: int) -> np.ndarray:
+        """Standard Laguerre values L_n^(2 gamma + m)(-t), m < count, n = 0..l.
+
+        All values are positive: the lowest row comes from the three-term
+        recurrence, whose coefficients are positive at negative argument, and
+        each further row is the running sum of the one before
+        (L_n^(mu+1) = sum_{i<=n} L_i^(mu)), so no row carries cancellation.
+        """
+        if len(self._rows) < count:
+            mu, t = 2 * self.gamma, self.t
+            prev, cur = 1.0, mu + 1.0 + t
+            row = [prev, cur]
+            for n in range(1, self.l):
+                prev, cur = cur, ((2.0 * n + mu + 1.0 + t) * cur - (n + mu) * prev) / (n + 1.0)
+                row.append(cur)
+            rows = np.empty((count, self.l + 1))
+            rows[0] = row[:self.l + 1]
+            for m in range(1, count):
+                rows[m] = np.cumsum(rows[m - 1])
+            self._rows = rows
+        return self._rows
+
+
+def _tables_for(gamma: int, l: int, t: float, tables: BulkTables | None) -> BulkTables:
+    if tables is None:
+        return BulkTables(gamma, l, t)
+    if (tables.gamma, tables.l, tables.t) != (gamma, l, t):
+        raise ValueError(f"tables built for (gamma, l, t) = "
+                         f"{(tables.gamma, tables.l, tables.t)}, not {(gamma, l, t)}")
+    return tables
+
+
+def kernel_matrix(gamma: int, l: int, t: float, size: int,
+                  tables: BulkTables | None = None) -> np.ndarray:
     """Power-stripped derivative kernel matrix M, antisymmetric size x size.
 
     The full entries factor as Xi_ab = t^(2 gamma + a + b + 1) * M_ab; the
     stripped matrix stays O(1) down to t -> 0, so callers can keep the exact
     power in a log-domain prefactor.  Entries are assembled from positive
     Laguerre values, with the scaled polynomial norms folded in through
-    gamma-function differences instead of raw factorials.
+    rising factorials instead of raw factorials.  `tables`, if given, must
+    have been built for the same (gamma, l, t).
     """
     assert size >= 1, f"size must be positive, got {size}"
     assert size <= l - 1, f"orders 0..{size - 1} exceed the bound l-2={l - 2}"
-    spec = KernelSpec(gamma=gamma, l=l, t=t)
-    _check_envelope(l, t)
-    hatted = spec.parity == "odd"
+    tables = _tables_for(gamma, l, t, tables)
+    hatted = l % 2 == 1
     j_max = (l - 3) // 2 if hatted else (l - 2) // 2
-    phi = _phi_rows(l, list(range(2 * gamma, 2 * gamma + size + 1)), t)
+    count = j_max + 1
+    rows = tables.laguerre_rows(size + 1)
+    js, orders = np.arange(count), np.arange(size)
+    j, a = js[:, None], orders[None, :]
+    half, h = gamma + 0.5, 0.5 - gamma
 
-    def pget(n: int, mu: int) -> float:
-        return phi[mu][n] if n >= 0 else 0.0
+    # rho_j, sigma_j: b-shifts of U(j + gamma + 1/2, ., t/2); at j = 0 they
+    # multiply Laguerre values of negative degree only.  The hatted set also
+    # reads rho at j = count, for its top polynomial.
+    rho_all = tables.quotient((half, half), (half, half + 1.0), count + hatted)
+    rho = rho_all[:count, None]
+    sig = tables.quotient((half, half - 1.0), (half, half + 1.0), count)[:, None]
+    even_vals = _gather(rows, 2 * j - a, a) + rho * _gather(rows, 2 * j - 1 - a, a + 1)
+    mid = (rho + 2 * j * rho ** 2 - 2 * (j + 1) * sig) / (2 * j + 1)
+    odd_vals = (_gather(rows, 2 * j + 1 - a, a)
+                - 2.0 * (gamma + j) / (2 * j + 1) * _gather(rows, 2 * j - 1 - a, a)
+                + mid * _gather(rows, 2 * j - 1 - a, a + 1)
+                + 2.0 * j * rho / (2 * j + 1) * _gather(rows, 2 * j - a, a + 1)
+                - 2.0 * (gamma + j) * rho / (2 * j + 1) * _gather(rows, 2 * j - 2 - a, a + 1))
 
-    rho = [0.0] * (j_max + 1)
-    sig = [0.0] * (j_max + 1)
-    for j in range(1, j_max + 1):
-        rho[j] = _rho_coef(j, gamma, t)
-        sig[j] = _sigma_coef(j, gamma, t)
-
-    def a_coef(j: int, a: int) -> float:
-        return (pget(2 * j - a, 2 * gamma + a)
-                + rho[j] * pget(2 * j - 1 - a, 2 * gamma + a + 1))
-
-    def b_coef(j: int, a: int) -> float:
-        if j == 0:
-            return pget(1 - a, 2 * gamma + a)
-        mid = (rho[j] + 2 * j * rho[j] ** 2 - 2 * (j + 1) * sig[j]) / (2 * j + 1)
-        return (pget(2 * j + 1 - a, 2 * gamma + a)
-                - 2.0 * (gamma + j) / (2 * j + 1) * pget(2 * j - 1 - a, 2 * gamma + a)
-                + mid * pget(2 * j - 1 - a, 2 * gamma + a + 1)
-                + 2.0 * j * rho[j] / (2 * j + 1) * pget(2 * j - a, 2 * gamma + a + 1)
-                - 2.0 * (gamma + j) * rho[j] / (2 * j + 1)
-                * pget(2 * j - 2 - a, 2 * gamma + a + 1))
-
-    even_vals = np.empty((j_max + 1, size))
-    odd_vals = np.empty((j_max + 1, size))
-    norm_w = np.empty(j_max + 1)
-    for j in range(j_max + 1):
-        u_j = _u_quotient(j + 1.0, 0.5 - gamma, float(j), 0.5 - gamma, t)
-        norm_w[j] = math.exp(gammaln(2 * j + 2) - gammaln(2 * j + 2 * gamma + 2)) \
-            / (2.0 * u_j)
-        for a in range(size):
-            even_vals[j, a] = a_coef(j, a)
-            odd_vals[j, a] = b_coef(j, a)
-
-    weighted = norm_w[:, None] * even_vals
-    matrix = odd_vals.T @ weighted
+    u = tables.quotient((1.0, h), (0.0, h), count)
+    norm_w = 0.5 / (u * _rising(2.0 * js + 2.0, 2 * gamma))
+    matrix = odd_vals.T @ (norm_w[:, None] * even_vals)
     matrix = matrix.T - matrix
 
     if hatted:
-        big_k = (l - 1) // 2
-        rho_top = _rho_coef(big_k, gamma, t)
-        top_vals = np.array([
-            pget(2 * big_k - a, 2 * gamma + a)
-            + rho_top * pget(2 * big_k - 1 - a, 2 * gamma + a + 1)
-            for a in range(size)])
-        half = 0.5 - gamma
-
-        def v_of(j: int) -> float:
-            return _u_quotient(j + 0.5, half, float(j), half, t)
-
-        def moment_even_scaled(j: int) -> float:
-            return 2.0 ** (0.5 - gamma) * math.exp(
-                gammaln(j + 1.5) - gammaln(j + gamma + 1.5)) * v_of(j)
-
-        def odd_over_even(j: int) -> float:
-            return t * ((j + 0.5) * _u_quotient(j + 1.5, half + 1.0, j + 0.5, half, t)
-                        - j * _u_quotient(j + 1.0, half + 1.0, float(j), half, t))
-
-        mu_top = moment_even_scaled(big_k)
-        ln_border = gammaln(2 * big_k + 2) - gammaln(2 * big_k + 2 * gamma + 2) \
-            - math.log(mu_top)
-        border_scale = math.exp(ln_border)
-        even_w = np.empty(j_max + 1)
-        odd_w = np.empty(j_max + 1)
-        for j in range(j_max + 1):
-            u_j = _u_quotient(j + 1.0, 0.5 - gamma, float(j), 0.5 - gamma, t)
-            mu_e = moment_even_scaled(j)
-            even_w[j] = border_scale * mu_e / (2.0 * u_j)
-            odd_w[j] = even_w[j] * odd_over_even(j) / (2 * j + 1)
+        big_k = count
+        top_vals = _gather(rows, 2 * big_k - orders, orders) \
+            + rho_all[big_k] * _gather(rows, 2 * big_k - 1 - orders, orders + 1)
+        # Even-polynomial moments up to a common factor: U(j + 1/2, h)/U(j, h)
+        # times Gamma(j + 3/2)/Gamma(j + gamma + 3/2), for j = 0..big_k.
+        moments = tables.quotient((0.5, h), (0.0, h), big_k + 1) \
+            / _rising(np.arange(big_k + 1) + 1.5, gamma)
+        even_w = moments[:count] / (moments[big_k] * _rising(2.0 * big_k + 2.0, 2 * gamma)
+                                    * 2.0 * u)
+        odd_over_even = t * ((js + 0.5) * tables.quotient((1.5, h + 1.0), (0.5, h), count)
+                             - js * tables.quotient((1.0, h + 1.0), (0.0, h), count))
+        odd_w = even_w * odd_over_even / (2 * js + 1)
         mixed = odd_vals.T @ even_w + even_vals.T @ odd_w
         matrix += np.outer(mixed, top_vals) - np.outer(top_vals, mixed)
 
     return matrix
 
 
-def border_column(gamma: int, l: int, t: float, size: int) -> np.ndarray:
+def border_column(gamma: int, l: int, t: float, size: int,
+                  tables: BulkTables | None = None) -> np.ndarray:
     """Power-stripped border entries beta with xi_a = t^(2 gamma + a) beta_a.
 
     Each entry is a sum of two positive Laguerre values, so the column is
     strictly positive and cancellation-free at every admissible order.
+    `tables`, if given, must have been built for the same (gamma, l, t).
     """
     assert size >= 1, f"size must be positive, got {size}"
     assert size <= l - 1, f"orders 0..{size - 1} exceed the bound l-2={l - 2}"
-    assert t > 0.0, f"t must be positive, got {t}"
-    _check_envelope(l, t)
-    rho_t = _rho_tilde(gamma, l, t)
-    phi = _phi_rows(l, list(range(2 * gamma, 2 * gamma + size + 1)), t)
-    out = np.empty(size)
-    for a in range(size):
-        value = phi[2 * gamma + a][l - a - 2]
-        if l - a - 3 >= 0:
-            value += rho_t * phi[2 * gamma + a + 1][l - a - 3]
-        out[a] = value
-    return out
+    tables = _tables_for(gamma, l, t, tables)
+    rows = tables.laguerre_rows(size + 1)
+    a = np.arange(size)
+    return _gather(rows, l - a - 2, a) \
+        + tables.border_mix() * _gather(rows, l - a - 3, a + 1)
 
 
 def xi_small(a: int, spec: KernelSpec) -> float:
@@ -376,8 +403,10 @@ def kernel_cd(xa: float, xb: float, gamma: int, l: int, t: float) -> float:
     if xa == xb:
         raise ValueError("coincident arguments degenerate the divided difference")
     assert t > 0.0, f"t must be positive, got {t}"
-    rho_t = _rho_tilde(gamma, l, t)
-    sig_t = _sigma_tilde(gamma, l, t)
+    a_top = gamma + (l - 1) / 2.0
+    u_den = tricomi_u(a_top, gamma + 1.5, t / 2.0)
+    rho_t = (tricomi_u(a_top, gamma + 0.5, t / 2.0) / u_den).value
+    sig_t = (tricomi_u(a_top, gamma - 0.5, t / 2.0) / u_den).value
     base: list[tuple[int, int, int, int, float]] = [
         (l, 2 * gamma - 2, l, 2 * gamma - 2, 1.0),
         (l - 1, 2 * gamma - 1, l, 2 * gamma - 2, -rho_t * l),

@@ -3,8 +3,8 @@
 Everything downstream (skew-orthogonal polynomials, Pfaffian kernels, the
 finite-size and hard-edge distributions) is assembled from the functions in
 this module: log-gamma, monic Laguerre polynomials and their derivatives,
-Tricomi's confluent hypergeometric function U(a, b, t), and the Bessel
-functions I_n, J_n and K_{m+1/2}.
+Tricomi's confluent hypergeometric function U(a, b, t), singly or as a whole
+chain in a, and the Bessel functions I_n, J_n and K_{m+1/2}.
 
 Quantities such as Gamma[(p+k+1)/2] * U(...) pair enormous factors that cancel
 only at the very end of an assembly, so every function that can leave the
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.special import ive, jv
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "laguerre_monic",
     "laguerre_monic_deriv",
     "tricomi_u",
+    "tricomi_u_chain",
     "bessel_i",
     "bessel_j",
     "bessel_k_half",
@@ -172,6 +174,8 @@ def laguerre_monic_deriv(a: int, mu: float, order: int, y: float) -> LogScaled:
 # ----------------------------------------------------------------- Tricomi U
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Highest Gauss-Legendre panel order tried before giving up.
+_MAX_ORDER = 12288
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -204,8 +208,11 @@ def tricomi_u(a: float, b: float, t: float) -> LogScaled:
     doubles until two successive values agree to 5e-13.
 
     a = 0 returns 1 exactly (empty-product convention used by the
-    skew-orthogonal norm at index 0).  Handles a up to ~500 and t down to
-    1e-8 without overflow or underflow.
+    skew-orthogonal norm at index 0).  Serves as the anchor of
+    :func:`tricomi_u_chain`, so it is evaluated up to a ~ l/2 for l kernel
+    polynomials; it is tested up to a = 2003 and t down to 1e-8, without
+    overflow or underflow.  Raises RuntimeError if two successive values
+    still disagree at panel order 12288.
     """
     if a == 0.0:
         return LogScaled.from_value(1.0)
@@ -269,9 +276,76 @@ def tricomi_u(a: float, b: float, t: float) -> LogScaled:
             + _panel(h, peak, right, h_peak, order)
         if prev is not None and abs(total - prev) <= 5e-13 * abs(total):
             break
-        assert order <= 6144, "Tricomi U quadrature failed to converge"
+        if order >= _MAX_ORDER:
+            raise RuntimeError(
+                f"Tricomi U quadrature did not converge for a={a}, b={b}, t={t}: "
+                f"order {order} reached")
         prev, order = total, 2 * order
     return LogScaled(h_peak + math.log(total) - math.lgamma(a), 1)
+
+
+def tricomi_u_chain(a0: float, b: float, t: float, n: int) -> tuple[np.ndarray, float]:
+    """Tricomi U(a0 + i, b, t) for i = 0..n at once, in scaled form.
+
+    Returns (w, log_scale) with
+
+        U(a0 + i, b, t) = w[i] * exp(log_scale) / Gamma(a0 + i + 1),
+
+    so ratios along the chain and between chains of equal length stay
+    accurate where the log of U itself runs into the thousands.
+
+    Only the two ends come from :func:`tricomi_u` (none for U(0, b, t) = 1).
+    The interior solves the three-term recurrence in a (DLMF 13.3.7) as a
+    boundary-value problem (Olver 1967; Gil, Segura and Temme 2007, ch. 4):
+    with w_a = Gamma(a + 1) U(a, b, t) it reads
+
+        a w_{a-1} + (b - 2a - t) w_a + a (a - b + 1) / (a + 1) w_{a+1} = 0,
+
+    whose coefficients are O(a) and whose solutions vary at most like
+    exp(+-2 sqrt(a t)) times powers of a, so nothing overflows.  The system
+    is tridiagonal.  Its condition grows like n^2 as t -> 0, where both
+    solutions of the recurrence become polynomial in a; one step of
+    iterative refinement wins the lost digits back.  The residual for it is
+    taken in extended precision and in the difference form
+
+        a (w_{a+1} - 2 w_a + w_{a-1}) - a b / (a + 1) (w_{a+1} - w_a)
+            + (b / (a + 1) - t) w_a,
+
+    in which the small terms are explicit instead of left to cancel (the
+    difference form alone already gains most of the digits where numpy's
+    long double is plain double).
+    """
+    if a0 < 0.0 or n < 0:
+        raise ValueError(f"tricomi_u_chain requires a0 >= 0 and n >= 0, got a0={a0}, n={n}")
+    ln_lo = 0.0 if a0 == 0.0 else tricomi_u(a0, b, t).log_magnitude + math.lgamma(a0 + 1.0)
+    if n == 0:
+        return np.ones(1), ln_lo
+    ln_hi = tricomi_u(a0 + n, b, t).log_magnitude + math.lgamma(a0 + n + 1.0)
+    log_scale = max(ln_lo, ln_hi)
+    w = np.empty(n + 1)
+    w[0], w[-1] = math.exp(ln_lo - log_scale), math.exp(ln_hi - log_scale)
+    if n <= 1:
+        return w, log_scale
+    a = a0 + np.arange(1.0, n)
+    upper = a * (a - b + 1.0) / (a + 1.0)
+    bands = np.zeros((3, n - 1))
+    bands[0, 1:] = upper[:-1]
+    bands[1] = b - 2.0 * a - t
+    bands[2, :-1] = a[1:]
+    rhs = np.zeros(n - 1)
+    rhs[0] -= a[0] * w[0]
+    rhs[-1] -= upper[-1] * w[-1]
+    w[1:-1] = solve_banded((1, 1), bands, rhs, check_finite=False)
+
+    wide = a.astype(np.longdouble)
+    step = np.diff(w.astype(np.longdouble))
+    residual = wide * np.diff(step) - wide * b / (wide + 1.0) * step[1:] \
+        + (b / (wide + 1.0) - t) * w[1:-1]
+    w[1:-1] -= solve_banded((1, 1), bands, residual.astype(float), check_finite=False)
+    if not np.all(w > 0.0):
+        raise RuntimeError(
+            f"Tricomi U chain left the double range for a0={a0}, b={b}, t={t}, n={n}")
+    return w, log_scale
 
 
 # ------------------------------------------------------------------- Bessel

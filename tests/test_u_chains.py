@@ -1,0 +1,180 @@
+"""Tricomi U chains and the bulk route built on them.
+
+The chains are checked against mpmath's hyperu at 30 digits; the finite-p
+assembly is checked against the same assembly with every U ratio taken
+from mpmath instead of the chains.
+"""
+
+from __future__ import annotations
+
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hardedge import distributions, kernels, specfun
+from hardedge.distributions import FiniteSpec, gap_finite, smallest_finite
+from hardedge.kernels import BulkTables, border_column, kernel_matrix
+from hardedge.specfun import tricomi_u, tricomi_u_chain
+
+mpmath = pytest.importorskip("mpmath")
+
+CHAIN_LENGTH = 1003
+CHAIN_SAMPLES = (0, 1, 2, 10, 100, 500, 1002)
+
+
+def _hyperu(a: float, b: float, z: float):
+    with mpmath.workdps(30):
+        return mpmath.hyperu(a, b, z)
+
+
+@pytest.mark.parametrize("a0", [0.0, 0.5])
+@pytest.mark.parametrize("z", [5e-9, 1e-4, 0.00375, 0.0875, 1.0, 100.0])
+@pytest.mark.parametrize("b", [-0.5, 0.5, 1.5, 2.5])
+def test_chain_matches_mpmath(a0: float, z: float, b: float) -> None:
+    w, log_scale = tricomi_u_chain(a0, b, z, CHAIN_LENGTH)
+    assert w.shape == (CHAIN_LENGTH + 1,) and np.all(w > 0.0)
+    indices = sorted({i + d for i in CHAIN_SAMPLES for d in (0, 1)})
+    ref = {i: _hyperu(a0 + i, b, z) for i in indices}
+    for i in indices:
+        got = math.log(w[i]) + log_scale - math.lgamma(a0 + i + 1.0)
+        want = float(mpmath.log(ref[i]))
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (i, got, want)
+    for i in CHAIN_SAMPLES:
+        ratio = w[i + 1] / (w[i] * (a0 + i + 1.0))
+        want = float(ref[i + 1] / ref[i])
+        assert ratio == pytest.approx(want, rel=1e-12, abs=0.0), i
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_short_chains_match_mpmath(n: int) -> None:
+    for a0, b, z in ((0.0, 0.5, 0.3), (0.5, -0.5, 2.0), (0.5, 2.5, 1e-4)):
+        w, log_scale = tricomi_u_chain(a0, b, z, n)
+        assert len(w) == n + 1
+        for i in range(n + 1):
+            got = w[i] * math.exp(log_scale - math.lgamma(a0 + i + 1.0))
+            assert got == pytest.approx(float(_hyperu(a0 + i, b, z)), rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [1003.5, 2003.0, 2003.5])
+@pytest.mark.parametrize("b", [-0.5, 0.5, 1.5, 2.5])
+@pytest.mark.parametrize("z", [5e-9, 0.00375, 1.0])
+def test_anchor_at_large_a_matches_mpmath(a: float, b: float, z: float) -> None:
+    # ln U reaches -13300 here, where one ulp of the log is 1.8e-12 of U;
+    # the bound allows about five.
+    got = tricomi_u(a, b, z)
+    want = mpmath.log(_hyperu(a, b, z))
+    assert got.sign == 1
+    assert abs(float(mpmath.expm1(got.log_magnitude - want))) <= 1e-11
+
+
+def test_chain_rejects_bad_arguments() -> None:
+    with pytest.raises(ValueError):
+        tricomi_u_chain(-0.5, 0.5, 1.0, 4)
+    with pytest.raises(ValueError):
+        tricomi_u_chain(0.5, 0.5, 1.0, -1)
+
+
+def _never_settles(log_f, lo, hi, peak_val, n):
+    return float(n)
+
+
+def test_tricomi_u_nonconvergence_raises(monkeypatch) -> None:
+    monkeypatch.setattr(specfun, "_panel", _never_settles)
+    with pytest.raises(RuntimeError, match=r"a=2\.5, b=0\.5, t=0\.25.*order 12288"):
+        tricomi_u(2.5, 0.5, 0.25)
+
+
+def test_tricomi_u_nonconvergence_raises_under_optimization() -> None:
+    # Under python -O an assert would vanish and the order would double
+    # without bound; the error must not depend on assertions being enabled.
+    script = (
+        "import hardedge.specfun as s\n"
+        "s._panel = lambda log_f, lo, hi, peak_val, n: float(n)\n"
+        "try:\n"
+        "    s.tricomi_u(2.5, 0.5, 0.25)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit('no error raised')\n"
+    )
+    src = str(Path(specfun.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env={"PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert "order 12288" in done.stdout
+
+
+# ------------------------------------------------------------ bulk route
+
+
+def test_shared_tables_give_the_same_entries() -> None:
+    for gamma, l, t in ((0, 12, 0.4), (1, 13, 0.4), (1, 40, 3.0)):
+        tables = BulkTables(gamma, l, t)
+        assert np.array_equal(kernel_matrix(gamma, l, t, 3, tables),
+                              kernel_matrix(gamma, l, t, 3))
+        assert np.array_equal(border_column(gamma, l, t, 3, tables),
+                              border_column(gamma, l, t, 3))
+
+
+def test_tables_must_match_the_call() -> None:
+    tables = BulkTables(0, 12, 0.4)
+    with pytest.raises(ValueError):
+        kernel_matrix(0, 12, 0.5, 3, tables)
+    with pytest.raises(ValueError):
+        border_column(1, 12, 0.4, 3, tables)
+
+
+def test_finite_point_needs_few_quadratures(monkeypatch) -> None:
+    calls = []
+
+    def counted(a, b, t):
+        calls.append(a)
+        return tricomi_u(a, b, t)
+
+    for module in (specfun, kernels, distributions):
+        monkeypatch.setattr(module, "tricomi_u", counted)
+    for quantity in (gap_finite, smallest_finite):
+        for p, k in ((500, 4), (1000, 3)):
+            calls.clear()
+            quantity(FiniteSpec(p=p, k=k, t=50.0 / (4 * p)))
+            assert 1 <= len(calls) <= 20, (quantity.__name__, p, k, len(calls))
+
+
+@pytest.fixture
+def mpmath_ratios(monkeypatch):
+    """Route every U ratio of the bulk route through mpmath's hyperu."""
+    cache: dict[tuple[float, float, float], object] = {}
+
+    def u(a: float, b: float, z: float):
+        if (a, b, z) not in cache:
+            cache[a, b, z] = _hyperu(a, b, z)
+        return cache[a, b, z]
+
+    def quotient(self, num, den, count):
+        z = self.t / 2.0
+        return np.array([float(u(num[0] + i, num[1], z) / u(den[0] + i, den[1], z))
+                         for i in range(count)])
+
+    def border_mix(self):
+        a, z = self.gamma + (self.l - 1) / 2.0, self.t / 2.0
+        return float(u(a, self.gamma + 0.5, z) / u(a, self.gamma + 1.5, z))
+
+    def install() -> None:
+        monkeypatch.setattr(BulkTables, "quotient", quotient)
+        monkeypatch.setattr(BulkTables, "border_mix", border_mix)
+
+    return install
+
+
+@pytest.mark.parametrize("p, k, t", [(500, 4, 0.015), (500, 4, 0.17), (1000, 3, 0.0075),
+                                     (1000, 3, 0.085), (20, 4, 5.0), (10, 2, 1e-6)])
+def test_assembly_matches_mpmath_ratios(p: int, k: int, t: float, mpmath_ratios) -> None:
+    spec = FiniteSpec(p=p, k=k, t=t)
+    got = (gap_finite(spec), smallest_finite(spec))
+    mpmath_ratios()
+    want = (gap_finite(spec), smallest_finite(spec))
+    assert got == pytest.approx(want, rel=1e-8, abs=0.0)
