@@ -385,7 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "matrices: analytic curves, limits, and Monte-Carlo "
                     "comparisons.")
     parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker threads for grid evaluation and sampling")
+                        help="worker threads for grid evaluation and for "
+                             "sampling with a non-scalar correlation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, blurb in (("gap", "probability of an eigenvalue-free (0, t)"),

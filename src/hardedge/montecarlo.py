@@ -3,9 +3,18 @@
 Draws W = L G with G a p x n standard Gaussian matrix and L the lower
 Cholesky factor of a row correlation matrix C (identity when absent), and
 records the smallest eigenvalue of W W^T as the square of the smallest
-singular value of W.  The singular-value route avoids forming W W^T, which
-would square the condition number exactly where the smallest eigenvalue
-lives.
+singular value of W.  Neither path forms W W^T, which would square the
+condition number exactly where the smallest eigenvalue lives.
+
+Without a correlation, G is never drawn: its singular values are exactly
+those of a p x p bidiagonal matrix with independent chi entries
+(Dumitriu-Edelman, J. Math. Phys. 43, 5830, 2002), and the smallest one is
+the (p+1)-th eigenvalue of the 2p x 2p Golub-Kahan tridiagonal, found by
+bisection to full relative accuracy (Demmel-Kahan, SIAM J. Sci. Stat.
+Comput. 11, 873, 1990).  That costs O(p) per sample.  A scalar correlation
+C = c 1 takes the same path, since then W = sqrt(c) G.  Any other
+correlation draws W = L G densely and takes its singular values; only that
+path uses a thread pool.
 
 Every sample runs on its own counter-based Philox stream keyed by
 (seed, sample index), so a batch is bit-identical no matter how many
@@ -20,6 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dstebz
 
 __all__ = [
     "SamplerConfig",
@@ -38,6 +48,9 @@ logger = logging.getLogger(__name__)
 
 RNG_ALGORITHM = "Philox4x64"
 RNG_KEY_SCHEME = "(seed, sample_index)"
+
+# LAPACK's absolute tolerance for bisection to full relative accuracy.
+_BISECTION_TOL = 2.0 * np.finfo(float).tiny
 
 
 def _check_correlation(matrix: np.ndarray, p: int) -> np.ndarray:
@@ -118,38 +131,102 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _scalar_correlation(correlation: np.ndarray | None) -> float | None:
+    """The c of a correlation equal to c 1 (1.0 when absent), else None."""
+    if correlation is None:
+        return 1.0
+    c = float(correlation[0, 0])
+    if np.array_equal(correlation, c * np.eye(correlation.shape[0])):
+        return c
+    return None
+
+
+class _Draws:
+    """The per-sample matrices of one configuration.
+
+    On the bidiagonal path a sample is the vector of squared Golub-Kahan
+    off-diagonal entries, chi-square variables with the degrees of freedom
+    n, p-1, n-1, p-2, ..., n-p+1 interleaved; on the dense path it is
+    W = L G itself.
+    """
+
+    def __init__(self, config: SamplerConfig) -> None:
+        p, n = config.p, config.n
+        self.seed = config.seed
+        self.shape = (p, n)
+        self.scale = _scalar_correlation(config.correlation)
+        self.dense = self.scale is None
+        if self.dense:
+            self.factor = np.linalg.cholesky(config.correlation)
+        else:
+            self.dof = np.empty(2 * p - 1)
+            self.dof[0::2] = np.arange(n, n - p, -1)
+            self.dof[1::2] = np.arange(p - 1, 0, -1)
+            self.diagonal = np.zeros(2 * p)
+
+    def squares(self, index: int) -> np.ndarray:
+        """Squared bidiagonal entries of sample `index`."""
+        return _stream(self.seed, index).chisquare(self.dof)
+
+    def matrix(self, index: int) -> np.ndarray:
+        """Dense W = L G of sample `index`."""
+        gauss = _stream(self.seed, index).standard_normal(self.shape)
+        return self.factor @ gauss
+
+    def smallest(self, index: int) -> float:
+        """Smallest eigenvalue of W W^T for sample `index`."""
+        if self.dense:
+            try:
+                singular = np.linalg.svd(self.matrix(index), compute_uv=False)
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(
+                    f"singular values failed at sample {index}") from exc
+            return float(singular[-1]) ** 2
+        p = self.shape[0]
+        off = np.sqrt(self.squares(index))
+        _, values, _, _, info = dstebz(self.diagonal, off, 2, 0.0, 0.0,
+                                       p + 1, p + 1, _BISECTION_TOL, "E")
+        if info != 0:
+            raise RuntimeError(
+                f"bidiagonal bisection failed at sample {index} (info={info})")
+        return self.scale * float(values[0]) ** 2
+
+    def trace(self, index: int) -> float:
+        """tr(W W^T) of sample `index`.
+
+        Bidiagonalization is orthogonal, so on the bidiagonal path this is
+        the sum of the squared entries, a chi-square with p n degrees of
+        freedom.
+        """
+        if self.dense:
+            w = self.matrix(index)
+            return float(np.sum(w * w))
+        return self.scale * float(np.sum(self.squares(index)))
+
+
 def sample_batch(config: SamplerConfig, workers: int | None = None) -> SampleBatch:
     """Draw the configured batch of smallest Wishart eigenvalues.
 
-    With `workers` greater than 1 the samples are computed in a thread
-    pool; the per-sample streams make the result identical either way.
+    Uncorrelated and scalar-correlated batches take the O(p) bidiagonal
+    path and always run serially: with O(p) work per sample the pool's
+    hand-offs cost more than they save.  On the dense path, `workers`
+    greater than 1 spreads the samples over a thread pool.  Either way the
+    per-sample streams make the result independent of `workers`.
     """
-    factor = None
-    if config.correlation is not None:
-        factor = np.linalg.cholesky(config.correlation)
-
-    def one(index: int) -> float:
-        rng = _stream(config.seed, index)
-        gauss = rng.standard_normal((config.p, config.n))
-        w = gauss if factor is None else factor @ gauss
-        try:
-            singular = np.linalg.svd(w, compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"singular values failed at sample {index}") from exc
-        return float(singular[-1]) ** 2
-
+    draws = _Draws(config)
     count = config.num_samples
-    if workers is not None and workers > 1:
+    if draws.dense and workers is not None and workers > 1:
         chunk = max(1, count // (8 * workers))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             values = np.fromiter(
-                pool.map(one, range(count), chunksize=chunk),
+                pool.map(draws.smallest, range(count), chunksize=chunk),
                 dtype=float, count=count)
     else:
-        values = np.fromiter((one(i) for i in range(count)),
+        values = np.fromiter((draws.smallest(i) for i in range(count)),
                              dtype=float, count=count)
-    logger.debug("sampled %d matrices at p=%d, nu=%d",
-                 count, config.p, config.nu)
+    logger.debug("sampled %d matrices at p=%d, nu=%d on the %s path",
+                 count, config.p, config.nu,
+                 "dense" if draws.dense else "bidiagonal")
     return SampleBatch(config=config, smallest_eigenvalues=values)
 
 
@@ -210,20 +287,14 @@ def microscopic_rescale(batch: SampleBatch, inverse: bool = False) -> SampleBatc
 def trace_average(config: SamplerConfig) -> tuple[float, float]:
     """Mean of tr(W W^T)/(p n) over the batch, with its standard error.
 
-    Uses the same per-sample streams as `sample_batch`, so the matrices
+    Uses the same per-sample draws as `sample_batch`, so the matrices
     agree draw for draw.  The expectation equals the mean diagonal entry
     of the correlation matrix.
     """
-    factor = None
-    if config.correlation is not None:
-        factor = np.linalg.cholesky(config.correlation)
+    draws = _Draws(config)
     scale = config.p * config.n
-    traces = np.empty(config.num_samples)
-    for index in range(config.num_samples):
-        rng = _stream(config.seed, index)
-        gauss = rng.standard_normal((config.p, config.n))
-        w = gauss if factor is None else factor @ gauss
-        traces[index] = np.sum(w * w) / scale
+    traces = np.array([draws.trace(i) / scale
+                       for i in range(config.num_samples)])
     mean = float(np.mean(traces))
     error = float(np.std(traces, ddof=1) / math.sqrt(config.num_samples))
     return mean, error

@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
+from scipy.stats import ks_2samp
 
 from hardedge.distributions import FiniteSpec, gap_finite
 from hardedge.microscopic import gap_micro
@@ -23,6 +25,7 @@ from hardedge.montecarlo import (
     microscopic_rescale,
     sample_batch,
     trace_average,
+    _Draws,
 )
 
 
@@ -170,6 +173,101 @@ def test_trace_moment_matches_correlation_diagonal() -> None:
     mean, error = trace_average(config)
     assert abs(mean - 1.0) <= 3.0 * error, \
         f"trace average {mean} off the diagonal mean 1.0"
+
+
+def test_trace_moment_on_bidiagonal_path() -> None:
+    config = SamplerConfig(p=8, n=10, num_samples=4000, seed=11)
+    mean, error = trace_average(config)
+    assert abs(mean - 1.0) <= 3.0 * error, \
+        f"trace average {mean} off the identity diagonal 1.0"
+
+
+def _smallest_eigenvalue_mp(diagonal, subdiagonal) -> mpmath.mpf:
+    """Smallest eigenvalue of B B^T for the lower-bidiagonal B, by Sturm
+    bisection in mpmath's working precision."""
+    d = [mpmath.mpf(float(x)) for x in diagonal]
+    e = [mpmath.mpf(0)] + [mpmath.mpf(float(x)) for x in subdiagonal]
+    main = [d[i] ** 2 + e[i] ** 2 for i in range(len(d))]
+    off_sq = [(d[i] * e[i + 1]) ** 2 for i in range(len(d) - 1)]
+
+    def below(x):
+        count, pivot = 0, main[0] - x
+        for i in range(len(main)):
+            if i:
+                pivot = main[i] - x - off_sq[i - 1] / pivot
+            count += pivot < 0
+        return count
+
+    # The squared Frobenius norm of B bounds every eigenvalue of B B^T.
+    lo, hi = mpmath.mpf(0), sum(x ** 2 for x in d + e)
+    while hi - lo > lo * mpmath.mpf(10) ** (-30):
+        mid = (lo + hi) / 2
+        if below(mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("nu", [0, 4])
+def test_bidiagonal_smallest_matches_mpmath(nu: int) -> None:
+    # Bisection at LAPACK's full-relative-accuracy tolerance must give the
+    # smallest singular value of the drawn bidiagonal to a few ulps.
+    config = SamplerConfig(p=200, n=200 + nu, num_samples=3, seed=77 + nu)
+    batch = sample_batch(config)
+    draws = _Draws(config)
+    with mpmath.workdps(40):
+        for index in range(config.num_samples):
+            entries = np.sqrt(draws.squares(index))
+            exact = mpmath.sqrt(
+                _smallest_eigenvalue_mp(entries[0::2], entries[1::2]))
+            sigma = math.sqrt(batch.smallest_eigenvalues[index])
+            error = abs(mpmath.mpf(sigma) / exact - 1)
+            assert error <= 1e-14, \
+                f"sigma_min off by {float(error):.2e} at sample {index}"
+
+
+def _dense_smallest(p: int, n: int, count: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    values = []
+    for start in range(0, count, 2000):
+        gauss = rng.standard_normal((min(2000, count - start), p, n))
+        values.append(np.linalg.svd(gauss, compute_uv=False)[:, -1] ** 2)
+    return np.concatenate(values)
+
+
+@pytest.mark.parametrize("p, n, seed", [(10, 14, 611), (30, 32, 613)])
+def test_bidiagonal_sampler_matches_dense_svd(p: int, n: int, seed: int) -> None:
+    # Two-sample Kolmogorov-Smirnov at level 1e-3: 1.95 sqrt(2/N).
+    count = 20000
+    bidiagonal = sample_batch(
+        SamplerConfig(p=p, n=n, num_samples=count, seed=seed))
+    dense = _dense_smallest(p, n, count, seed + 1)
+    statistic = ks_2samp(bidiagonal.smallest_eigenvalues, dense).statistic
+    assert statistic <= 1.95 * math.sqrt(2.0 / count), \
+        f"bidiagonal and dense samplers differ: KS {statistic}"
+
+
+@pytest.mark.parametrize("p, n", [(1, 1), (1, 4), (2, 2), (50, 50)])
+def test_bidiagonal_edge_sizes_are_positive(p: int, n: int) -> None:
+    values = sample_batch(SamplerConfig(p=p, n=n, num_samples=500,
+                                        seed=19)).smallest_eigenvalues
+    assert np.all(np.isfinite(values)) and np.all(values > 0.0)
+
+
+def test_scalar_correlation_is_exact_multiple_of_plain_batch() -> None:
+    plain = SamplerConfig(p=9, n=13, num_samples=60, seed=23)
+    scaled = SamplerConfig(p=9, n=13, num_samples=60, seed=23,
+                           correlation=0.3 * np.eye(9))
+    assert np.array_equal(sample_batch(scaled, workers=4).smallest_eigenvalues,
+                          0.3 * sample_batch(plain).smallest_eigenvalues)
+
+
+def test_dense_path_determinism_across_thread_counts() -> None:
+    config = SamplerConfig(p=6, n=8, num_samples=200, seed=42,
+                           correlation=exponential_correlation(6))
+    assert np.array_equal(sample_batch(config).smallest_eigenvalues,
+                          sample_batch(config, workers=4).smallest_eigenvalues)
 
 
 def test_exponential_correlation_shape() -> None:
