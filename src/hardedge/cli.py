@@ -26,14 +26,7 @@ from importlib.metadata import PackageNotFoundError, version as package_version
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .distributions import (
-    FiniteSpec,
-    closed_form_k0,
-    closed_form_k1,
-    gap_finite,
-    smallest_finite,
-    tabulate,
-)
+from .distributions import FiniteSpec, gap_finite, smallest_finite, tabulate
 from .microscopic import gap_micro, micro_density, smallest_micro
 from .montecarlo import (
     SamplerConfig,
@@ -44,7 +37,6 @@ from .montecarlo import (
     sample_batch,
 )
 from .pfaffian import AntisymmetricMatrix, pfaffian
-from .sop import WeightParams, skew_product_oracle, sop_even, sop_norm, sop_odd
 
 __all__ = ["main"]
 
@@ -117,27 +109,25 @@ def _grid(args: argparse.Namespace) -> np.ndarray:
 def _cmd_finite_curve(args: argparse.Namespace, quantity: str) -> int:
     start = time.time()
     grid = _grid(args)
-    curve = tabulate(quantity, args.k, grid, p=args.p,
-                     workers=args.threads)
+    curve = tabulate(quantity, args.k, grid, p=args.p)
     out = _resolve(args.out or f"{quantity}_p{args.p}_k{args.k}.csv")
     _write_csv(out, ("t", "value"), list(zip(curve.abscissae, curve.values)))
     manifest = RunManifest(
         command=quantity,
         parameters={"p": args.p, "k": args.k, "t_min": args.t_min,
-                    "t_max": args.t_max, "points": args.points,
-                    "threads": args.threads},
+                    "t_max": args.t_max, "points": args.points},
         seeds=(), outputs=[out])
     manifest.write(time.time() - start)
     print(f"wrote {out} ({args.points} rows)")
     return EXIT_OK
 
 
-def _micro_point(quantity: str, k: int, nu: int, u: float) -> float:
-    if quantity == "gap":
-        return gap_micro(k, u)
-    if quantity == "smallest":
-        return smallest_micro(k, u)
-    return micro_density(nu, u)
+def _micro_values(quantity: str, k: int, nu: int, grid) -> tuple[float, ...]:
+    # The level density is not a tabulate curve: curves carry k = nu/2, and
+    # the density also takes odd nu.
+    if quantity == "density":
+        return tuple(micro_density(nu, u) for u in grid)
+    return tabulate(f"{quantity}_micro", k, grid).values
 
 
 def _cmd_micro(args: argparse.Namespace) -> int:
@@ -153,24 +143,19 @@ def _cmd_micro(args: argparse.Namespace) -> int:
                 f"{args.quantity} supports only even topology, got nu={nu}")
         k = nu // 2
     if args.u is not None:
-        print(f"{_micro_point(args.quantity, k, nu, args.u):.17g}")
+        print(f"{_micro_values(args.quantity, k, nu, (args.u,))[0]:.17g}")
         return EXIT_OK
     if not args.u_min < args.u_max:
         raise ValueError("u-min must lie below u-max")
     grid = np.linspace(args.u_min, args.u_max, args.points)
-    if args.quantity == "density":
-        rows = [(u, micro_density(nu, u)) for u in grid]
-    else:
-        name = "gap_micro" if args.quantity == "gap" else "smallest_micro"
-        curve = tabulate(name, k, grid, workers=args.threads)
-        rows = list(zip(curve.abscissae, curve.values))
+    rows = list(zip(grid, _micro_values(args.quantity, k, nu, grid)))
     out = _resolve(args.out or f"micro_{args.quantity}_nu{nu}.csv")
     _write_csv(out, ("u", "value"), rows)
     manifest = RunManifest(
         command="micro",
         parameters={"quantity": args.quantity, "nu": nu,
                     "u_min": args.u_min, "u_max": args.u_max,
-                    "points": args.points, "threads": args.threads},
+                    "points": args.points},
         seeds=(), outputs=[out])
     manifest.write(time.time() - start)
     print(f"wrote {out} ({args.points} rows)")
@@ -268,8 +253,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     manifest = RunManifest(
         command="converge",
         parameters={"k": args.k, "p_list": args.p, "u_min": args.u_min,
-                    "u_max": args.u_max, "points": args.points,
-                    "threads": args.threads},
+                    "u_max": args.u_max, "points": args.points},
         seeds=(), outputs=[out], notes=summary)
     manifest.write(time.time() - start)
     print(f"wrote {out} ({args.points} rows)")
@@ -286,6 +270,10 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _selftest_items() -> list[tuple[str, bool, str]]:
+    # The oracles are loaded only here, so that no other command imports them.
+    from .reference.distributions import closed_form_k0, closed_form_k1
+    from .reference.sop import WeightParams, skew_product_oracle, sop_even, sop_norm, sop_odd
+
     results = []
 
     def record(name: str, passed: bool, detail: str) -> None:
@@ -385,8 +373,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "matrices: analytic curves, limits, and Monte-Carlo "
                     "comparisons.")
     parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker threads for grid evaluation and for "
-                             "sampling with a non-scalar correlation")
+                        help="worker threads for the dense SVDs of `mc` with a "
+                             "non-scalar correlation; every other command "
+                             "runs serially")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, blurb in (("gap", "probability of an eigenvalue-free (0, t)"),

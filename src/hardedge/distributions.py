@@ -10,11 +10,13 @@ and from p = 1 into the thousands.
 
 The same code path serves every topology index: at k = 0 the Pfaffian is
 empty and the assembly collapses, through a Kummer transform of the
-prefactor, to the classical closed forms, which this module also provides
-verbatim (closed_form_k0, closed_form_k1) as independent cross-checks.
+prefactor, to the classical closed forms, which
+hardedge.reference.distributions provides verbatim (closed_form_k0,
+closed_form_k1) as independent cross-checks.
 
-`tabulate` evaluates any of the five supported quantities on a grid and
-returns a validated DistributionCurve ready for serialization.
+`tabulate` evaluates any of the five supported quantities on a grid, one
+point after another, and returns a validated DistributionCurve ready for
+serialization.
 """
 
 from __future__ import annotations
@@ -22,24 +24,21 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import gammaln
 
 from .kernels import BulkTables, border_column, kernel_matrix
 from .microscopic import gap_micro, micro_density, smallest_micro
-from .pfaffian import AntisymmetricMatrix, pfaffian
-from .specfun import LogScaled, log_sum, tricomi_u
+from .pfaffian import AntisymmetricMatrix, bordered_pfaffian, pfaffian
+from .specfun import LogScaled, tricomi_u
 
 __all__ = [
     "FiniteSpec",
     "DistributionCurve",
     "gap_finite",
     "smallest_finite",
-    "closed_form_k0",
-    "closed_form_k1",
     "tabulate",
 ]
 
@@ -158,8 +157,14 @@ class DistributionCurve:
         return 2 * self.k
 
 
-def _ln_gap_constant(p: int, k: int) -> float:
-    """Log of the combinatorial constant in the gap probability assembly."""
+# ln 2 enters the combinatorial constant as -(k + shift) / 2 times ln 2, with
+# shift indexed by [gamma][k % 2].
+_LN2_SHIFT = ((0, 3), (5, 6))
+
+
+def _ln_constant(p: int, k: int, gamma: int) -> float:
+    """Log of the combinatorial constant in the gap (gamma = 0) or the
+    smallest-eigenvalue (gamma = 1) assembly."""
     lnp = math.log(p)
     total = 0.0
     for j in range(k):
@@ -168,31 +173,11 @@ def _ln_gap_constant(p: int, k: int) -> float:
             - gammaln(j + 1) - gammaln(p + 2 * j + 1)
     total += -0.5 * math.log(math.pi) + gammaln(p + 1) + gammaln((p + 1) / 2) \
         - gammaln(p + k + 1)
-    if k % 2 == 0:
-        total += -(k / 2) * math.log(2.0) + 1.5 * k * lnp \
-            - gammaln((p + k + 1) / 2)
+    ln2 = -((k + _LN2_SHIFT[gamma][k % 2]) / 2) * math.log(2.0)
+    if (k + gamma) % 2 == 0:
+        total += ln2 + 1.5 * k * lnp - gammaln((p + k + 1) / 2)
     else:
-        total += -((k + 3) / 2) * math.log(2.0) + (3 * k - 1) / 2 * lnp \
-            - gammaln((p + k) / 2)
-    return total
-
-
-def _ln_density_constant(p: int, k: int) -> float:
-    """Log of the combinatorial constant in the smallest-eigenvalue assembly."""
-    lnp = math.log(p)
-    total = 0.0
-    for j in range(k):
-        total += (j + 1) * math.log(4.0) + gammaln(2 * j + 1) \
-            + gammaln(p + j + 2) + (j - 1) * lnp \
-            - gammaln(j + 1) - gammaln(p + 2 * j + 1)
-    total += -0.5 * math.log(math.pi) + gammaln(p + 1) + gammaln((p + 1) / 2) \
-        - gammaln(p + k + 1)
-    if k % 2 == 0:
-        total += -((k + 5) / 2) * math.log(2.0) + (3 * k - 1) / 2 * lnp \
-            - gammaln((p + k) / 2)
-    else:
-        total += -((k + 6) / 2) * math.log(2.0) + 1.5 * k * lnp \
-            - gammaln((p + k + 1) / 2)
+        total += ln2 + (3 * k - 1) / 2 * lnp - gammaln((p + k) / 2)
     return total
 
 
@@ -206,16 +191,11 @@ def _pfaffian_factor(gamma: int, l: int, t: float, k: int,
     if k == 0:
         return pfaffian(AntisymmetricMatrix(data=np.zeros((0, 0)))), 0.0
     tables = BulkTables(gamma, l, t)
-    stripped = kernel_matrix(gamma, l, t, k, tables)
+    stripped = kernel_matrix(tables, k)
     if not bordered:
         pf = pfaffian(AntisymmetricMatrix(data=stripped))
         return pf, k * (gamma + 0.5) + k * (k - 1) / 2.0
-    border = border_column(gamma, l, t, k, tables)
-    data = np.zeros((k + 1, k + 1))
-    data[:k, :k] = stripped
-    data[:k, k] = border
-    data[k, :k] = -border
-    pf = pfaffian(AntisymmetricMatrix(data=data))
+    pf = bordered_pfaffian(stripped, border_column(tables, k))
     return pf, k * (gamma + 0.5) + k * (k - 1) / 2.0 + gamma - 0.5
 
 
@@ -230,7 +210,7 @@ def gap_finite(spec: FiniteSpec) -> float:
     else:
         l, a_half, power, bordered = p + k + 1, (p + k) / 2, 1.0 - k * k / 2.0, True
     pf, tpow = _pfaffian_factor(0, l, t, k, bordered)
-    ln_pre = _ln_gap_constant(p, k) + gammaln(a_half) - 0.5 * p * t \
+    ln_pre = _ln_constant(p, k, 0) + gammaln(a_half) - 0.5 * p * t \
         + power * math.log(4.0 * p * t) + tpow * math.log(t) \
         - math.log(2.0 * math.sqrt(2.0 * p))
     value = tricomi_u(a_half, 1.5, 0.5 * t) * LogScaled.from_value(pf)
@@ -252,44 +232,11 @@ def smallest_finite(spec: FiniteSpec) -> float:
     else:
         l, a_half, power, bordered = p + k, (p + k + 1) / 2, 0.5 - k * k / 2.0, True
     pf, tpow = _pfaffian_factor(1, l, t, k, bordered)
-    ln_pre = _ln_density_constant(p, k) + gammaln(a_half) - 0.5 * p * t \
+    ln_pre = _ln_constant(p, k, 1) + gammaln(a_half) - 0.5 * p * t \
         + power * math.log(4.0 * p * t) + tpow * math.log(t) \
         - math.log(2.0) - 1.5 * math.log(2.0 * p) + math.log(4.0 * p)
     value = tricomi_u(a_half, 2.5, 0.5 * t) * LogScaled.from_value(pf)
     return value.scaled(ln_pre).value
-
-
-def closed_form_k0(p: int, t: float) -> float:
-    """Smallest-eigenvalue density at nu = 0 in its classical closed form.
-
-    P(t) = p! / (2^(p-1/2) Gamma(p/2)) t^(-1/2) e^(-pt/2) U((p-1)/2, -1/2, t/2)
-    """
-    assert p >= 2, f"the closed form needs p >= 2, got {p}"
-    if t <= 0.0:
-        raise ValueError(f"the density needs t > 0, got {t}")
-    ln_pre = gammaln(p + 1) - (p - 0.5) * math.log(2.0) - gammaln(p / 2) \
-        - 0.5 * p * t - 0.5 * math.log(t)
-    return tricomi_u((p - 1) / 2, -0.5, 0.5 * t).scaled(ln_pre).value
-
-
-def closed_form_k1(p: int, t: float) -> float:
-    """Smallest-eigenvalue density at nu = 2 in its classical closed form.
-
-    P(t) = Gamma((p+1)/2)/sqrt(2 pi) sqrt(t) e^(-pt/2)
-           [U((p-1)/2, -1/2, t/2) L_{p-1}^(2)(-t)
-            + (t/2) U((p+1)/2, 1/2, t/2) L_{p-2}^(3)(-t)]
-    """
-    assert p >= 2, f"the closed form needs p >= 2, got {p}"
-    if t <= 0.0:
-        raise ValueError(f"the density needs t > 0, got {t}")
-    first = tricomi_u((p - 1) / 2, -0.5, 0.5 * t) \
-        * LogScaled.from_value(float(eval_genlaguerre(p - 1, 2, -t)))
-    second = (tricomi_u((p + 1) / 2, 0.5, 0.5 * t)
-              * LogScaled.from_value(float(eval_genlaguerre(p - 2, 3, -t)))
-              ).scaled(math.log(0.5 * t))
-    ln_pre = gammaln((p + 1) / 2) - 0.5 * math.log(2.0 * math.pi) \
-        + 0.5 * math.log(t) - 0.5 * p * t
-    return log_sum([first, second]).scaled(ln_pre).value
 
 
 def _point_evaluator(quantity: str, p: int | None, k: int):
@@ -311,14 +258,13 @@ def _point_evaluator(quantity: str, p: int | None, k: int):
 
 
 def tabulate(quantity: str, k: int, grid: Sequence[float],
-             p: int | None = None, workers: int | None = None) -> DistributionCurve:
+             p: int | None = None) -> DistributionCurve:
     """Evaluate one quantity over a grid into a validated curve.
 
     The grid must be strictly increasing, non-negative for gap quantities
-    and strictly positive for densities.  With `workers` greater than 1 the
-    points are evaluated in a thread pool; results keep grid order either
-    way.  A failure at any single point is re-raised as a RuntimeError
-    naming the offending abscissa.
+    and strictly positive for densities.  Points are evaluated in grid
+    order in the calling thread.  A failure at any single point is
+    re-raised as a RuntimeError naming the offending abscissa.
     """
     abscissae = tuple(float(x) for x in grid)
     if not abscissae:
@@ -340,11 +286,7 @@ def tabulate(quantity: str, k: int, grid: Sequence[float],
             raise RuntimeError(
                 f"{quantity} evaluation failed at abscissa {x!r}: {exc}") from exc
 
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = tuple(pool.map(evaluate, abscissae))
-    else:
-        values = tuple(evaluate(x) for x in abscissae)
+    values = tuple(evaluate(x) for x in abscissae)
     logger.debug("tabulated %s at %d points", quantity, len(abscissae))
     return DistributionCurve(quantity=quantity, p=p, k=k,
                              abscissae=abscissae, values=values)

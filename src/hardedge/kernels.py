@@ -15,157 +15,32 @@ collects its mixed derivatives at the left spectral edge, together with a
 border column xi_a of single derivatives.  Gap probabilities and smallest
 eigenvalue densities are Pfaffians of small matrices with these entries.
 
-Two independent evaluation routes are kept side by side.  The reference route
-(xi_big, kernel_sum) works term by term on the polynomial combinations in
-log-scaled arithmetic, with every Tricomi U from its own quadrature.  The bulk
-route (kernel_matrix, border_column) expands everything over standard
-Laguerre values L_n^(mu)(-t), which are positive and satisfy a benign forward
-recurrence, so matrices remain accurate for polynomial counts in the
-thousands where factorial-laden expressions overflow; it reads every Tricomi
-U ratio off a few whole chains U(a0 + i, b, t/2) (specfun.tricomi_u_chain),
-held with the Laguerre rows in one BulkTables per evaluation point.  The
-closed Christoffel-Darboux form (kernel_cd) provides a third route for even l
-that bypasses the polynomial sum entirely.
+The entries are built over standard Laguerre values L_n^(mu)(-t), which
+are positive and satisfy a benign forward recurrence, so matrices remain
+accurate for polynomial counts in the thousands where factorial-laden
+expressions overflow.  Every Tricomi U ratio is read off a few whole chains
+U(a0 + i, b, t/2) (specfun.tricomi_u_chain), held with the Laguerre rows in
+one BulkTables per evaluation point.  The independent routes the tests
+check these entries against (the polynomial pair sum and the closed
+Christoffel-Darboux form) live in hardedge.reference.kernels.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sop import (
-    WeightParams,
-    partition_z_t,
-    sop_even,
-    sop_moment,
-    sop_norm,
-    sop_odd,
-)
-from .specfun import LogScaled, laguerre_monic, log_sum, tricomi_u, tricomi_u_chain
+from .specfun import tricomi_u, tricomi_u_chain
 
-__all__ = [
-    "KernelSpec",
-    "xi_big",
-    "xi_small",
-    "kernel_sum",
-    "kernel_cd",
-    "BulkTables",
-    "kernel_matrix",
-    "border_column",
-]
+__all__ = ["BulkTables", "kernel_matrix", "border_column"]
 
 logger = logging.getLogger(__name__)
 
 # The forward Laguerre recurrence at argument -t grows like e^(2 sqrt(n t));
 # beyond this product the values leave the double range.
 _RECURRENCE_ENVELOPE = 1.2e5
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Weight power, polynomial count, and shift of one kernel family."""
-
-    gamma: int
-    """Weight power: 0 for gap-probability matrices, 1 for density ones."""
-
-    l: int
-    """Number of polynomials paired by the kernel; odd counts switch the sum
-    to the hatted polynomial set."""
-
-    t: float
-    """Positive shift of the weight; derivative entries are taken at -t."""
-
-    parity: str = field(init=False)
-    """'even' or 'odd', derived from l."""
-
-    def __post_init__(self) -> None:
-        assert self.gamma >= 0, f"gamma must be non-negative, got {self.gamma}"
-        assert self.l >= 2, f"need at least two polynomials, got l={self.l}"
-        assert self.t > 0.0, f"t must be positive, got {self.t}"
-        object.__setattr__(self, "parity",
-                           "even" if self.l % 2 == 0 else "odd")
-
-    @property
-    def weight_params(self) -> WeightParams:
-        """Weight parameters shared with the polynomial constructors."""
-        return WeightParams(gamma=self.gamma, t=self.t)
-
-
-# --------------------------------------------------------------------------
-# reference route: log-scaled sums over polynomial couples
-
-
-def _bilinear_sum(spec: KernelSpec, first: tuple[int, float],
-                  second: tuple[int, float]) -> LogScaled:
-    """Antisymmetrized pair sum with (order, point) slots.
-
-    Evaluates sum_j [O_j(first) E_j(second) - O_j(second) E_j(first)] / r_j
-    where O_j, E_j are the odd/even polynomials of the family (hatted when l
-    is odd) and each slot applies derivative_scaled(order, point).
-    """
-    params = spec.weight_params
-    hatted = spec.parity == "odd"
-    if hatted:
-        top_index = spec.l - 1
-        top = sop_even(top_index // 2, params)
-        m_top = sop_moment(top_index, params)
-        top_first = top.derivative_scaled(*first)
-        top_second = top.derivative_scaled(*second)
-    j_max = (spec.l - 3) // 2 if hatted else (spec.l - 2) // 2
-    values: list[LogScaled] = []
-    for j in range(j_max + 1):
-        odd = sop_odd(j, params)
-        even = sop_even(j, params)
-        r_j = sop_norm(j, params)
-        if hatted:
-            c_odd = sop_moment(2 * j + 1, params) / m_top
-            c_even = sop_moment(2 * j, params) / m_top
-            o_1 = log_sum([odd.derivative_scaled(*first), -(c_odd * top_first)])
-            o_2 = log_sum([odd.derivative_scaled(*second), -(c_odd * top_second)])
-            e_1 = log_sum([even.derivative_scaled(*first), -(c_even * top_first)])
-            e_2 = log_sum([even.derivative_scaled(*second), -(c_even * top_second)])
-        else:
-            o_1 = odd.derivative_scaled(*first)
-            o_2 = odd.derivative_scaled(*second)
-            e_1 = even.derivative_scaled(*first)
-            e_2 = even.derivative_scaled(*second)
-        values.append(o_1 * e_2 / r_j)
-        values.append(-(o_2 * e_1 / r_j))
-    return log_sum(values)
-
-
-def xi_big(a: int, b: int, spec: KernelSpec) -> float:
-    """Derivative kernel entry Xi_ab^(gamma, l)(t).
-
-    Reference route: the polynomial pair sum in log-scaled arithmetic.
-    Exact for every admissible order but factorial-laden; kernel_matrix
-    builds the same entries factorial-free for bulk work.
-    """
-    assert 0 <= a <= spec.l - 2, f"order a={a} outside 0..{spec.l - 2}"
-    assert 0 <= b <= spec.l - 2, f"order b={b} outside 0..{spec.l - 2}"
-    total = _bilinear_sum(spec, (a, -spec.t), (b, -spec.t))
-    sign = -1.0 if (a + b) % 2 else 1.0
-    power = (2 * spec.gamma + a + b + 1) * math.log(spec.t)
-    return sign * total.scaled(power).value
-
-
-def kernel_sum(xa: float, xb: float, spec: KernelSpec) -> float:
-    """Two-point kernel K_l(xa, xb) by the direct polynomial pair sum."""
-    return _bilinear_sum(spec, (0, xa), (0, xb)).value
-
-
-# --------------------------------------------------------------------------
-# bulk route: positive Laguerre values and Tricomi U chains
-
-
-def _check_envelope(l: int, t: float) -> None:
-    if l * t > _RECURRENCE_ENVELOPE:
-        raise ValueError(
-            f"l * t = {l * t:.3g} exceeds the stable range {_RECURRENCE_ENVELOPE:.3g} "
-            "of the Laguerre forward recurrence")
 
 
 def _gamma_run(x: float, d: float, count: int) -> np.ndarray:
@@ -204,11 +79,23 @@ class BulkTables:
     instead of two per ratio.  The Laguerre rows L_n^(2 gamma + m)(-t) are
     built once as well.  One table serves one evaluation point: it is made
     per call and shared by the kernel matrix and its border column.
+
+    gamma is the weight power (0 for gap matrices, 1 for density ones), l
+    the number of polynomials paired (odd counts switch to the hatted set)
+    and t > 0 the shift; invalid values raise ValueError.
     """
 
     def __init__(self, gamma: int, l: int, t: float) -> None:
-        KernelSpec(gamma=gamma, l=l, t=t)  # validates the parameters
-        _check_envelope(l, t)
+        if gamma < 0:
+            raise ValueError(f"gamma must be non-negative, got {gamma}")
+        if l < 2:
+            raise ValueError(f"need at least two polynomials, got l={l}")
+        if not t > 0.0:
+            raise ValueError(f"t must be positive, got {t}")
+        if l * t > _RECURRENCE_ENVELOPE:
+            raise ValueError(
+                f"l * t = {l * t:.3g} exceeds the stable range {_RECURRENCE_ENVELOPE:.3g} "
+                "of the Laguerre forward recurrence")
         self.gamma, self.l, self.t = gamma, l, t
         self._tops = {0.0: l // 2, 0.5: gamma + (l - 1) // 2}
         self._chains: dict[tuple[float, float], tuple[np.ndarray, float]] = {}
@@ -268,29 +155,19 @@ class BulkTables:
         return self._rows
 
 
-def _tables_for(gamma: int, l: int, t: float, tables: BulkTables | None) -> BulkTables:
-    if tables is None:
-        return BulkTables(gamma, l, t)
-    if (tables.gamma, tables.l, tables.t) != (gamma, l, t):
-        raise ValueError(f"tables built for (gamma, l, t) = "
-                         f"{(tables.gamma, tables.l, tables.t)}, not {(gamma, l, t)}")
-    return tables
-
-
-def kernel_matrix(gamma: int, l: int, t: float, size: int,
-                  tables: BulkTables | None = None) -> np.ndarray:
+def kernel_matrix(tables: BulkTables, size: int) -> np.ndarray:
     """Power-stripped derivative kernel matrix M, antisymmetric size x size.
 
     The full entries factor as Xi_ab = t^(2 gamma + a + b + 1) * M_ab; the
     stripped matrix stays O(1) down to t -> 0, so callers can keep the exact
     power in a log-domain prefactor.  Entries are assembled from positive
     Laguerre values, with the scaled polynomial norms folded in through
-    rising factorials instead of raw factorials.  `tables`, if given, must
-    have been built for the same (gamma, l, t).
+    rising factorials instead of raw factorials.  (gamma, l, t) are those
+    of `tables`.
     """
+    gamma, l, t = tables.gamma, tables.l, tables.t
     assert size >= 1, f"size must be positive, got {size}"
     assert size <= l - 1, f"orders 0..{size - 1} exceed the bound l-2={l - 2}"
-    tables = _tables_for(gamma, l, t, tables)
     hatted = l % 2 == 1
     j_max = (l - 3) // 2 if hatted else (l - 2) // 2
     count = j_max + 1
@@ -337,88 +214,17 @@ def kernel_matrix(gamma: int, l: int, t: float, size: int,
     return matrix
 
 
-def border_column(gamma: int, l: int, t: float, size: int,
-                  tables: BulkTables | None = None) -> np.ndarray:
+def border_column(tables: BulkTables, size: int) -> np.ndarray:
     """Power-stripped border entries beta with xi_a = t^(2 gamma + a) beta_a.
 
     Each entry is a sum of two positive Laguerre values, so the column is
     strictly positive and cancellation-free at every admissible order.
-    `tables`, if given, must have been built for the same (gamma, l, t).
+    (gamma, l, t) are those of `tables`.
     """
+    l = tables.l
     assert size >= 1, f"size must be positive, got {size}"
     assert size <= l - 1, f"orders 0..{size - 1} exceed the bound l-2={l - 2}"
-    tables = _tables_for(gamma, l, t, tables)
     rows = tables.laguerre_rows(size + 1)
     a = np.arange(size)
     return _gather(rows, l - a - 2, a) \
         + tables.border_mix() * _gather(rows, l - a - 3, a + 1)
-
-
-def xi_small(a: int, spec: KernelSpec) -> float:
-    """Border entry xi_a^(gamma, l)(t), strictly positive."""
-    assert 0 <= a <= spec.l - 2, f"order a={a} outside 0..{spec.l - 2}"
-    beta = border_column(spec.gamma, spec.l, spec.t, a + 1)[a]
-    return spec.t ** (2 * spec.gamma + a) * beta
-
-
-# --------------------------------------------------------------------------
-# closed route: Christoffel-Darboux form for even l
-
-
-def _difference_terms(terms: list[tuple[int, int, int, int, float]]
-                      ) -> list[tuple[int, int, int, int, float]]:
-    """Apply (d_a - d_b) to a sum of products M_m^(mu)(xa) M_n^(nu)(xb)."""
-    out: list[tuple[int, int, int, int, float]] = []
-    for (m, mu_m, n, mu_n, c) in terms:
-        if m >= 1:
-            out.append((m - 1, mu_m + 1, n, mu_n, c * m))
-        if n >= 1:
-            out.append((m, mu_m, n - 1, mu_n + 1, -c * n))
-    return out
-
-
-def _evaluate_terms(terms: list[tuple[int, int, int, int, float]],
-                    xa: float, xb: float) -> LogScaled:
-    values = []
-    for (m, mu_m, n, mu_n, c) in terms:
-        if c == 0.0:
-            continue
-        product = laguerre_monic(m, mu_m, xa) * laguerre_monic(n, mu_n, xb)
-        values.append(product * LogScaled.from_value(c))
-    return log_sum(values)
-
-
-def kernel_cd(xa: float, xb: float, gamma: int, l: int, t: float) -> float:
-    """Two-point kernel K_l(xa, xb) by the Christoffel-Darboux route.
-
-    For even l the polynomial pair sum telescopes into second divided
-    differences of one bilinear combination of degree-l monic Laguerre
-    polynomials with a partition-function ratio in front.  The divided
-    difference degenerates at coincident points, which is rejected, and it
-    cancels catastrophically in a shrinking neighborhood of coincidence, so
-    keep the arguments well separated.
-    """
-    if l < 4 or l % 2:
-        raise ValueError(f"the closed form needs even l >= 4, got l={l}")
-    if xa == xb:
-        raise ValueError("coincident arguments degenerate the divided difference")
-    assert t > 0.0, f"t must be positive, got {t}"
-    a_top = gamma + (l - 1) / 2.0
-    u_den = tricomi_u(a_top, gamma + 1.5, t / 2.0)
-    rho_t = (tricomi_u(a_top, gamma + 0.5, t / 2.0) / u_den).value
-    sig_t = (tricomi_u(a_top, gamma - 0.5, t / 2.0) / u_den).value
-    base: list[tuple[int, int, int, int, float]] = [
-        (l, 2 * gamma - 2, l, 2 * gamma - 2, 1.0),
-        (l - 1, 2 * gamma - 1, l, 2 * gamma - 2, -rho_t * l),
-        (l, 2 * gamma - 2, l - 1, 2 * gamma - 1, -rho_t * l),
-        (l - 1, 2 * gamma - 1, l - 1, 2 * gamma - 1, sig_t * l * l),
-    ]
-    first = _difference_terms(base)
-    second = _difference_terms(first)
-    delta = LogScaled.from_value(xa - xb)
-    inner = log_sum([
-        _evaluate_terms(second, xa, xb) / delta,
-        -(_evaluate_terms(first, xa, xb) / (delta * delta)).scaled(math.log(2.0)),
-    ])
-    z_ratio = partition_z_t(l - 2, gamma, t) / partition_z_t(l, gamma, t)
-    return (z_ratio * inner).value

@@ -3,9 +3,10 @@
 In the limit p -> infinity at fixed u = 4 p t the finite-p Pfaffian
 structures converge entry by entry: the border entries xi_a^(gamma, l)(t)
 tend to Bessel-I brackets and the derivative kernel entries Xi_ab tend to
-one-dimensional integrals of Bessel-I products.  This module evaluates
-those limits (xi_small_lim, xi_big_lim) and assembles the limiting gap
-probability, smallest-eigenvalue density, and the Bessel level density.
+one-dimensional integrals of Bessel-I products.  This module assembles
+the limiting gap probability, smallest-eigenvalue density, and the Bessel
+level density from those limits; the entries one at a time (xi_small_lim,
+xi_big_lim) live in hardedge.reference.microscopic.
 
 All kernel entries are handled in a u-balanced normalization in which the
 matrix is O(1) down to u -> 0; the exact powers of u cancel analytically
@@ -17,58 +18,26 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, ive, jv
 
-from .pfaffian import AntisymmetricMatrix, pfaffian
-from .specfun import LogScaled, bessel_i, bessel_k_half, log_sum
+from .pfaffian import AntisymmetricMatrix, bordered_pfaffian, pfaffian
+from .specfun import LogScaled, _gauss_legendre
 
-__all__ = [
-    "MicroSpec",
-    "xi_small_lim",
-    "xi_big_lim",
-    "gap_micro",
-    "smallest_micro",
-    "micro_density",
-]
+__all__ = ["gap_micro", "smallest_micro", "micro_density"]
 
 logger = logging.getLogger(__name__)
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 # Doubling past this order means the integrand was not the smooth Bessel
 # product the error model assumes.
 _MAX_ORDER = 6144
 
 
-@dataclass(frozen=True)
-class MicroSpec:
-    """Topology index and rescaled spectral point of one limit evaluation."""
-
-    k: int
-    """Half the topology index: nu = 2k."""
-
-    u: float
-    """Rescaled spectral variable u = 4 p t, non-negative."""
-
-    def __post_init__(self) -> None:
-        assert self.k >= 0, f"k must be non-negative, got {self.k}"
-        assert self.u >= 0.0, f"u must be non-negative, got {self.u}"
-
-    @property
-    def nu(self) -> int:
-        """Topology index nu = 2k."""
-        return 2 * self.k
-
-
 def _unit_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights transplanted to [0, 1]."""
-    if order not in _GL_CACHE:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (0.5 * (nodes + 1.0), 0.5 * weights)
-    return _GL_CACHE[order]
+    nodes, weights = _gauss_legendre(order)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def _settled_integral(integrand, start_order: int) -> float:
@@ -108,30 +77,6 @@ def _bessel_i_reduced(n: int, x: np.ndarray) -> np.ndarray:
         big = x[~small]
         out[~small] = np.exp(big + np.log(ive(n, big)) - n * np.log(0.5 * big))
     return out
-
-
-def xi_small_lim(a: int, gamma: int, u: float) -> float:
-    """Limiting border entry xi_a^(gamma, infinity)(u).
-
-    Evaluates (u/4)^((2 gamma + a)/2) [I_{2 gamma + a}(sqrt u) +
-    ratio * I_{2 gamma + a + 1}(sqrt u)] where the mixing ratio is the
-    half-integer Bessel-K quotient K_{gamma-1/2}/K_{gamma+1/2} at sqrt(u)/2;
-    the quotient is exactly 1 for gamma = 0 and z/(z+1) for gamma = 1.
-    """
-    assert a >= 0, f"order must be non-negative, got {a}"
-    assert gamma >= 0, f"gamma must be non-negative, got {gamma}"
-    if u < 0.0:
-        raise ValueError(f"u must be non-negative, got {u}")
-    if u == 0.0:
-        return 1.0 if 2 * gamma + a == 0 else 0.0
-    root = math.sqrt(u)
-    ratio = (bessel_k_half(gamma - 1, root / 2.0)
-             / bessel_k_half(gamma, root / 2.0)).value
-    bracket = log_sum([
-        bessel_i(2 * gamma + a, root),
-        bessel_i(2 * gamma + a + 1, root) * LogScaled.from_value(ratio),
-    ])
-    return bracket.scaled((2 * gamma + a) / 2.0 * math.log(u / 4.0)).value
 
 
 def _k_ratio_pair(gamma: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,15 +142,6 @@ def _matrix_entry_balanced(a: int, b: int, gamma: int, u: float) -> float:
     return scale * _settled_integral(integrand, order)
 
 
-def xi_big_lim(a: int, b: int, gamma: int, u: float) -> float:
-    """Limiting derivative kernel entry Xi_ab^(gamma, infinity)(u)."""
-    assert a >= 0 and b >= 0, f"orders must be non-negative, got {a}, {b}"
-    if u <= 0.0:
-        raise ValueError(f"u must be positive, got {u}")
-    power = a + b + 1 + 2 * gamma
-    return _matrix_entry_balanced(a, b, gamma, u) * u ** power
-
-
 def _matrix_balanced(gamma: int, k: int, u: float) -> np.ndarray:
     data = np.zeros((k, k))
     for a in range(k):
@@ -224,15 +160,6 @@ def _border_balanced(gamma: int, k: int, u: float) -> np.ndarray:
     for a in range(k):
         out[a] = 4.0 ** (-(a + 2 * gamma)) * _alpha_row(a, gamma, x, ratio)[0]
     return out
-
-
-def _bordered_pfaffian(matrix: np.ndarray, border: np.ndarray) -> float:
-    k = border.shape[0]
-    data = np.zeros((k + 1, k + 1))
-    data[:k, :k] = matrix
-    data[:k, k] = border
-    data[k, :k] = -border
-    return pfaffian(AntisymmetricMatrix(data=data))
 
 
 def _ln_count_constant(k: int) -> float:
@@ -263,8 +190,8 @@ def gap_micro(k: int, u: float) -> float:
     if k % 2 == 0:
         pf = pfaffian(AntisymmetricMatrix(data=_matrix_balanced(0, k, u)))
     else:
-        pf = _bordered_pfaffian(_matrix_balanced(0, k, u),
-                                _border_balanced(0, k, u))
+        pf = bordered_pfaffian(_matrix_balanced(0, k, u),
+                               _border_balanced(0, k, u))
         ln_scale += math.log(0.25)
     return LogScaled.from_value(pf).scaled(ln_scale).value
 
@@ -287,8 +214,8 @@ def smallest_micro(k: int, u: float) -> float:
     if k % 2 == 0:
         pf = pfaffian(AntisymmetricMatrix(data=_matrix_balanced(1, k, u)))
     else:
-        pf = _bordered_pfaffian(_matrix_balanced(1, k, u),
-                                _border_balanced(1, k, u))
+        pf = bordered_pfaffian(_matrix_balanced(1, k, u),
+                               _border_balanced(1, k, u))
     return LogScaled.from_value(pf).scaled(ln_scale).value
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["AntisymmetricMatrix", "pfaffian"]
+__all__ = ["AntisymmetricMatrix", "pfaffian", "bordered_pfaffian"]
 
 logger = logging.getLogger(__name__)
 
@@ -99,3 +99,14 @@ def pfaffian(matrix: AntisymmetricMatrix) -> float:
             col = a[k + 2:, k + 1]
             a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
     return float(result)
+
+
+def bordered_pfaffian(matrix: np.ndarray, border: np.ndarray) -> float:
+    """Pfaffian of the antisymmetric k x k `matrix` bordered by the column
+    `border`: [[matrix, border], [-border^T, 0]], of dimension k + 1."""
+    k = border.shape[0]
+    data = np.zeros((k + 1, k + 1))
+    data[:k, :k] = matrix
+    data[:k, k] = border
+    data[k, :k] = -border
+    return pfaffian(AntisymmetricMatrix(data=data))

@@ -23,12 +23,8 @@ from dataclasses import dataclass, field
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammaln
 
-from .specfun import (
-    LogScaled,
-    laguerre_monic_deriv,
-    log_sum,
-    tricomi_u,
-)
+from ..specfun import LogScaled, log_sum, tricomi_u
+from .specfun import laguerre_monic_deriv
 
 __all__ = [
     "WeightParams",

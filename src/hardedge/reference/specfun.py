@@ -1,0 +1,155 @@
+"""Log-scaled special functions that only the reference routes use.
+
+Log-gamma, monic Laguerre polynomials and their derivatives (the building
+blocks of the skew-orthogonal polynomials in ``sop``), and the Bessel
+functions I_n, J_n and K_{m+1/2} (the limiting border entries).
+"""
+
+from __future__ import annotations
+
+import math
+
+from scipy.special import ive, jv
+
+from ..specfun import LogScaled
+
+__all__ = [
+    "ln_gamma",
+    "laguerre_monic",
+    "laguerre_monic_deriv",
+    "bessel_i",
+    "bessel_j",
+    "bessel_k_half",
+]
+
+# Rescaling guards for recurrences that can leave the double range.
+_BIGNO = 1e250
+_BIGNI = 1e-250
+_LOG_BIGNO = math.log(_BIGNO)
+
+
+def ln_gamma(x: float) -> float:
+    """Natural log of the Gamma function for positive real argument."""
+    if x <= 0.0:
+        raise ValueError(f"ln_gamma requires x > 0, got {x}")
+    return math.lgamma(x)
+
+
+def laguerre_monic(a: int, mu: float, y: float) -> LogScaled:
+    """Monic Laguerre polynomial L_a^(mu)(y) = y^a + ...
+
+    Three-term recurrence
+    ``L_{n+1} = (y - (2n + mu + 1)) L_n - n (n + mu) L_{n-1}`` seeded with
+    ``L_0 = 1`` and the convention ``L_{-1} = 0`` (``a = -1`` returns zero).
+    The running pair is rescaled whenever it leaves ``[1/BIGNO, BIGNO]`` so
+    arbitrarily high orders are representable.
+    """
+    if a < -1:
+        raise ValueError(f"order must be >= -1, got {a}")
+    if a == -1:
+        return LogScaled.zero()
+    if a == 0:
+        return LogScaled.from_value(1.0)
+    shift = 0.0
+    prev, cur = 1.0, y - (mu + 1.0)
+    for n in range(1, a):
+        prev, cur = cur, (y - (2 * n + mu + 1.0)) * cur - n * (n + mu) * prev
+        mag = abs(cur)
+        if mag > _BIGNO:
+            prev *= _BIGNI
+            cur *= _BIGNI
+            shift += _LOG_BIGNO
+        elif 0.0 < mag < _BIGNI:
+            prev *= _BIGNO
+            cur *= _BIGNO
+            shift -= _LOG_BIGNO
+    if cur == 0.0:
+        return LogScaled.zero()
+    return LogScaled(math.log(abs(cur)) + shift, 1 if cur > 0 else -1)
+
+
+def laguerre_monic_deriv(a: int, mu: float, order: int, y: float) -> LogScaled:
+    """order-th derivative of the monic Laguerre polynomial at y.
+
+    Uses the exact identity
+    ``d^m/dy^m L_a^(mu) = a!/(a-m)! L_{a-m}^(mu+m)``; zero when the order
+    exceeds the degree.
+    """
+    assert order >= 0, "derivative order must be non-negative"
+    if order == 0:
+        return laguerre_monic(a, mu, y)
+    if a - order < 0:
+        return LogScaled.zero()
+    base = laguerre_monic(a - order, mu + order, y)
+    return base.scaled(math.lgamma(a + 1.0) - math.lgamma(a - order + 1.0))
+
+
+# ------------------------------------------------------------------- Bessel
+
+def bessel_i(n: int, x: float) -> LogScaled:
+    """Modified Bessel function of the first kind, integer order n >= 0.
+
+    Power series around the origin, exponentially scaled library evaluation
+    (``ive``) elsewhere; both branches positive, so the log is always defined.
+    """
+    assert n >= 0, "bessel_i order must be non-negative"
+    if x < 0.0:
+        raise ValueError(f"bessel_i requires x >= 0, got {x}")
+    if x == 0.0:
+        return LogScaled.from_value(1.0 if n == 0 else 0.0)
+    if x < 2.0:
+        # I_n(x) = (x/2)^n sum_m (x^2/4)^m / (m! (n+m)!)
+        q = 0.25 * x * x
+        term = 1.0 / math.gamma(n + 1.0) if n < 170 else 0.0
+        if term == 0.0:
+            # n! overflows: factor the leading 1/n! into the log instead.
+            acc, term_s = 0.0, 1.0
+            for m in range(1, 40):
+                term_s *= q / (m * (n + m))
+                acc += term_s
+            return LogScaled(n * math.log(0.5 * x) - math.lgamma(n + 1.0)
+                             + math.log1p(acc), 1)
+        acc = term
+        for m in range(1, 40):
+            term *= q / (m * (n + m))
+            acc += term
+            if term < 1e-18 * acc:
+                break
+        return LogScaled(n * math.log(0.5 * x) + math.log(acc), 1)
+    scaled = ive(n, x)
+    assert scaled > 0.0, f"ive({n}, {x}) underflowed"
+    return LogScaled(math.log(scaled) + x, 1)
+
+
+def bessel_j(n: int, x: float) -> float:
+    """Bessel function of the first kind J_n(x), plain float."""
+    assert n >= 0, "bessel_j order must be non-negative"
+    if x < 0.0:
+        raise ValueError(f"bessel_j requires x >= 0, got {x}")
+    return float(jv(n, x))
+
+
+def bessel_k_half(m: int, x: float) -> LogScaled:
+    """Modified Bessel function of the second kind at half-integer order.
+
+    Returns K_{m+1/2}(x) for integer m >= -1 via the closed forms
+    K_{+-1/2}(x) = sqrt(pi/2x) e^(-x) and K_{3/2} = (1 + 1/x) K_{1/2},
+    extended upward with K_{s+1} = K_{s-1} + (2s/x) K_s.  The recurrence is
+    run on e^x-scaled values (all positive and growing, hence stable) with
+    the usual overflow rescaling.
+    """
+    assert m >= -1, f"order must be m >= -1, got m={m}"
+    if x <= 0.0:
+        raise ValueError(f"bessel_k_half requires x > 0, got {x}")
+    log_half = 0.5 * math.log(math.pi / (2.0 * x)) - x
+    if m <= 0:
+        return LogScaled(log_half, 1)
+    shift = 0.0
+    prev, cur = 1.0, 1.0 + 1.0 / x  # K_{1/2}, K_{3/2} over K_{1/2}
+    for s_twice in range(3, 2 * m, 2):  # s = 3/2, 5/2, ... in half-integers
+        prev, cur = cur, prev + (s_twice / x) * cur
+        if cur > _BIGNO:
+            prev *= _BIGNI
+            cur *= _BIGNI
+            shift += _LOG_BIGNO
+    return LogScaled(log_half + math.log(cur) + shift, 1)

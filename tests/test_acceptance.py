@@ -16,13 +16,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid, dblquad, quad, tplquad
 from scipy.interpolate import PchipInterpolator
 
-from hardedge.distributions import (
-    FiniteSpec,
-    closed_form_k0,
-    closed_form_k1,
-    gap_finite,
-    smallest_finite,
-)
+from hardedge.distributions import FiniteSpec, gap_finite, smallest_finite
 from hardedge.microscopic import gap_micro, micro_density, smallest_micro
 from hardedge.montecarlo import (
     SamplerConfig,
@@ -32,7 +26,8 @@ from hardedge.montecarlo import (
     sample_batch,
 )
 from hardedge.pfaffian import AntisymmetricMatrix, pfaffian
-from hardedge.sop import (
+from hardedge.reference.distributions import closed_form_k0, closed_form_k1
+from hardedge.reference.sop import (
     WeightParams,
     half_power_average,
     partition_z,

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import csv
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hardedge import cli
 from hardedge.cli import main
 from hardedge.distributions import FiniteSpec, gap_finite
-from hardedge.microscopic import micro_density
+from hardedge.microscopic import gap_micro, micro_density
 
 
 @pytest.fixture(autouse=True)
@@ -34,6 +37,21 @@ def test_micro_point_prints_value(capsys: pytest.CaptureFixture[str]) -> None:
     printed = capsys.readouterr().out.strip()
     assert printed.startswith("0.2007230356946"), printed
     assert float(printed) == pytest.approx(0.375 * math.exp(-0.625), rel=1e-15)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["--quantity", "density", "--nu", "3", "--u", "1"], lambda: micro_density(3, 1.0)),
+    (["--quantity", "gap", "--k", "2", "--u", "4"], lambda: gap_micro(2, 4.0)),
+])
+def test_micro_point_matches_library(argv: list[str], want,
+                                     capsys: pytest.CaptureFixture[str]) -> None:
+    # The density keeps odd nu; gap and smallest points go through tabulate.
+    assert main(["micro"] + argv) == 0
+    assert capsys.readouterr().out == f"{want():.17g}\n"
+
+
+def test_micro_point_rejects_negative_u(capsys: pytest.CaptureFixture[str]) -> None:
+    assert main(["micro", "--quantity", "smallest", "--k", "0", "--u", "-1"]) == 2
 
 
 def test_micro_gap_at_zero(capsys: pytest.CaptureFixture[str]) -> None:
@@ -182,6 +200,19 @@ def test_selftest_passes(capsys: pytest.CaptureFixture[str]) -> None:
     printed = capsys.readouterr().out
     assert "FAIL" not in printed
     assert printed.count("PASS") == 8
+
+
+def test_cli_import_leaves_oracles_unloaded() -> None:
+    # The reference package and the nested quadratures it needs stay out of
+    # every command but selftest.
+    script = ("import sys\n"
+              "import hardedge.cli\n"
+              "print([m for m in ('hardedge.reference', 'scipy.integrate') if m in sys.modules])\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env={"PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_unknown_command_exits_with_usage() -> None:

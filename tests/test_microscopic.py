@@ -8,15 +8,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hardedge.kernels import KernelSpec, kernel_matrix, xi_small
-from hardedge.microscopic import (
-    MicroSpec,
-    gap_micro,
-    micro_density,
-    smallest_micro,
-    xi_big_lim,
-    xi_small_lim,
-)
+from hardedge.kernels import BulkTables, kernel_matrix
+from hardedge.microscopic import gap_micro, micro_density, smallest_micro
+from hardedge.reference.kernels import KernelSpec, xi_small
+from hardedge.reference.microscopic import MicroSpec, xi_big_lim, xi_small_lim
 
 # Bessel-bracket values frozen from mpmath: besseli(0,2)+besseli(1,2) and
 # besseli(2,2)+besseli(3,2)/2.
@@ -31,7 +26,7 @@ DENSITY_NU0_U1 = 0.21014853050709881693858209620535
 def finite_kernel_entry(a: int, b: int, gamma: int, u: float, big_l: int) -> float:
     """Finite-size derivative kernel entry at the microscopic scale point."""
     t = u / (8.0 * big_l)
-    stripped = kernel_matrix(gamma, 2 * big_l, t, max(a, b) + 1)
+    stripped = kernel_matrix(BulkTables(gamma, 2 * big_l, t), max(a, b) + 1)
     return stripped[a, b] * t ** (2 * gamma + a + b + 1)
 
 

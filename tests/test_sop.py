@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
-from hardedge.sop import (
+from hardedge.reference.sop import (
     LaguerreCombination,
     WeightParams,
     combination_weight_integral,

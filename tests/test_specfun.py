@@ -8,17 +8,15 @@ import numpy as np
 import pytest
 from scipy.special import hyperu
 
-from hardedge.specfun import (
-    LogScaled,
+from hardedge.reference.specfun import (
     bessel_i,
     bessel_j,
     bessel_k_half,
     laguerre_monic,
     laguerre_monic_deriv,
     ln_gamma,
-    log_sum,
-    tricomi_u,
 )
+from hardedge.specfun import LogScaled, log_sum, tricomi_u
 
 # Reference values from 40-digit arbitrary-precision evaluations.
 PINNED_U_2_HALF_1 = 0.14042614619562631318882920028594

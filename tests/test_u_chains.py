@@ -17,7 +17,7 @@ import pytest
 
 from hardedge import distributions, kernels, specfun
 from hardedge.distributions import FiniteSpec, gap_finite, smallest_finite
-from hardedge.kernels import BulkTables, border_column, kernel_matrix
+from hardedge.kernels import BulkTables
 from hardedge.specfun import tricomi_u, tricomi_u_chain
 
 mpmath = pytest.importorskip("mpmath")
@@ -111,21 +111,30 @@ def test_tricomi_u_nonconvergence_raises_under_optimization() -> None:
 # ------------------------------------------------------------ bulk route
 
 
-def test_shared_tables_give_the_same_entries() -> None:
-    for gamma, l, t in ((0, 12, 0.4), (1, 13, 0.4), (1, 40, 3.0)):
-        tables = BulkTables(gamma, l, t)
-        assert np.array_equal(kernel_matrix(gamma, l, t, 3, tables),
-                              kernel_matrix(gamma, l, t, 3))
-        assert np.array_equal(border_column(gamma, l, t, 3, tables),
-                              border_column(gamma, l, t, 3))
+BAD_TABLES = ((0, 1, 0.5), (0, 12, -0.5), (-1, 12, 0.5))
 
 
-def test_tables_must_match_the_call() -> None:
-    tables = BulkTables(0, 12, 0.4)
-    with pytest.raises(ValueError):
-        kernel_matrix(0, 12, 0.5, 3, tables)
-    with pytest.raises(ValueError):
-        border_column(1, 12, 0.4, 3, tables)
+def test_tables_reject_bad_parameters() -> None:
+    for gamma, l, t in BAD_TABLES:
+        with pytest.raises(ValueError):
+            BulkTables(gamma, l, t)
+
+
+def test_tables_reject_bad_parameters_under_optimization() -> None:
+    # The checks must not depend on assertions being enabled.
+    script = (
+        "from hardedge.kernels import BulkTables\n"
+        f"for args in {BAD_TABLES!r}:\n"
+        "    try:\n"
+        "        BulkTables(*args)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'accepted {args}')\n"
+    )
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env={"PYTHONPATH": src})
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_finite_point_needs_few_quadratures(monkeypatch) -> None:
