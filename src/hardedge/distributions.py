@@ -8,9 +8,10 @@ recombined with the prefactor in the log domain, so the Pfaffian argument
 stays O(1) and the assembly remains stable from t -> 0 up to the far tail
 and from p = 1 into the thousands.
 
-The same code path serves every topology index: at k = 0 the Pfaffian is
-empty and the assembly collapses, through a Kummer transform of the
-prefactor, to the classical closed forms, which
+One assembly serves both quantities, the gap at weight power gamma = 0
+and the density at gamma = 1, and every topology index: at k = 0 the
+Pfaffian is empty and the assembly collapses, through a Kummer transform
+of the prefactor, to the classical closed forms, which
 hardedge.reference.distributions provides verbatim (closed_form_k0,
 closed_form_k1) as independent cross-checks.
 
@@ -26,7 +27,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import gammaln
 
 from .kernels import BulkTables, border_column, kernel_matrix
@@ -67,10 +67,8 @@ class FiniteSpec:
     """Spectral point, non-negative."""
 
     def __post_init__(self) -> None:
-        assert self.p >= 1, f"p must be at least 1, got {self.p}"
-        assert self.k >= 0, f"k must be non-negative, got {self.k}"
-        assert math.isfinite(self.t) and self.t >= 0.0, \
-            f"t must be finite and non-negative, got {self.t}"
+        if self.p < 1 or self.k < 0 or not (math.isfinite(self.t) and self.t >= 0.0):
+            raise ValueError(f"need p >= 1, k >= 0 and a finite t >= 0, got {self}")
 
     @property
     def nu(self) -> int:
@@ -111,7 +109,8 @@ class DistributionCurve:
                 raise ValueError(f"{self.quantity} requires p >= 1")
         elif self.p is not None:
             raise ValueError(f"{self.quantity} is a limit curve, p must be None")
-        assert self.k >= 0, f"k must be non-negative, got {self.k}"
+        if self.k < 0:
+            raise ValueError(f"k must be non-negative, got {self.k}")
         if len(self.abscissae) != len(self.values) or not self.abscissae:
             raise ValueError("grid and values must be non-empty and equal length")
         pairs = zip(self.abscissae[:-1], self.abscissae[1:])
@@ -139,8 +138,8 @@ class DistributionCurve:
         if self.abscissae[0] <= 0.0:
             raise ValueError("density abscissae must be positive")
         for x, v in zip(self.abscissae, self.values):
-            if v < -_CURVE_TOL:
-                raise ValueError(f"density value {v} negative at t={x}")
+            if not (math.isfinite(v) and v >= -_CURVE_TOL):
+                raise ValueError(f"density value {v} negative or not finite at t={x}")
 
     @property
     def regime(self) -> str:
@@ -181,40 +180,47 @@ def _ln_constant(p: int, k: int, gamma: int) -> float:
     return total
 
 
-def _pfaffian_factor(gamma: int, l: int, t: float, k: int,
-                     bordered: bool) -> tuple[float, float]:
-    """Pfaffian of the t-balanced kernel block and its stripped power of t.
+def _finite_value(gamma: int, spec: FiniteSpec) -> float:
+    """Gap probability (gamma = 0) or smallest-eigenvalue density (gamma = 1).
 
-    Returns (pf, w) such that the Pfaffian of the raw kernel block equals
-    pf * t^w.  At k = 0 the matrix is empty and the Pfaffian is 1.
+    Both are a Tricomi prefactor U(a, 3/2 + gamma, t/2) times the Pfaffian
+    of the t-balanced kernel block, bordered when k is odd, combined in the
+    log domain with the power of t the block carries.
     """
-    if k == 0:
-        return pfaffian(AntisymmetricMatrix(data=np.zeros((0, 0)))), 0.0
-    tables = BulkTables(gamma, l, t)
-    stripped = kernel_matrix(tables, k)
-    if not bordered:
-        pf = pfaffian(AntisymmetricMatrix(data=stripped))
-        return pf, k * (gamma + 0.5) + k * (k - 1) / 2.0
-    pf = bordered_pfaffian(stripped, border_column(tables, k))
-    return pf, k * (gamma + 0.5) + k * (k - 1) / 2.0 + gamma - 0.5
+    p, k, t = spec.p, spec.k, spec.t
+    odd = k % 2
+    l = p + k - gamma + odd
+    a_half = (p + k + 1 + gamma - odd) / 2
+    power = (1.0 if (k + gamma) % 2 else 0.5) - k * k / 2.0
+    # The raw kernel block is pf * t^tpow; at k = 0 it is empty.
+    tpow = k * (gamma + 0.5) + k * (k - 1) / 2.0
+    pf = 1.0
+    if k > 0:
+        tables = BulkTables(gamma, l, t)
+        stripped = kernel_matrix(tables, k)
+        if odd:
+            pf = bordered_pfaffian(stripped, border_column(tables, k))
+            tpow = tpow + gamma - 0.5
+        else:
+            pf = pfaffian(AntisymmetricMatrix(data=stripped))
+    if not math.isfinite(pf):
+        raise RuntimeError(f"kernel Pfaffian is {pf} at gamma={gamma}, "
+                           f"p={p}, k={k}, t={t}")
+    ln_pre = _ln_constant(p, k, gamma) + gammaln(a_half) - 0.5 * p * t \
+        + power * math.log(4.0 * p * t) + tpow * math.log(t)
+    if gamma == 0:
+        ln_pre = ln_pre - math.log(2.0 * math.sqrt(2.0 * p))
+    else:
+        ln_pre = ln_pre - math.log(2.0) - 1.5 * math.log(2.0 * p) + math.log(4.0 * p)
+    value = tricomi_u(a_half, 1.5 + gamma, 0.5 * t) * LogScaled.from_value(pf)
+    return value.scaled(ln_pre).value
 
 
 def gap_finite(spec: FiniteSpec) -> float:
     """Probability that (0, t) holds no eigenvalue at size p, topology 2k."""
-    p, k, t = spec.p, spec.k, spec.t
-    if t == 0.0:
+    if spec.t == 0.0:
         return 1.0
-    even = k % 2 == 0
-    if even:
-        l, a_half, power, bordered = p + k, (p + k + 1) / 2, 0.5 - k * k / 2.0, False
-    else:
-        l, a_half, power, bordered = p + k + 1, (p + k) / 2, 1.0 - k * k / 2.0, True
-    pf, tpow = _pfaffian_factor(0, l, t, k, bordered)
-    ln_pre = _ln_constant(p, k, 0) + gammaln(a_half) - 0.5 * p * t \
-        + power * math.log(4.0 * p * t) + tpow * math.log(t) \
-        - math.log(2.0 * math.sqrt(2.0 * p))
-    value = tricomi_u(a_half, 1.5, 0.5 * t) * LogScaled.from_value(pf)
-    return value.scaled(ln_pre).value
+    return _finite_value(0, spec)
 
 
 def smallest_finite(spec: FiniteSpec) -> float:
@@ -226,17 +232,7 @@ def smallest_finite(spec: FiniteSpec) -> float:
         # The kernel draws on polynomial orders up to k, which a single
         # eigenvalue supplies only for k <= 1 or for the bordered odd path.
         raise ValueError(f"the density at p=1 needs k odd or k <= 1, got k={k}")
-    even = k % 2 == 0
-    if even:
-        l, a_half, power, bordered = p + k - 1, (p + k + 2) / 2, 1.0 - k * k / 2.0, False
-    else:
-        l, a_half, power, bordered = p + k, (p + k + 1) / 2, 0.5 - k * k / 2.0, True
-    pf, tpow = _pfaffian_factor(1, l, t, k, bordered)
-    ln_pre = _ln_constant(p, k, 1) + gammaln(a_half) - 0.5 * p * t \
-        + power * math.log(4.0 * p * t) + tpow * math.log(t) \
-        - math.log(2.0) - 1.5 * math.log(2.0 * p) + math.log(4.0 * p)
-    value = tricomi_u(a_half, 2.5, 0.5 * t) * LogScaled.from_value(pf)
-    return value.scaled(ln_pre).value
+    return _finite_value(1, spec)
 
 
 def _point_evaluator(quantity: str, p: int | None, k: int):
@@ -264,7 +260,8 @@ def tabulate(quantity: str, k: int, grid: Sequence[float],
     The grid must be strictly increasing, non-negative for gap quantities
     and strictly positive for densities.  Points are evaluated in grid
     order in the calling thread.  A failure at any single point is
-    re-raised as a RuntimeError naming the offending abscissa.
+    re-raised naming the quantity and the offending abscissa: as a
+    ValueError when the point was out of range, else as a RuntimeError.
     """
     abscissae = tuple(float(x) for x in grid)
     if not abscissae:
@@ -283,7 +280,8 @@ def tabulate(quantity: str, k: int, grid: Sequence[float],
         try:
             return point(x)
         except Exception as exc:
-            raise RuntimeError(
+            kind = ValueError if isinstance(exc, ValueError) else RuntimeError
+            raise kind(
                 f"{quantity} evaluation failed at abscissa {x!r}: {exc}") from exc
 
     values = tuple(evaluate(x) for x in abscissae)

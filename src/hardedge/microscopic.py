@@ -3,10 +3,11 @@
 In the limit p -> infinity at fixed u = 4 p t the finite-p Pfaffian
 structures converge entry by entry: the border entries xi_a^(gamma, l)(t)
 tend to Bessel-I brackets and the derivative kernel entries Xi_ab tend to
-one-dimensional integrals of Bessel-I products.  This module assembles
-the limiting gap probability, smallest-eigenvalue density, and the Bessel
-level density from those limits; the entries one at a time (xi_small_lim,
-xi_big_lim) live in hardedge.reference.microscopic.
+one-dimensional integrals of Bessel-I products, taken here for a whole
+k x k matrix in one array-valued quadrature.  One assembly turns them into
+the limiting gap probability (gamma = 0) and smallest-eigenvalue density
+(gamma = 1); the Bessel level density stands apart.  The entries one at a
+time (xi_small_lim, xi_big_lim) live in hardedge.reference.microscopic.
 
 All kernel entries are handled in a u-balanced normalization in which the
 matrix is O(1) down to u -> 0; the exact powers of u cancel analytically
@@ -29,31 +30,27 @@ __all__ = ["gap_micro", "smallest_micro", "micro_density"]
 
 logger = logging.getLogger(__name__)
 
-# Doubling past this order means the integrand was not the smooth Bessel
-# product the error model assumes.
-_MAX_ORDER = 6144
+# The highest order tried: needing more means the integrand was not the
+# smooth Bessel product the error model assumes.
+_MAX_ORDER = 12288
 
 
-def _unit_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights transplanted to [0, 1]."""
-    nodes, weights = _gauss_legendre(order)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+def _settled_integral(integrand, start_order: int):
+    """Integrate over [0, 1] by Gauss-Legendre, doubling the order until two
+    values agree.
 
-
-def _settled_integral(integrand, start_order: int) -> float:
-    """Integrate over [0, 1], doubling the order until two values agree."""
-    order = max(start_order, 8)
-    nodes, weights = _unit_nodes(order)
-    previous = float(np.dot(weights, integrand(nodes)))
+    The integrand may be array-valued, nodes on its last axis, as for a whole
+    kernel matrix; the order doubles until every entry has settled.
+    """
+    order, previous = max(start_order, 8), None
     while order <= _MAX_ORDER:
-        order *= 2
-        nodes, weights = _unit_nodes(order)
-        current = float(np.dot(weights, integrand(nodes)))
-        if abs(current - previous) <= 1e-11 * max(1.0, abs(current)):
+        nodes, weights = _gauss_legendre(order)
+        current = integrand(0.5 * (nodes + 1.0)) @ (0.5 * weights)
+        if previous is not None and np.all(
+                np.abs(current - previous) <= 1e-11 * np.maximum(1.0, np.abs(current))):
             return current
-        previous = current
-    raise RuntimeError(
-        f"quadrature did not settle below order {_MAX_ORDER}")
+        previous, order = current, 2 * order
+    raise RuntimeError(f"quadrature did not settle up to order {_MAX_ORDER}")
 
 
 def _bessel_i_reduced(n: int, x: np.ndarray) -> np.ndarray:
@@ -93,73 +90,61 @@ def _k_ratio_pair(gamma: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"no limiting kernel for gamma={gamma}")
 
 
-def _alpha_row(a: int, gamma: int, x: np.ndarray,
-               ratio: np.ndarray) -> np.ndarray:
-    """Reduced limiting even-polynomial factor at Bessel order 2*gamma + a."""
-    return _bessel_i_reduced(2 * gamma + a, 2.0 * x) \
-        + x * ratio * _bessel_i_reduced(2 * gamma + a + 1, 2.0 * x)
+def _rows(gamma: int, k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced limiting factors alpha_a (even) and beta_a (odd polynomial)
+    at Bessel order 2*gamma + a, a < k, as rows over the points x.
 
-
-def _beta_row(a: int, gamma: int, x: np.ndarray, ratio: np.ndarray,
-              cross: np.ndarray) -> np.ndarray:
-    """Reduced limiting odd-polynomial factor at Bessel order 2*gamma + a.
-
-    The term proportional to the even factor is dropped here: it cancels
+    Both read the reduced Bessel functions I_n(2x)/x^n of orders
+    2*gamma - 1 .. 2*gamma + k, each evaluated once (order -1 as x^2 times
+    order 1).  The term of beta proportional to alpha is dropped: it cancels
     identically in the antisymmetrized kernel combination.
     """
-    down = 2 * gamma + a - 1
-    if down < 0:
-        lead = x * x * _bessel_i_reduced(1, 2.0 * x)
-    else:
-        lead = _bessel_i_reduced(down, 2.0 * x)
-    return 2.0 * (lead + x * ratio * _bessel_i_reduced(down + 1, 2.0 * x)) \
-        + cross * _bessel_i_reduced(down + 2, 2.0 * x)
-
-
-def _matrix_entry_balanced(a: int, b: int, gamma: int, u: float) -> float:
-    """Balanced kernel entry Xi_ab^(gamma, infinity)(u) / u^(a+b+1+2*gamma).
-
-    The integral over (0, sqrt(u)/2) is transplanted to the unit interval
-    with the Bessel power parts pulled out, leaving a smooth positive-radius
-    integrand handled by Gauss-Legendre with order doubling.
-    """
-    if a == b:
-        return 0.0
-    root_half = 0.5 * math.sqrt(u)
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        x = root_half * s
-        ratio, cross = _k_ratio_pair(gamma, x)
-        alpha_a = _alpha_row(a, gamma, x, ratio)
-        alpha_b = _alpha_row(b, gamma, x, ratio)
-        beta_a = _beta_row(a, gamma, x, ratio, cross)
-        beta_b = _beta_row(b, gamma, x, ratio, cross)
-        return s ** (2 * (a + b) + 4 * gamma + 1) \
-            * (beta_b * alpha_a - beta_a * alpha_b)
-
-    scale = 4.0 ** (-(2 * gamma + a + b + 2))
-    order = math.ceil(20.0 + 3.0 * math.sqrt(u))
-    return scale * _settled_integral(integrand, order)
+    ratio, cross = _k_ratio_pair(gamma, x)
+    low = 2 * gamma - 1
+    bessel = np.array([_bessel_i_reduced(n, 2.0 * x)
+                       for n in range(max(low, 0), 2 * gamma + k + 1)])
+    if low < 0:
+        bessel = np.vstack([x * x * bessel[1], bessel])
+    mixed = x * ratio * bessel[1:]
+    alpha = bessel[1:k + 1] + mixed[1:]
+    beta = 2.0 * (bessel[:k] + mixed[:k]) + cross * bessel[2:]
+    return alpha, beta
 
 
 def _matrix_balanced(gamma: int, k: int, u: float) -> np.ndarray:
+    """Balanced kernel matrix Xi_ab^(gamma, infinity)(u) / u^(a+b+1+2*gamma),
+    a, b < k.
+
+    Each entry is an integral over (0, sqrt(u)/2), transplanted to the unit
+    interval with the Bessel power parts pulled out, of
+    s^(2(a+b)+4 gamma+1) (beta_b alpha_a - beta_a alpha_b).  All entries
+    above the diagonal share one Gauss-Legendre rule with order doubling;
+    the lower triangle is their exact negative.
+    """
     data = np.zeros((k, k))
-    for a in range(k):
-        for b in range(a + 1, k):
-            value = _matrix_entry_balanced(a, b, gamma, u)
-            data[a, b] = value
-            data[b, a] = -value
+    if k < 2:
+        return data
+    upper, lower = np.triu_indices(k, 1)
+    exponents = (2 * (upper + lower) + 4 * gamma + 1)[:, None]
+    root_half = 0.5 * math.sqrt(u)
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        alpha, beta = _rows(gamma, k, root_half * s)
+        return s ** exponents \
+            * (beta[lower] * alpha[upper] - beta[upper] * alpha[lower])
+
+    scale = 4.0 ** (-(2 * gamma + upper + lower + 2))
+    order = math.ceil(20.0 + 3.0 * math.sqrt(u))
+    values = scale * _settled_integral(integrand, order)
+    data[upper, lower] = values
+    data[lower, upper] = -values
     return data
 
 
 def _border_balanced(gamma: int, k: int, u: float) -> np.ndarray:
     """Balanced border entries: the even factor at the endpoint x = sqrt(u)/2."""
-    x = np.array([0.5 * math.sqrt(u)])
-    ratio, _ = _k_ratio_pair(gamma, x)
-    out = np.empty(k)
-    for a in range(k):
-        out[a] = 4.0 ** (-(a + 2 * gamma)) * _alpha_row(a, gamma, x, ratio)[0]
-    return out
+    alpha, _ = _rows(gamma, k, np.array([0.5 * math.sqrt(u)]))
+    return 4.0 ** -(np.arange(k) + 2 * gamma) * alpha[:, 0]
 
 
 def _ln_count_constant(k: int) -> float:
@@ -170,30 +155,46 @@ def _ln_count_constant(k: int) -> float:
     return total
 
 
-def gap_micro(k: int, u: float) -> float:
-    """Limiting gap probability at topology nu = 2k.
+def _micro_value(gamma: int, k: int, u: float) -> float:
+    """Limiting gap probability (gamma = 0) or smallest-eigenvalue density
+    (gamma = 1) at topology nu = 2k and u > 0, or u = 0 for the gap.
 
-    The balanced Pfaffian carries no powers of u; the exact power from the
-    unbalancing determinant cancels the u^(-k^2/2) prefactor analytically,
-    so the value tends to 1 as u -> 0.
+    The balanced Pfaffian, bordered when k is odd, carries no powers of u;
+    the exact power from the unbalancing determinant is folded into the
+    log-domain prefactor.
     """
-    assert k >= 0, f"k must be non-negative, got {k}"
-    if u < 0.0:
-        raise ValueError(f"u must be non-negative, got {u}")
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
     if u == 0.0:
         return 1.0
     root = math.sqrt(u)
     decay = -u / 8.0 - root / 2.0
     if decay < -740.0:
         return 0.0
-    ln_scale = _ln_count_constant(k) + decay
-    if k % 2 == 0:
-        pf = pfaffian(AntisymmetricMatrix(data=_matrix_balanced(0, k, u)))
+    if gamma == 0:
+        ln_scale = _ln_count_constant(k) + decay
     else:
-        pf = bordered_pfaffian(_matrix_balanced(0, k, u),
-                               _border_balanced(0, k, u))
-        ln_scale += math.log(0.25)
+        ln_scale = _ln_count_constant(k) - math.log(8.0) + math.log(root + 2.0) \
+            + (2 * k - 1) / 2.0 * math.log(u) + decay
+    matrix = _matrix_balanced(gamma, k, u)
+    if k % 2 == 0:
+        pf = pfaffian(AntisymmetricMatrix(data=matrix))
+    else:
+        pf = bordered_pfaffian(matrix, _border_balanced(gamma, k, u))
+        if gamma == 0:
+            ln_scale += math.log(0.25)
     return LogScaled.from_value(pf).scaled(ln_scale).value
+
+
+def gap_micro(k: int, u: float) -> float:
+    """Limiting gap probability at topology nu = 2k.
+
+    The exact power of u cancels the u^(-k^2/2) prefactor analytically, so
+    the value tends to 1 as u -> 0.
+    """
+    if not u >= 0.0:
+        raise ValueError(f"u must be non-negative, got {u}")
+    return _micro_value(0, k, u)
 
 
 def smallest_micro(k: int, u: float) -> float:
@@ -202,21 +203,9 @@ def smallest_micro(k: int, u: float) -> float:
     Both parities reduce to the same exact power u^((2k-1)/2) after
     balancing, which reproduces the u^(k - 1/2) vanishing at the origin.
     """
-    assert k >= 0, f"k must be non-negative, got {k}"
-    if u <= 0.0:
+    if not u > 0.0:
         raise ValueError(f"u must be positive, got {u}")
-    root = math.sqrt(u)
-    decay = -u / 8.0 - root / 2.0
-    if decay < -740.0:
-        return 0.0
-    ln_scale = _ln_count_constant(k) - math.log(8.0) + math.log(root + 2.0) \
-        + (2 * k - 1) / 2.0 * math.log(u) + decay
-    if k % 2 == 0:
-        pf = pfaffian(AntisymmetricMatrix(data=_matrix_balanced(1, k, u)))
-    else:
-        pf = bordered_pfaffian(_matrix_balanced(1, k, u),
-                               _border_balanced(1, k, u))
-    return LogScaled.from_value(pf).scaled(ln_scale).value
+    return _micro_value(1, k, u)
 
 
 def micro_density(nu: int, u: float) -> float:
@@ -225,7 +214,8 @@ def micro_density(nu: int, u: float) -> float:
     Bessel-J bilinear part plus the resolvent-like term with the partial
     integral of J_nu; the J_{-1} case folds in through J_{-1} = -J_1.
     """
-    assert nu >= 0, f"nu must be non-negative, got {nu}"
+    if nu < 0:
+        raise ValueError(f"nu must be non-negative, got {nu}")
     if u <= 0.0:
         raise ValueError(f"u must be positive, got {u}")
     root = math.sqrt(u)

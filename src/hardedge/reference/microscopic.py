@@ -2,10 +2,10 @@
 
 The limits of the finite-p border entries xi_a^(gamma, l)(t) and
 derivative kernel entries Xi_ab, one entry at a time, at u = 4 p t:
-xi_small_lim as a log-scaled Bessel-I bracket, xi_big_lim as the balanced
-integral that ``hardedge.microscopic`` assembles its Pfaffians from, with
-the power of u restored.  The tests compare them with the finite-p
-entries at large p.
+xi_small_lim as a log-scaled Bessel-I bracket, xi_big_lim as an entry of
+the balanced kernel matrix that ``hardedge.microscopic`` assembles its
+Pfaffians from, with the power of u restored.  The tests compare them with
+the finite-p entries at large p.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..microscopic import _matrix_entry_balanced
+from ..microscopic import _matrix_balanced
 from ..specfun import LogScaled, log_sum
 from .specfun import bessel_i, bessel_k_half
 
@@ -70,4 +70,4 @@ def xi_big_lim(a: int, b: int, gamma: int, u: float) -> float:
     if u <= 0.0:
         raise ValueError(f"u must be positive, got {u}")
     power = a + b + 1 + 2 * gamma
-    return _matrix_entry_balanced(a, b, gamma, u) * u ** power
+    return _matrix_balanced(gamma, max(a, b) + 1, u)[a, b] * u ** power

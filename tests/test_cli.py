@@ -126,6 +126,21 @@ def test_gap_rejects_bad_grid(capsys: pytest.CaptureFixture[str]) -> None:
     assert "t-min" in capsys.readouterr().err
 
 
+def test_out_of_range_point_is_a_parameter_error(
+        capsys: pytest.CaptureFixture[str]) -> None:
+    assert main(["gap", "--p", "10", "--k", "2", "--t-min", "1",
+                 "--t-max", "20000", "--points", "2"]) == 2
+    assert "abscissa 20000.0" in capsys.readouterr().err
+
+
+def test_overflowing_tail_fails_validation(tmp_path: Path,
+                                          capsys: pytest.CaptureFixture[str]) -> None:
+    assert main(["smallest", "--p", "500", "--k", "4", "--t-min", "19",
+                 "--t-max", "21", "--points", "3"]) == 3
+    assert "p=500, k=4, t=19.0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_mc_run_reports_ks(tmp_path: Path,
                            capsys: pytest.CaptureFixture[str]) -> None:
     assert main(["--threads", "4", "mc", "--p", "10", "--nu", "4",

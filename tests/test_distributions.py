@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
+from hardedge import distributions
 from hardedge.distributions import (
     DistributionCurve,
     FiniteSpec,
@@ -61,12 +65,34 @@ def _smallest_direct(p: int, nu: int, t: float) -> float:
 def test_finite_spec_validation() -> None:
     spec = FiniteSpec(p=4, k=2, t=1.5)
     assert spec.nu == 4, "nu must be twice k"
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         FiniteSpec(p=0, k=0, t=1.0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         FiniteSpec(p=3, k=-1, t=1.0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         FiniteSpec(p=3, k=0, t=-0.5)
+
+
+def test_validation_holds_under_optimization() -> None:
+    # The checks must not depend on assertions being enabled.
+    script = (
+        "from hardedge.distributions import FiniteSpec, gap_finite\n"
+        "from hardedge.microscopic import gap_micro, smallest_micro\n"
+        "calls = (lambda: gap_finite(FiniteSpec(p=0, k=1, t=0.5)),\n"
+        "         lambda: FiniteSpec(p=3, k=0, t=float('nan')),\n"
+        "         lambda: gap_micro(-1, 2.0), lambda: gap_micro(-1, 0.0),\n"
+        "         lambda: smallest_micro(-1, 1.0))\n"
+        "for number, call in enumerate(calls):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'call {number} accepted')\n"
+    )
+    src = str(Path(distributions.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env={"PYTHONPATH": src})
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_gap_is_one_at_zero() -> None:
@@ -290,8 +316,27 @@ def test_tabulate_limit_quantities() -> None:
 
 
 def test_tabulate_names_failing_abscissa() -> None:
-    with pytest.raises(RuntimeError, match="abscissa 20000.0"):
+    with pytest.raises(ValueError, match="abscissa 20000.0"):
         tabulate("gap", 2, (1.0, 2.0e4), p=10)
+
+
+@pytest.mark.parametrize("quantity", ["gap", "smallest"])
+def test_overflowing_pfaffian_raises(quantity: str) -> None:
+    # Far in the tail the kernel entries overflow long before l * t reaches
+    # the recurrence envelope; the assembly must not return nan.
+    evaluate = gap_finite if quantity == "gap" else smallest_finite
+    with pytest.raises(RuntimeError, match="p=2000, k=4, t=4.1"):
+        evaluate(FiniteSpec(p=2000, k=4, t=4.1))
+    with pytest.raises(RuntimeError, match=f"{quantity} evaluation failed at abscissa 4.1"):
+        tabulate(quantity, 4, (4.1,), p=2000)
+
+
+def test_curve_rejects_non_finite_values() -> None:
+    for quantity, p in (("gap", 5), ("smallest", 5), ("smallest_micro", None)):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="not finite|outside"):
+                DistributionCurve(quantity=quantity, p=p, k=1,
+                                  abscissae=(0.5, 1.0), values=(0.5, bad))
 
 
 def test_tabulate_rejects_bad_grids() -> None:

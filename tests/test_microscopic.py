@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from hardedge.kernels import BulkTables, kernel_matrix
-from hardedge.microscopic import gap_micro, micro_density, smallest_micro
+from hardedge.microscopic import _matrix_balanced, gap_micro, micro_density, smallest_micro
 from hardedge.reference.kernels import KernelSpec, xi_small
 from hardedge.reference.microscopic import MicroSpec, xi_big_lim, xi_small_lim
 
@@ -83,6 +84,55 @@ def test_kernel_limit_antisymmetry() -> None:
         plus = xi_big_lim(0, 2, gamma, 3.0)
         minus = xi_big_lim(2, 0, gamma, 3.0)
         assert plus == pytest.approx(-minus, rel=1e-14)
+
+
+def _balanced_entry_mp(a: int, b: int, gamma: int, u: float) -> mpmath.mpf:
+    """Balanced limiting entry Xi_ab / u^(a+b+1+2 gamma) by mpmath quadrature.
+
+    With x = s sqrt(u)/2, I~(n) = I_n(2x)/x^n, R = K_{gamma-1/2}(x)/K_{gamma+1/2}(x)
+    and S = K_{gamma-3/2}(x)/K_{gamma+1/2}(x), the even and odd factors are
+    alpha_a = I~(2 gamma + a) + x R I~(2 gamma + a + 1) and
+    beta_a = 2 [I~(2 gamma + a - 1) + x R I~(2 gamma + a)]
+    + x^2 (R^2 - S) I~(2 gamma + a + 1).
+    """
+    half_root = mpmath.sqrt(mpmath.mpf(u)) / 2
+
+    def factors(order: int, x: mpmath.mpf) -> tuple[mpmath.mpf, mpmath.mpf]:
+        def reduced(n: int) -> mpmath.mpf:
+            return mpmath.besseli(abs(n), 2 * x) / x ** n  # I_{-n} = I_n
+
+        def bessel_k(nu: mpmath.mpf) -> mpmath.mpf:
+            return mpmath.besselk(abs(nu), x)  # K_{-nu} = K_nu
+
+        k_mid = bessel_k(gamma + mpmath.mpf(1) / 2)
+        ratio = bessel_k(gamma - mpmath.mpf(1) / 2) / k_mid
+        second = bessel_k(gamma - mpmath.mpf(3) / 2) / k_mid
+        alpha = reduced(order) + x * ratio * reduced(order + 1)
+        beta = 2 * (reduced(order - 1) + x * ratio * reduced(order)) \
+            + x * x * (ratio * ratio - second) * reduced(order + 1)
+        return alpha, beta
+
+    def integrand(s: mpmath.mpf) -> mpmath.mpf:
+        x = half_root * s
+        alpha_a, beta_a = factors(2 * gamma + a, x)
+        alpha_b, beta_b = factors(2 * gamma + b, x)
+        return s ** (2 * (a + b) + 4 * gamma + 1) * (beta_b * alpha_a - beta_a * alpha_b)
+
+    return mpmath.quad(integrand, [0, 1]) / mpmath.mpf(4) ** (2 * gamma + a + b + 2)
+
+
+@pytest.mark.parametrize("gamma", [0, 1])
+def test_kernel_matrix_matches_mpmath(gamma: int) -> None:
+    with mpmath.workdps(25):
+        for u in (1.0, 100.0, 400.0):
+            matrix = _matrix_balanced(gamma, 4, u)
+            assert np.array_equal(matrix, -matrix.T), (gamma, u)
+            assert np.all(np.diag(matrix) == 0.0), (gamma, u)
+            for a in range(4):
+                for b in range(a + 1, 4):
+                    want = _balanced_entry_mp(a, b, gamma, u)
+                    error = float(abs((matrix[a, b] - want) / want))
+                    assert error <= 1e-11, f"gamma={gamma} u={u} ({a},{b}): {error:.2e}"
 
 
 def test_kernel_limit_small_u_power() -> None:
