@@ -185,7 +185,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     config = SamplerConfig(p=args.p, n=args.p + args.nu,
                            num_samples=args.samples, seed=args.seed,
                            correlation=correlation)
-    batch = sample_batch(config, workers=args.threads)
+    batch = sample_batch(config)
     k = args.nu // 2
 
     if args.compare == "finite":
@@ -216,8 +216,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     manifest = RunManifest(
         command="mc",
         parameters={"p": args.p, "nu": args.nu, "samples": args.samples,
-                    "compare": args.compare, "c_file": args.c_file,
-                    "threads": args.threads},
+                    "compare": args.compare, "c_file": args.c_file},
         seeds=(args.seed,), outputs=[out], notes=summary)
     manifest.write(time.time() - start)
     print(f"wrote {out} ({args.samples} rows)")
@@ -372,10 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Hard-edge eigenvalue distributions of real Wishart "
                     "matrices: analytic curves, limits, and Monte-Carlo "
                     "comparisons.")
-    parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker threads for the dense SVDs of `mc` with a "
-                             "non-scalar correlation; every other command "
-                             "runs serially")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, blurb in (("gap", "probability of an eigenvalue-free (0, t)"),

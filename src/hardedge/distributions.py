@@ -27,6 +27,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import gammaln
 
 from .kernels import BulkTables, border_column, kernel_matrix
@@ -196,13 +197,15 @@ def _finite_value(gamma: int, spec: FiniteSpec) -> float:
     tpow = k * (gamma + 0.5) + k * (k - 1) / 2.0
     pf = 1.0
     if k > 0:
-        tables = BulkTables(gamma, l, t)
-        stripped = kernel_matrix(tables, k)
-        if odd:
-            pf = bordered_pfaffian(stripped, border_column(tables, k))
-            tpow = tpow + gamma - 0.5
-        else:
-            pf = pfaffian(AntisymmetricMatrix(data=stripped))
+        # Far in the tail the entries overflow; the check below reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            tables = BulkTables(gamma, l, t)
+            stripped = kernel_matrix(tables, k)
+            if odd:
+                pf = bordered_pfaffian(stripped, border_column(tables, k))
+                tpow = tpow + gamma - 0.5
+            else:
+                pf = pfaffian(AntisymmetricMatrix(data=stripped))
     if not math.isfinite(pf):
         raise RuntimeError(f"kernel Pfaffian is {pf} at gamma={gamma}, "
                            f"p={p}, k={k}, t={t}")

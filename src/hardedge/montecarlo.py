@@ -13,20 +13,18 @@ the (p+1)-th eigenvalue of the 2p x 2p Golub-Kahan tridiagonal, found by
 bisection to full relative accuracy (Demmel-Kahan, SIAM J. Sci. Stat.
 Comput. 11, 873, 1990).  That costs O(p) per sample.  A scalar correlation
 C = c 1 takes the same path, since then W = sqrt(c) G.  Any other
-correlation draws W = L G densely and takes its singular values; only that
-path uses a thread pool.
+correlation draws W = L G densely and takes its singular values.
 
-Every sample runs on its own counter-based Philox stream keyed by
-(seed, sample index), so a batch is bit-identical no matter how many
-threads produced it.
+Samples are drawn serially, each on its own counter-based Philox stream
+keyed by (seed, sample index), so the first m samples of any batch equal
+the batch of m samples with the same parameters and seed.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dstebz
@@ -86,10 +84,12 @@ class SamplerConfig:
     """Optional symmetric positive-definite p x p row correlation."""
 
     def __post_init__(self) -> None:
-        assert self.p >= 1, f"p must be at least 1, got {self.p}"
-        assert self.n >= self.p, f"n must be at least p, got n={self.n}, p={self.p}"
-        assert self.num_samples >= 1, "num_samples must be at least 1"
-        assert 0 <= self.seed < 2**64, "seed must fit an unsigned 64-bit integer"
+        if not 1 <= self.p <= self.n:
+            raise ValueError(f"need 1 <= p <= n, got p={self.p}, n={self.n}")
+        if self.num_samples < 1:
+            raise ValueError(f"num_samples must be at least 1, got {self.num_samples}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must fit an unsigned 64-bit integer, got {self.seed}")
         if self.correlation is not None:
             object.__setattr__(
                 self, "correlation", _check_correlation(self.correlation, self.p))
@@ -204,26 +204,17 @@ class _Draws:
         return self.scale * float(np.sum(self.squares(index)))
 
 
-def sample_batch(config: SamplerConfig, workers: int | None = None) -> SampleBatch:
+def sample_batch(config: SamplerConfig) -> SampleBatch:
     """Draw the configured batch of smallest Wishart eigenvalues.
 
-    Uncorrelated and scalar-correlated batches take the O(p) bidiagonal
-    path and always run serially: with O(p) work per sample the pool's
-    hand-offs cost more than they save.  On the dense path, `workers`
-    greater than 1 spreads the samples over a thread pool.  Either way the
-    per-sample streams make the result independent of `workers`.
+    Samples are drawn one after another in index order: uncorrelated and
+    scalar-correlated batches on the O(p) bidiagonal path, any other
+    correlation on the dense path.
     """
     draws = _Draws(config)
     count = config.num_samples
-    if draws.dense and workers is not None and workers > 1:
-        chunk = max(1, count // (8 * workers))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = np.fromiter(
-                pool.map(draws.smallest, range(count), chunksize=chunk),
-                dtype=float, count=count)
-    else:
-        values = np.fromiter((draws.smallest(i) for i in range(count)),
-                             dtype=float, count=count)
+    values = np.fromiter((draws.smallest(i) for i in range(count)),
+                         dtype=float, count=count)
     logger.debug("sampled %d matrices at p=%d, nu=%d on the %s path",
                  count, config.p, config.nu,
                  "dense" if draws.dense else "bidiagonal")
@@ -233,7 +224,8 @@ def sample_batch(config: SamplerConfig, workers: int | None = None) -> SampleBat
 def empirical_gap(batch: SampleBatch, t: float) -> tuple[float, float]:
     """Fraction of samples with smallest eigenvalue above t, with its
     binomial standard error."""
-    assert t >= 0.0, f"t must be non-negative, got {t}"
+    if not t >= 0.0:
+        raise ValueError(f"t must be non-negative, got {t}")
     values = batch.smallest_eigenvalues
     count = values.size
     estimate = float(np.count_nonzero(values > t)) / count
@@ -306,8 +298,8 @@ def exponential_correlation(p: int, decay: float = 0.5) -> np.ndarray:
     Its eigenvalues stay bounded away from zero for |decay| < 1, which
     keeps the Cholesky factor well conditioned at any p.
     """
-    assert p >= 1, f"p must be at least 1, got {p}"
-    assert abs(decay) < 1.0, f"|decay| must be below 1, got {decay}"
+    if p < 1 or not abs(decay) < 1.0:
+        raise ValueError(f"need p >= 1 and |decay| < 1, got p={p}, decay={decay}")
     indices = np.arange(p)
     return decay ** np.abs(np.subtract.outer(indices, indices))
 

@@ -28,8 +28,8 @@ class AntisymmetricMatrix:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.data, dtype=float)
-        assert arr.ndim == 2 and arr.shape[0] == arr.shape[1], \
-            f"expected a square matrix, got shape {arr.shape}"
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] % 2 != 0:
             raise ValueError(
                 f"antisymmetric matrices of odd dimension {arr.shape[0]} "
@@ -49,9 +49,9 @@ class AntisymmetricMatrix:
             raise ValueError(f"dimension must be even and >= 0, got {dim}")
         flat = np.asarray(entries, dtype=float)
         expected = dim * (dim - 1) // 2
-        assert flat.shape == (expected,), \
-            f"need {expected} strictly-upper entries for dim {dim}, " \
-            f"got {flat.shape}"
+        if flat.shape != (expected,):
+            raise ValueError(f"need {expected} strictly-upper entries for "
+                             f"dim {dim}, got {flat.shape}")
         full = np.zeros((dim, dim))
         iu = np.triu_indices(dim, k=1)
         full[iu] = flat

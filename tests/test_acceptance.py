@@ -295,8 +295,7 @@ def test_10_seeded_sampling_matches_finite_size_curves() -> None:
     for nu in (0, 2, 4, 6, 8):
         k = nu // 2
         gap_batch = sample_batch(
-            SamplerConfig(p=10, n=10 + nu, num_samples=10000, seed=401 + nu),
-            workers=8)
+            SamplerConfig(p=10, n=10 + nu, num_samples=10000, seed=401 + nu))
         top = float(np.max(gap_batch.smallest_eigenvalues)) * 1.01
         survival = _survival_cdf(
             lambda t: gap_finite(FiniteSpec(p=10, k=k, t=t)), top)
@@ -304,8 +303,7 @@ def test_10_seeded_sampling_matches_finite_size_curves() -> None:
         assert distance <= 0.02, \
             f"gap-route KS too large at nu={nu}: {distance}"
         density_batch = sample_batch(
-            SamplerConfig(p=10, n=10 + nu, num_samples=20000, seed=501 + nu),
-            workers=8)
+            SamplerConfig(p=10, n=10 + nu, num_samples=20000, seed=501 + nu))
         top = float(np.max(density_batch.smallest_eigenvalues)) * 1.01
         integrated = _density_cdf(
             lambda t: smallest_finite(FiniteSpec(p=10, k=k, t=t)), top)
@@ -323,7 +321,7 @@ def test_11_correlated_sampling_collapses_to_microscopic_law() -> None:
     for nu, seed in ((0, 31), (2, 32), (4, 33)):
         config = SamplerConfig(p=200, n=200 + nu, num_samples=10000,
                                seed=seed, correlation=correlation)
-        batch = microscopic_rescale(sample_batch(config, workers=8))
+        batch = microscopic_rescale(sample_batch(config))
         top = float(np.max(batch.smallest_eigenvalues)) * 1.01
         survival = _survival_cdf(lambda u: gap_micro(nu // 2, u), top)
         distance = ks_distance(batch, survival)

@@ -133,6 +133,24 @@ def test_out_of_range_point_is_a_parameter_error(
     assert "abscissa 20000.0" in capsys.readouterr().err
 
 
+def test_overflowing_tail_prints_only_the_error_line(tmp_path: Path) -> None:
+    # Overflow inside the kernel assembly is reported once, by the exit-3
+    # line, and not also as numpy warnings on stderr.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hardedge.cli",
+         "smallest", "--p", "500", "--k", "4", "--t-min", "19", "--t-max", "21",
+         "--points", "3"],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": src, "HARDEDGE_OUTDIR": str(tmp_path)})
+    assert done.returncode == 3, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith("numerical validation failed:")
+    assert "gamma=1, p=500, k=4, t=19.0" in lines[0]
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_overflowing_tail_fails_validation(tmp_path: Path,
                                           capsys: pytest.CaptureFixture[str]) -> None:
     assert main(["smallest", "--p", "500", "--k", "4", "--t-min", "19",
@@ -143,7 +161,7 @@ def test_overflowing_tail_fails_validation(tmp_path: Path,
 
 def test_mc_run_reports_ks(tmp_path: Path,
                            capsys: pytest.CaptureFixture[str]) -> None:
-    assert main(["--threads", "4", "mc", "--p", "10", "--nu", "4",
+    assert main(["mc", "--p", "10", "--nu", "4",
                  "--samples", "2000", "--seed", "42",
                  "--compare", "finite"]) == 0
     printed = capsys.readouterr().out
@@ -155,6 +173,14 @@ def test_mc_run_reports_ks(tmp_path: Path,
     manifest = (tmp_path / "mc_p10_nu4.csv.manifest").read_text()
     assert "seeds: 42" in manifest
     assert "note: ks_distance:" in manifest
+    assert "threads" not in manifest
+
+
+def test_threads_option_is_gone() -> None:
+    with pytest.raises(SystemExit) as info:
+        main(["--threads", "2", "mc", "--p", "10", "--nu", "4",
+              "--samples", "20"])
+    assert info.value.code == 2
 
 
 def test_mc_seeded_reruns_are_identical(tmp_path: Path) -> None:

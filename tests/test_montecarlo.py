@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -12,6 +14,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.stats import ks_2samp
 
+from hardedge import montecarlo
 from hardedge.distributions import FiniteSpec, gap_finite
 from hardedge.microscopic import gap_micro
 from hardedge.montecarlo import (
@@ -32,13 +35,13 @@ from hardedge.montecarlo import (
 def test_config_validation() -> None:
     config = SamplerConfig(p=3, n=5, num_samples=10, seed=1)
     assert config.nu == 2, "nu must be n - p"
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         SamplerConfig(p=0, n=1, num_samples=1, seed=0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         SamplerConfig(p=4, n=3, num_samples=1, seed=0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         SamplerConfig(p=2, n=2, num_samples=0, seed=0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         SamplerConfig(p=2, n=2, num_samples=1, seed=2**64)
     with pytest.raises(ValueError):
         SamplerConfig(p=3, n=3, num_samples=1, seed=0,
@@ -65,19 +68,54 @@ def test_batch_validation() -> None:
     assert batch.key_scheme == "(seed, sample_index)"
 
 
-def test_determinism_across_thread_counts() -> None:
-    config = SamplerConfig(p=6, n=8, num_samples=200, seed=42)
-    serial = sample_batch(config)
-    threaded = sample_batch(config, workers=4)
-    assert np.array_equal(serial.smallest_eigenvalues,
-                          threaded.smallest_eigenvalues), \
-        "thread count must not change any sample"
+def test_validation_holds_under_optimization() -> None:
+    # The checks must not depend on assertions being enabled.
+    script = (
+        "import numpy as np\n"
+        "from hardedge.montecarlo import (SampleBatch, SamplerConfig,\n"
+        "    empirical_gap, exponential_correlation)\n"
+        "batch = SampleBatch(config=SamplerConfig(p=1, n=1, num_samples=1, seed=0),\n"
+        "                    smallest_eigenvalues=np.ones(1))\n"
+        "calls = (lambda: SamplerConfig(p=0, n=1, num_samples=1, seed=0),\n"
+        "         lambda: SamplerConfig(p=3, n=2, num_samples=1, seed=0),\n"
+        "         lambda: SamplerConfig(p=2, n=2, num_samples=0, seed=0),\n"
+        "         lambda: SamplerConfig(p=2, n=2, num_samples=1, seed=-1),\n"
+        "         lambda: SamplerConfig(p=2, n=2, num_samples=1, seed=2**64),\n"
+        "         lambda: empirical_gap(batch, -1.0),\n"
+        "         lambda: empirical_gap(batch, float('nan')),\n"
+        "         lambda: exponential_correlation(0),\n"
+        "         lambda: exponential_correlation(3, decay=1.0))\n"
+        "for number, call in enumerate(calls):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'call {number} accepted')\n"
+    )
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env={"PYTHONPATH": src})
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("correlation", [None, 0.3 * np.eye(6),
+                                         exponential_correlation(6)],
+                         ids=["plain", "scalar", "dense"])
+def test_batch_prefix_matches_shorter_batch(correlation) -> None:
+    # Sample i depends only on (seed, i), so a batch's first samples are a
+    # shorter batch of the same seed.
+    full = sample_batch(SamplerConfig(p=6, n=8, num_samples=200, seed=42,
+                                      correlation=correlation))
+    head = sample_batch(SamplerConfig(p=6, n=8, num_samples=50, seed=42,
+                                      correlation=correlation))
+    assert np.array_equal(full.smallest_eigenvalues[:50],
+                          head.smallest_eigenvalues)
 
 
 def test_single_entry_is_chi_square() -> None:
     # At p = n = 1 the eigenvalue is g^2 with unit mean and variance 2.
     config = SamplerConfig(p=1, n=1, num_samples=100_000, seed=7)
-    batch = sample_batch(config, workers=4)
+    batch = sample_batch(config)
     mean = batch.smallest_eigenvalues.mean()
     assert abs(mean - 1.0) <= 3.0 * math.sqrt(2.0 / config.num_samples), \
         f"chi-square mean off: {mean}"
@@ -95,7 +133,7 @@ def test_scalar_correlation_rescales_samples() -> None:
 
 def test_empirical_gap_endpoints_and_median() -> None:
     config = SamplerConfig(p=10, n=14, num_samples=4000, seed=2024)
-    batch = sample_batch(config, workers=4)
+    batch = sample_batch(config)
     assert empirical_gap(batch, 0.0) == (1.0, 0.0)
     beyond = float(batch.smallest_eigenvalues.max()) + 1.0
     assert empirical_gap(batch, beyond) == (0.0, 0.0)
@@ -135,7 +173,7 @@ def test_ks_self_consistency_by_inverse_transform() -> None:
 
 def test_ks_against_analytic_gap() -> None:
     config = SamplerConfig(p=10, n=14, num_samples=20000, seed=2024)
-    batch = sample_batch(config, workers=4)
+    batch = sample_batch(config)
     top = float(batch.smallest_eigenvalues.max()) * 1.01
     grid = np.linspace(0.0, top, 240)
     curve = np.array([gap_finite(FiniteSpec(p=10, k=2, t=t)) for t in grid])
@@ -259,15 +297,8 @@ def test_scalar_correlation_is_exact_multiple_of_plain_batch() -> None:
     plain = SamplerConfig(p=9, n=13, num_samples=60, seed=23)
     scaled = SamplerConfig(p=9, n=13, num_samples=60, seed=23,
                            correlation=0.3 * np.eye(9))
-    assert np.array_equal(sample_batch(scaled, workers=4).smallest_eigenvalues,
+    assert np.array_equal(sample_batch(scaled).smallest_eigenvalues,
                           0.3 * sample_batch(plain).smallest_eigenvalues)
-
-
-def test_dense_path_determinism_across_thread_counts() -> None:
-    config = SamplerConfig(p=6, n=8, num_samples=200, seed=42,
-                           correlation=exponential_correlation(6))
-    assert np.array_equal(sample_batch(config).smallest_eigenvalues,
-                          sample_batch(config, workers=4).smallest_eigenvalues)
 
 
 def test_exponential_correlation_shape() -> None:

@@ -32,8 +32,15 @@ def test_odd_dimension_rejected() -> None:
 
 
 def test_upper_entry_count_enforced() -> None:
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         AntisymmetricMatrix.from_upper(4, [1, 2, 3])
+
+
+def test_non_square_rejected() -> None:
+    with pytest.raises(ValueError):
+        AntisymmetricMatrix(np.zeros((2, 4)))
+    with pytest.raises(ValueError):
+        AntisymmetricMatrix(np.zeros(4))
 
 
 def test_matrix_is_antisymmetric() -> None:
