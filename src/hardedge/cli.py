@@ -233,14 +233,13 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     if not 0.0 < args.u_min < args.u_max:
         raise ValueError("u range must satisfy 0 < u-min < u-max")
     grid = np.linspace(args.u_min, args.u_max, args.points)
-    limit = np.array([smallest_micro(args.k, u) for u in grid])
+    limit = np.array(tabulate("smallest_micro", args.k, grid).values)
     columns = [grid, limit]
     deviations = []
     for p in sizes:
         # The density in u carries the Jacobian of t = u / (4p).
-        scaled = np.array([
-            smallest_finite(FiniteSpec(p=p, k=args.k, t=u / (4.0 * p)))
-            / (4.0 * p) for u in grid])
+        scaled = np.array(tabulate("smallest", args.k, grid / (4.0 * p), p=p).values) \
+            / (4.0 * p)
         columns.append(scaled)
         deviations.append(float(np.max(np.abs(scaled - limit))))
 
@@ -433,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     logger.debug("dispatching %s", args.command)
     try:
         return handlers[args.command](args)
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
     except RuntimeError as exc:

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .kernels import BulkTables, border_column, kernel_matrix
-from .microscopic import gap_micro, micro_density, smallest_micro
+from .microscopic import _ln_count_constant, gap_micro, micro_density, smallest_micro
 from .pfaffian import AntisymmetricMatrix, bordered_pfaffian, pfaffian
 from .specfun import LogScaled, tricomi_u
 
@@ -166,11 +166,9 @@ def _ln_constant(p: int, k: int, gamma: int) -> float:
     """Log of the combinatorial constant in the gap (gamma = 0) or the
     smallest-eigenvalue (gamma = 1) assembly."""
     lnp = math.log(p)
-    total = 0.0
+    total = _ln_count_constant(k)
     for j in range(k):
-        total += (j + 1) * math.log(4.0) + gammaln(2 * j + 1) \
-            + gammaln(p + j + 2) + (j - 1) * lnp \
-            - gammaln(j + 1) - gammaln(p + 2 * j + 1)
+        total += gammaln(p + j + 2) + (j - 1) * lnp - gammaln(p + 2 * j + 1)
     total += -0.5 * math.log(math.pi) + gammaln(p + 1) + gammaln((p + 1) / 2) \
         - gammaln(p + k + 1)
     ln2 = -((k + _LN2_SHIFT[gamma][k % 2]) / 2) * math.log(2.0)

@@ -155,6 +155,11 @@ class BulkTables:
         return self._rows
 
 
+def _check_size(size: int, l: int) -> None:
+    if not 1 <= size <= l - 1:
+        raise ValueError(f"size must lie in 1..l-1 = {l - 1}, got {size}")
+
+
 def kernel_matrix(tables: BulkTables, size: int) -> np.ndarray:
     """Power-stripped derivative kernel matrix M, antisymmetric size x size.
 
@@ -163,11 +168,13 @@ def kernel_matrix(tables: BulkTables, size: int) -> np.ndarray:
     power in a log-domain prefactor.  Entries are assembled from positive
     Laguerre values, with the scaled polynomial norms folded in through
     rising factorials instead of raw factorials.  (gamma, l, t) are those
-    of `tables`.
+    of `tables`.  A size-1 matrix is zero and builds nothing; a size
+    outside 1..l-1 raises ValueError.
     """
     gamma, l, t = tables.gamma, tables.l, tables.t
-    assert size >= 1, f"size must be positive, got {size}"
-    assert size <= l - 1, f"orders 0..{size - 1} exceed the bound l-2={l - 2}"
+    _check_size(size, l)
+    if size < 2:
+        return np.zeros((size, size))
     hatted = l % 2 == 1
     j_max = (l - 3) // 2 if hatted else (l - 2) // 2
     count = j_max + 1
@@ -219,11 +226,11 @@ def border_column(tables: BulkTables, size: int) -> np.ndarray:
 
     Each entry is a sum of two positive Laguerre values, so the column is
     strictly positive and cancellation-free at every admissible order.
-    (gamma, l, t) are those of `tables`.
+    (gamma, l, t) are those of `tables`; a size outside 1..l-1 raises
+    ValueError.
     """
     l = tables.l
-    assert size >= 1, f"size must be positive, got {size}"
-    assert size <= l - 1, f"orders 0..{size - 1} exceed the bound l-2={l - 2}"
+    _check_size(size, l)
     rows = tables.laguerre_rows(size + 1)
     a = np.arange(size)
     return _gather(rows, l - a - 2, a) \

@@ -4,10 +4,13 @@ In the limit p -> infinity at fixed u = 4 p t the finite-p Pfaffian
 structures converge entry by entry: the border entries xi_a^(gamma, l)(t)
 tend to Bessel-I brackets and the derivative kernel entries Xi_ab tend to
 one-dimensional integrals of Bessel-I products, taken here for a whole
-k x k matrix in one array-valued quadrature.  One assembly turns them into
-the limiting gap probability (gamma = 0) and smallest-eigenvalue density
-(gamma = 1); the Bessel level density stands apart.  The entries one at a
-time (xi_small_lim, xi_big_lim) live in hardedge.reference.microscopic.
+k x k matrix in one array-valued quadrature.  That quadrature, and the one
+of the level density, is the order-doubling Gauss-Legendre loop that
+specfun.tricomi_u also runs, here with the tolerance 1e-11 * max(1, |value|).
+One assembly turns the entries into the limiting gap probability
+(gamma = 0) and smallest-eigenvalue density (gamma = 1); the Bessel level
+density stands apart.  The entries one at a time (xi_small_lim,
+xi_big_lim) live in hardedge.reference.microscopic.
 
 All kernel entries are handled in a u-balanced normalization in which the
 matrix is O(1) down to u -> 0; the exact powers of u cancel analytically
@@ -24,33 +27,11 @@ import numpy as np
 from scipy.special import gammaln, ive, jv
 
 from .pfaffian import AntisymmetricMatrix, bordered_pfaffian, pfaffian
-from .specfun import LogScaled, _gauss_legendre
+from .specfun import LogScaled, _settled_integral
 
 __all__ = ["gap_micro", "smallest_micro", "micro_density"]
 
 logger = logging.getLogger(__name__)
-
-# The highest order tried: needing more means the integrand was not the
-# smooth Bessel product the error model assumes.
-_MAX_ORDER = 12288
-
-
-def _settled_integral(integrand, start_order: int):
-    """Integrate over [0, 1] by Gauss-Legendre, doubling the order until two
-    values agree.
-
-    The integrand may be array-valued, nodes on its last axis, as for a whole
-    kernel matrix; the order doubles until every entry has settled.
-    """
-    order, previous = max(start_order, 8), None
-    while order <= _MAX_ORDER:
-        nodes, weights = _gauss_legendre(order)
-        current = integrand(0.5 * (nodes + 1.0)) @ (0.5 * weights)
-        if previous is not None and np.all(
-                np.abs(current - previous) <= 1e-11 * np.maximum(1.0, np.abs(current))):
-            return current
-        previous, order = current, 2 * order
-    raise RuntimeError(f"quadrature did not settle up to order {_MAX_ORDER}")
 
 
 def _bessel_i_reduced(n: int, x: np.ndarray) -> np.ndarray:
@@ -135,7 +116,9 @@ def _matrix_balanced(gamma: int, k: int, u: float) -> np.ndarray:
 
     scale = 4.0 ** (-(2 * gamma + upper + lower + 2))
     order = math.ceil(20.0 + 3.0 * math.sqrt(u))
-    values = scale * _settled_integral(integrand, order)
+    values = scale * _settled_integral(integrand, order, 1e-11, 1.0,
+                                       f"limiting kernel quadrature at gamma={gamma}, "
+                                       f"k={k}, u={u}")
     data[upper, lower] = values
     data[lower, upper] = -values
     return data
@@ -227,6 +210,7 @@ def micro_density(nu: int, u: float) -> float:
         return jv(nu, root * s)
 
     order = math.ceil(20.0 + 2.0 * root)
-    partial = root * _settled_integral(integrand, order)
+    partial = root * _settled_integral(integrand, order, 1e-11, 1.0,
+                                       f"level density quadrature at nu={nu}, u={u}")
     return 0.25 * (j_mid * j_mid - j_down * j_up) \
         + j_mid * (1.0 - partial) / (4.0 * root)

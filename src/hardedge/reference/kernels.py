@@ -88,6 +88,7 @@ def _bilinear_sum(spec: KernelSpec, first: tuple[int, float],
         top_second = top.derivative_scaled(*second)
     j_max = (spec.l - 3) // 2 if hatted else (spec.l - 2) // 2
     values: list[LogScaled] = []
+    swapped: list[LogScaled] = []
     for j in range(j_max + 1):
         odd = sop_odd(j, params)
         even = sop_even(j, params)
@@ -105,8 +106,10 @@ def _bilinear_sum(spec: KernelSpec, first: tuple[int, float],
             e_1 = even.derivative_scaled(*first)
             e_2 = even.derivative_scaled(*second)
         values.append(o_1 * e_2 / r_j)
-        values.append(-(o_2 * e_1 / r_j))
-    return log_sum(values)
+        swapped.append(o_2 * e_1 / r_j)
+    # Summing each half on its own makes swapping the slots negate the sum
+    # exactly, whatever the rounding of the terms.
+    return log_sum([log_sum(values), -log_sum(swapped)])
 
 
 def xi_big(a: int, b: int, spec: KernelSpec) -> float:

@@ -2,10 +2,11 @@
 
 The finite-size kernels and distributions are assembled from the functions
 in this module: log-scaled arithmetic and Tricomi's confluent
-hypergeometric function U(a, b, t), singly or as a whole chain in a.  The
-Gauss-Legendre rules cached here also serve the hard-edge quadratures in
-``microscopic``.  The functions only the reference routes use (log-gamma,
-monic Laguerre polynomials, Bessel functions) live in
+hypergeometric function U(a, b, t), singly or as a whole chain in a.  Its
+order-doubling Gauss-Legendre loop is the only one in the package: the
+hard-edge quadratures in ``microscopic`` run through it as well, each
+caller with its own tolerance.  The functions only the reference routes
+use (log-gamma, monic Laguerre polynomials, Bessel functions) live in
 ``hardedge.reference.specfun``.
 
 Quantities such as Gamma[(p+k+1)/2] * U(...) pair enormous factors that cancel
@@ -22,6 +23,7 @@ from typing import Iterable
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.optimize import brentq
 
 __all__ = [
     "LogScaled",
@@ -115,18 +117,30 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[n]
 
 
-# ----------------------------------------------------------------- Tricomi U
-
-# Highest Gauss-Legendre panel order tried before giving up.
+# Highest Gauss-Legendre order tried before giving up.
 _MAX_ORDER = 12288
 
 
-def _panel(log_f, lo: float, hi: float, peak_val: float, n: int) -> float:
-    """integral of exp(log_f - peak_val) over [lo, hi] by n-point Gauss-Legendre."""
-    x, w = _gauss_legendre(n)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    v = log_f(mid + half * x) - peak_val
-    return half * float(np.dot(w, np.exp(v)))
+def _settled_integral(integrand, order: int, tol: float, floor: float, what: str):
+    """Integrate over [0, 1] by Gauss-Legendre, doubling the order from
+    ``order`` until two successive values agree to tol * max(floor, |value|).
+
+    The integrand may be array-valued, nodes on its last axis, as for a whole
+    kernel matrix; the order doubles until every entry has settled.  Raises
+    RuntimeError naming ``what`` once the order would pass 12288.
+    """
+    order, previous = max(order, 8), None
+    while order <= _MAX_ORDER:
+        nodes, weights = _gauss_legendre(order)
+        current = integrand(0.5 * (nodes + 1.0)) @ (0.5 * weights)
+        if previous is not None and np.all(
+                np.abs(current - previous) <= tol * np.maximum(floor, np.abs(current))):
+            return current
+        previous, order = current, 2 * order
+    raise RuntimeError(f"{what} did not settle up to order {_MAX_ORDER}")
+
+
+# ----------------------------------------------------------------- Tricomi U
 
 
 def tricomi_u(a: float, b: float, t: float) -> LogScaled:
@@ -139,17 +153,17 @@ def tricomi_u(a: float, b: float, t: float) -> LogScaled:
     after the substitution z = e^v, which turns the integrand into
     exp(h(v)) with ``h(v) = a v + (b - a - 1) log(1 + e^v) - t e^v``.  For
     every (a, b) pair used here h has a single interior maximum (strictly so
-    when b <= a + 1, where h is concave); the peak is bracketed and bisected,
-    the integration window is cut where h drops 60 nats below the peak, and
-    each side of the peak is integrated by Gauss-Legendre panels whose order
-    doubles until two successive values agree to 5e-13.
+    when b <= a + 1, where h is concave); Brent's method finds the peak as
+    the root of h' and the two ends of the window where h has dropped 60 nats
+    below it.  Both sides of the peak go through one Gauss-Legendre rule
+    whose order doubles from 48 until two successive values agree to 5e-13.
 
     a = 0 returns 1 exactly (empty-product convention used by the
     skew-orthogonal norm at index 0).  Serves as the anchor of
     :func:`tricomi_u_chain`, so it is evaluated up to a ~ l/2 for l kernel
     polynomials; it is tested up to a = 2003 and t down to 1e-8, without
     overflow or underflow.  Raises RuntimeError if two successive values
-    still disagree at panel order 12288.
+    still disagree at order 12288.
     """
     if a == 0.0:
         return LogScaled.from_value(1.0)
@@ -179,45 +193,26 @@ def tricomi_u(a: float, b: float, t: float) -> LogScaled:
         lo -= 4.0
     while dh(hi) >= 0.0:
         hi += 4.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if dh(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    peak = 0.5 * (lo + hi)
+    peak = brentq(dh, lo, hi)
     h_peak = h1(peak)
 
     def window_edge(direction: float) -> float:
-        # h is monotone on each side of the peak; step out until 60 nats down,
-        # then bisect the crossing.
+        # h is monotone on each side of the peak; step out until 60 nats down.
         step = 1.0
-        outer = peak + direction * step
-        while h1(outer) - h_peak > -60.0:
+        while h1(peak + direction * step) - h_peak > -60.0:
             step *= 2.0
-            outer = peak + direction * step
-        inner = peak
-        for _ in range(60):
-            mid = 0.5 * (inner + outer)
-            if h1(mid) - h_peak > -60.0:
-                inner = mid
-            else:
-                outer = mid
-        return outer
+        return brentq(lambda v: h1(v) - h_peak + 60.0, peak, peak + direction * step)
 
     left, right = window_edge(-1.0), window_edge(+1.0)
+    starts = np.array([[left], [peak]])
+    widths = np.array([peak - left, right - peak])
 
-    order, prev = 48, None
-    while True:
-        total = _panel(h, left, peak, h_peak, order) \
-            + _panel(h, peak, right, h_peak, order)
-        if prev is not None and abs(total - prev) <= 5e-13 * abs(total):
-            break
-        if order >= _MAX_ORDER:
-            raise RuntimeError(
-                f"Tricomi U quadrature did not converge for a={a}, b={b}, t={t}: "
-                f"order {order} reached")
-        prev, order = total, 2 * order
+    def integrand(s: np.ndarray) -> np.ndarray:
+        # The two sides of the peak, each mapped onto [0, 1], summed.
+        return widths @ np.exp(h(starts + widths[:, None] * s) - h_peak)
+
+    total = _settled_integral(integrand, 48, 5e-13, 0.0,
+                              f"Tricomi U quadrature for a={a}, b={b}, t={t}")
     return LogScaled(h_peak + math.log(total) - math.lgamma(a), 1)
 
 

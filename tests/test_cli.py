@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardedge import cli
+from hardedge import cli, specfun
 from hardedge.cli import main
 from hardedge.distributions import FiniteSpec, gap_finite
 from hardedge.microscopic import gap_micro, micro_density
@@ -234,6 +234,24 @@ def test_converge_flags_non_decreasing_sequence(
     assert main(["converge", "--k", "1", "--p", "19,7", "--u-min", "0.5",
                  "--u-max", "10", "--points", "8"]) == 3
     assert "not strictly decreasing" in capsys.readouterr().err
+
+
+def test_converge_rejects_impossible_densities(
+        tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    # At k = 11 and u near 1000 the assembly loses every digit; the limit
+    # curve rejects the negative densities instead of writing them.
+    assert main(["converge", "--k", "11", "--p", "10,20", "--u-min", "900",
+                 "--u-max", "1000", "--points", "2"]) == 2
+    assert "parameter error" in capsys.readouterr().err
+    assert not (tmp_path / "converge_k11.csv").exists()
+
+
+def test_unsettled_quadrature_fails_validation(
+        monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]) -> None:
+    monkeypatch.setattr(specfun, "_gauss_legendre",
+                        lambda n: (np.zeros(n), np.full(n, float(n))))
+    assert main(["micro", "--quantity", "gap", "--k", "3", "--u", "10"]) == 3
+    assert "order 12288" in capsys.readouterr().err
 
 
 def test_selftest_passes(capsys: pytest.CaptureFixture[str]) -> None:

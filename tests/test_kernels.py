@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from hardedge import kernels, specfun
 from hardedge.kernels import BulkTables, border_column, kernel_matrix
 from hardedge.reference.kernels import KernelSpec, kernel_cd, kernel_sum, xi_big, xi_small
 from hardedge.reference.sop import WeightParams, partition_z_t, weight
@@ -204,5 +205,21 @@ def test_recurrence_envelope_guard() -> None:
         kernel_matrix(BulkTables(0, 4000, 100.0), 2)
     with pytest.raises(ValueError):
         border_column(BulkTables(0, 4000, 100.0), 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         kernel_matrix(BulkTables(0, 4, 1.0), 4)
+    with pytest.raises(ValueError):
+        border_column(BulkTables(0, 4, 1.0), 4)
+
+
+def test_size_one_matrix_is_zero_without_quadrature(monkeypatch) -> None:
+    # A 1 x 1 antisymmetric matrix is zero: the odd-k assembly at k = 1 reads
+    # only the border, so the matrix must not cost any Tricomi U.
+    def forbidden(*args):
+        raise AssertionError(f"tricomi_u{args} evaluated")
+
+    monkeypatch.setattr(specfun, "tricomi_u", forbidden)
+    monkeypatch.setattr(kernels, "tricomi_u", forbidden)
+    for gamma in (0, 1):
+        for l in (4, 5, 1001):
+            matrix = kernel_matrix(BulkTables(gamma, l, 0.3), 1)
+            assert matrix.shape == (1, 1) and matrix[0, 0] == 0.0, (gamma, l)

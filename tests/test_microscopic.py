@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hardedge import specfun
 from hardedge.kernels import BulkTables, kernel_matrix
 from hardedge.microscopic import _matrix_balanced, gap_micro, micro_density, smallest_micro
 from hardedge.reference.kernels import KernelSpec, xi_small
@@ -150,6 +151,18 @@ def test_kernel_limit_rejects_bad_arguments() -> None:
         xi_big_lim(0, 1, 0, 0.0)
     with pytest.raises(ValueError):
         xi_big_lim(0, 1, 2, 1.0)
+
+
+def _never_settles(n):
+    # Every node at the midpoint, with a total weight that grows with the
+    # order: successive values never agree.
+    return np.zeros(n), np.full(n, float(n))
+
+
+def test_unsettled_kernel_quadrature_raises(monkeypatch) -> None:
+    monkeypatch.setattr(specfun, "_gauss_legendre", _never_settles)
+    with pytest.raises(RuntimeError, match=r"gamma=0, k=3, u=10\.0.*order 12288"):
+        gap_micro(3, 10.0)
 
 
 def test_gap_topology_zero_matches_closed_form() -> None:

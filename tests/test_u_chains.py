@@ -78,12 +78,14 @@ def test_chain_rejects_bad_arguments() -> None:
         tricomi_u_chain(0.5, 0.5, 1.0, -1)
 
 
-def _never_settles(log_f, lo, hi, peak_val, n):
-    return float(n)
+def _never_settles(n):
+    # Every node at the midpoint, with a total weight that grows with the
+    # order: successive values never agree.
+    return np.zeros(n), np.full(n, float(n))
 
 
 def test_tricomi_u_nonconvergence_raises(monkeypatch) -> None:
-    monkeypatch.setattr(specfun, "_panel", _never_settles)
+    monkeypatch.setattr(specfun, "_gauss_legendre", _never_settles)
     with pytest.raises(RuntimeError, match=r"a=2\.5, b=0\.5, t=0\.25.*order 12288"):
         tricomi_u(2.5, 0.5, 0.25)
 
@@ -92,8 +94,9 @@ def test_tricomi_u_nonconvergence_raises_under_optimization() -> None:
     # Under python -O an assert would vanish and the order would double
     # without bound; the error must not depend on assertions being enabled.
     script = (
+        "import numpy as np\n"
         "import hardedge.specfun as s\n"
-        "s._panel = lambda log_f, lo, hi, peak_val, n: float(n)\n"
+        "s._gauss_legendre = lambda n: (np.zeros(n), np.full(n, float(n)))\n"
         "try:\n"
         "    s.tricomi_u(2.5, 0.5, 0.25)\n"
         "except RuntimeError as exc:\n"
