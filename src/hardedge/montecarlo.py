@@ -1,19 +1,21 @@
 """Monte-Carlo sampling of real Wishart matrices.
 
-Draws W = L G with G a p x n standard Gaussian matrix and L the lower
-Cholesky factor of a row correlation matrix C (identity when absent), and
-records the smallest eigenvalue of W W^T as the square of the smallest
-singular value of W.  Neither path forms W W^T, which would square the
-condition number exactly where the smallest eigenvalue lives.
+Samples W = L G, with G a p x n standard Gaussian matrix and L L^T = C a
+row correlation (identity when absent), and records the smallest eigenvalue
+of W W^T as a squared singular value, never forming W W^T, which would
+square the condition number, or drawing G densely.
 
-Without a correlation, G is never drawn: its singular values are exactly
-those of a p x p bidiagonal matrix with independent chi entries
-(Dumitriu-Edelman, J. Math. Phys. 43, 5830, 2002), and the smallest one is
-the (p+1)-th eigenvalue of the 2p x 2p Golub-Kahan tridiagonal, found by
-bisection to full relative accuracy (Demmel-Kahan, SIAM J. Sci. Stat.
-Comput. 11, 873, 1990).  That costs O(p) per sample.  A scalar correlation
-C = c 1 takes the same path, since then W = sqrt(c) G.  Any other
-correlation draws W = L G densely and takes its singular values.
+Without a correlation, the singular values of G are those of a p x p
+bidiagonal matrix with independent chi entries (Dumitriu-Edelman, J. Math.
+Phys. 43, 5830, 2002); the smallest is the (p+1)-th eigenvalue of the
+Golub-Kahan tridiagonal, found in O(p) by bisection to full relative
+accuracy (Demmel-Kahan, SIAM J. Sci. Stat. Comput. 11, 873, 1990).  A
+scalar correlation C = c 1 takes the same path, since then W = sqrt(c) G.
+Any other C = V D V^T takes the triangular path: W W^T has the spectrum of
+D^1/2 G G^T D^1/2, and G G^T the law of R^T R, R upper triangular with
+R_ii = chi_(n-i+1) and N(0, 1) above the diagonal (Bartlett; Muirhead 1982,
+section 3.2).  Lanczos finds sigma_min(T)^2, T = R D^1/2, in O(p^2) per
+step, and an SVD of T where it does not settle.
 
 Samples are drawn serially, each on its own counter-based Philox stream
 keyed by (seed, sample index), so the first m samples of any batch equal
@@ -27,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstebz
+from scipy.linalg.lapack import dstebz, dstev, dtrtrs
 
 __all__ = [
     "SamplerConfig",
@@ -50,6 +52,9 @@ RNG_KEY_SCHEME = "(seed, sample_index)"
 # LAPACK's absolute tolerance for bisection to full relative accuracy.
 _BISECTION_TOL = 2.0 * np.finfo(float).tiny
 
+# Lanczos steps before the SVD takes over; relative error of an accepted Ritz value.
+_LANCZOS_STEPS, _RITZ_TOL = 40, 1e-15
+
 
 def _check_correlation(matrix: np.ndarray, p: int) -> np.ndarray:
     arr = np.asarray(matrix, dtype=float)
@@ -57,10 +62,8 @@ def _check_correlation(matrix: np.ndarray, p: int) -> np.ndarray:
         raise ValueError(f"correlation must be {p}x{p}, got {arr.shape}")
     if not np.all(np.abs(arr - arr.T) <= 1e-12):
         raise ValueError("correlation matrix is not symmetric to 1e-12")
-    try:
-        np.linalg.cholesky(arr)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("correlation matrix is not positive definite") from exc
+    if not np.linalg.eigvalsh(arr)[0] > 0.0:
+        raise ValueError("correlation matrix is not positive definite")
     return arr
 
 
@@ -136,8 +139,36 @@ def _scalar_correlation(correlation: np.ndarray | None) -> float | None:
     if correlation is None:
         return 1.0
     c = float(correlation[0, 0])
-    if np.array_equal(correlation, c * np.eye(correlation.shape[0])):
-        return c
+    return c if np.array_equal(correlation, c * np.eye(len(correlation))) else None
+
+
+def _largest_inverse_eigenvalue(triangle: np.ndarray, start: np.ndarray) -> float | None:
+    """Largest eigenvalue of (T^T T)^-1 for upper-triangular T by Lanczos, or None.
+
+    Full reorthogonalization; two triangular solves per step read T^T from the
+    Fortran-ordered T.T.  The top Ritz value theta, with residual r and gap g
+    to the next, is accepted once r^2 <= tol theta g (Kato-Temple error bound).
+    """
+    steps = min(_LANCZOS_STEPS, start.size)
+    basis = np.empty((steps + 1, start.size))
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    basis[0] = start / math.sqrt(start @ start)
+    for j in range(steps):
+        half, info = dtrtrs(triangle.T, basis[j], lower=1)
+        w, info_t = dtrtrs(triangle.T, half, lower=1, trans=1)
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            coefficients = basis[:j + 1] @ w
+            w -= coefficients @ basis[:j + 1]
+            alpha[j] += coefficients[j]
+        residual = math.sqrt(w @ w)
+        ritz, vectors, info_v = dstev(alpha[:j + 1], beta[:max(j, 1)])
+        if info or info_t or info_v:
+            return None
+        gap = ritz[-1] - ritz[-2] if j else ritz[-1]
+        if (residual * vectors[-1, -1]) ** 2 <= _RITZ_TOL * ritz[-1] * gap:
+            return float(ritz[-1])
+        beta[j] = residual
+        basis[j + 1] = w / residual
     return None
 
 
@@ -146,43 +177,51 @@ class _Draws:
 
     On the bidiagonal path a sample is the vector of squared Golub-Kahan
     off-diagonal entries, chi-square variables with the degrees of freedom
-    n, p-1, n-1, p-2, ..., n-p+1 interleaved; on the dense path it is
-    W = L G itself.
+    `dof` = n, p-1, n-1, p-2, ..., n-p+1 interleaved; on the triangular
+    path it is T = R D^1/2, whose diagonal takes the `dof[0::2]`.
     """
 
     def __init__(self, config: SamplerConfig) -> None:
         p, n = config.p, config.n
-        self.seed = config.seed
-        self.shape = (p, n)
+        self.seed, self.p = config.seed, p
         self.scale = _scalar_correlation(config.correlation)
-        self.dense = self.scale is None
-        if self.dense:
-            self.factor = np.linalg.cholesky(config.correlation)
+        self.triangular = self.scale is None
+        self.dof = np.empty(2 * p - 1)
+        self.dof[0::2] = np.arange(n, n - p, -1)
+        self.dof[1::2] = np.arange(p - 1, 0, -1)
+        if self.triangular:
+            self.root = np.sqrt(np.linalg.eigvalsh(config.correlation))
+            self.above = np.triu(np.ones((p, p), dtype=bool), 1)
         else:
-            self.dof = np.empty(2 * p - 1)
-            self.dof[0::2] = np.arange(n, n - p, -1)
-            self.dof[1::2] = np.arange(p - 1, 0, -1)
             self.diagonal = np.zeros(2 * p)
 
     def squares(self, index: int) -> np.ndarray:
         """Squared bidiagonal entries of sample `index`."""
         return _stream(self.seed, index).chisquare(self.dof)
 
-    def matrix(self, index: int) -> np.ndarray:
-        """Dense W = L G of sample `index`."""
-        gauss = _stream(self.seed, index).standard_normal(self.shape)
-        return self.factor @ gauss
+    def triangle(self, index: int) -> tuple[np.ndarray, np.random.Generator]:
+        """T = R D^1/2 of sample `index`, with its stream positioned after T."""
+        stream = _stream(self.seed, index)
+        triangle = np.zeros((self.p, self.p))
+        triangle.flat[::self.p + 1] = np.sqrt(stream.chisquare(self.dof[0::2]))
+        triangle[self.above] = stream.standard_normal(self.p * (self.p - 1) // 2)
+        triangle *= self.root
+        return triangle, stream
 
     def smallest(self, index: int) -> float:
         """Smallest eigenvalue of W W^T for sample `index`."""
-        if self.dense:
+        p = self.p
+        if self.triangular:
+            triangle, stream = self.triangle(index)
+            theta = _largest_inverse_eigenvalue(triangle, stream.standard_normal(p))
+            if theta is not None:
+                return 1.0 / theta
+            logger.debug("Lanczos did not settle at sample %d; taking the SVD", index)
             try:
-                singular = np.linalg.svd(self.matrix(index), compute_uv=False)
+                singular = np.linalg.svd(triangle, compute_uv=False)
             except np.linalg.LinAlgError as exc:
-                raise RuntimeError(
-                    f"singular values failed at sample {index}") from exc
+                raise RuntimeError(f"singular values failed at sample {index}") from exc
             return float(singular[-1]) ** 2
-        p = self.shape[0]
         off = np.sqrt(self.squares(index))
         _, values, _, _, info = dstebz(self.diagonal, off, 2, 0.0, 0.0,
                                        p + 1, p + 1, _BISECTION_TOL, "E")
@@ -196,11 +235,10 @@ class _Draws:
 
         Bidiagonalization is orthogonal, so on the bidiagonal path this is
         the sum of the squared entries, a chi-square with p n degrees of
-        freedom.
+        freedom.  On the triangular path it is tr(T^T T) = sum_ij d_j R_ij^2.
         """
-        if self.dense:
-            w = self.matrix(index)
-            return float(np.sum(w * w))
+        if self.triangular:
+            return float(np.sum(self.triangle(index)[0] ** 2))
         return self.scale * float(np.sum(self.squares(index)))
 
 
@@ -209,7 +247,7 @@ def sample_batch(config: SamplerConfig) -> SampleBatch:
 
     Samples are drawn one after another in index order: uncorrelated and
     scalar-correlated batches on the O(p) bidiagonal path, any other
-    correlation on the dense path.
+    correlation on the triangular path, O(p^2) per Lanczos step.
     """
     draws = _Draws(config)
     count = config.num_samples
@@ -217,7 +255,7 @@ def sample_batch(config: SamplerConfig) -> SampleBatch:
                          dtype=float, count=count)
     logger.debug("sampled %d matrices at p=%d, nu=%d on the %s path",
                  count, config.p, config.nu,
-                 "dense" if draws.dense else "bidiagonal")
+                 "triangular" if draws.triangular else "bidiagonal")
     return SampleBatch(config=config, smallest_eigenvalues=values)
 
 
@@ -279,10 +317,12 @@ def microscopic_rescale(batch: SampleBatch, inverse: bool = False) -> SampleBatc
 def trace_average(config: SamplerConfig) -> tuple[float, float]:
     """Mean of tr(W W^T)/(p n) over the batch, with its standard error.
 
-    Uses the same per-sample draws as `sample_batch`, so the matrices
-    agree draw for draw.  The expectation equals the mean diagonal entry
-    of the correlation matrix.
+    Reads the same per-sample draws as `sample_batch`, bidiagonal entries or
+    the factor T with tr(W W^T) = tr(T^T T).  The expectation is the mean
+    diagonal entry of the correlation matrix; the batch needs two samples.
     """
+    if config.num_samples < 2:
+        raise ValueError(f"trace_average needs 2 or more samples, got {config.num_samples}")
     draws = _Draws(config)
     scale = config.p * config.n
     traces = np.array([draws.trace(i) / scale

@@ -73,7 +73,7 @@ def test_validation_holds_under_optimization() -> None:
     script = (
         "import numpy as np\n"
         "from hardedge.montecarlo import (SampleBatch, SamplerConfig,\n"
-        "    empirical_gap, exponential_correlation)\n"
+        "    empirical_gap, exponential_correlation, trace_average)\n"
         "batch = SampleBatch(config=SamplerConfig(p=1, n=1, num_samples=1, seed=0),\n"
         "                    smallest_eigenvalues=np.ones(1))\n"
         "calls = (lambda: SamplerConfig(p=0, n=1, num_samples=1, seed=0),\n"
@@ -84,7 +84,8 @@ def test_validation_holds_under_optimization() -> None:
         "         lambda: empirical_gap(batch, -1.0),\n"
         "         lambda: empirical_gap(batch, float('nan')),\n"
         "         lambda: exponential_correlation(0),\n"
-        "         lambda: exponential_correlation(3, decay=1.0))\n"
+        "         lambda: exponential_correlation(3, decay=1.0),\n"
+        "         lambda: trace_average(SamplerConfig(p=2, n=3, num_samples=1, seed=0)))\n"
         "for number, call in enumerate(calls):\n"
         "    try:\n"
         "        call()\n"
@@ -220,6 +221,15 @@ def test_trace_moment_on_bidiagonal_path() -> None:
         f"trace average {mean} off the identity diagonal 1.0"
 
 
+@pytest.mark.parametrize("correlation", [None, exponential_correlation(2)],
+                         ids=["plain", "triangular"])
+def test_trace_average_needs_two_samples(correlation) -> None:
+    # One sample has no standard error; it must not come back as NaN.
+    with pytest.raises(ValueError):
+        trace_average(SamplerConfig(p=2, n=3, num_samples=1, seed=0,
+                                    correlation=correlation))
+
+
 def _smallest_eigenvalue_mp(diagonal, subdiagonal) -> mpmath.mpf:
     """Smallest eigenvalue of B B^T for the lower-bidiagonal B, by Sturm
     bisection in mpmath's working precision."""
@@ -265,11 +275,15 @@ def test_bidiagonal_smallest_matches_mpmath(nu: int) -> None:
                 f"sigma_min off by {float(error):.2e} at sample {index}"
 
 
-def _dense_smallest(p: int, n: int, count: int, seed: int) -> np.ndarray:
+def _dense_smallest(p: int, n: int, count: int, seed: int,
+                   correlation: np.ndarray | None = None) -> np.ndarray:
+    # The literal model: W = L G with dense G and L the Cholesky factor of C.
     rng = np.random.default_rng(seed)
     values = []
     for start in range(0, count, 2000):
         gauss = rng.standard_normal((min(2000, count - start), p, n))
+        if correlation is not None:
+            gauss = np.linalg.cholesky(correlation) @ gauss
         values.append(np.linalg.svd(gauss, compute_uv=False)[:, -1] ** 2)
     return np.concatenate(values)
 
@@ -291,6 +305,91 @@ def test_bidiagonal_edge_sizes_are_positive(p: int, n: int) -> None:
     values = sample_batch(SamplerConfig(p=p, n=n, num_samples=500,
                                         seed=19)).smallest_eigenvalues
     assert np.all(np.isfinite(values)) and np.all(values > 0.0)
+
+
+def _triangles(config: SamplerConfig) -> list[np.ndarray]:
+    draws = _Draws(config)
+    return [draws.triangle(i)[0] for i in range(config.num_samples)]
+
+
+@pytest.mark.parametrize("p", [12, 40])
+@pytest.mark.parametrize("nu", [0, 4])
+def test_triangular_smallest_matches_mpmath(p: int, nu: int) -> None:
+    # Lanczos on (T^T T)^-1 must give sigma_min of the drawn Bartlett factor
+    # T = R D^1/2 to 1e-13 against a 40-digit SVD of the same T.
+    config = SamplerConfig(p=p, n=p + nu, num_samples=3, seed=81 + nu,
+                           correlation=exponential_correlation(p))
+    batch = sample_batch(config)
+    with mpmath.workdps(40):
+        for index, triangle in enumerate(_triangles(config)):
+            exact = min(mpmath.svd_r(mpmath.matrix(triangle.tolist()),
+                                     compute_uv=False))
+            sigma = math.sqrt(batch.smallest_eigenvalues[index])
+            error = abs(mpmath.mpf(sigma) / exact - 1)
+            assert error <= 1e-13, \
+                f"sigma_min off by {float(error):.2e} at sample {index}"
+
+
+def test_triangular_smallest_matches_svd_at_p200() -> None:
+    # At nu = 0 LAPACK's own SVD of T loses up to ~2e-13 (eps times the
+    # condition of T); at nu = 4 both routes agree to a few ulps.
+    config = SamplerConfig(p=200, n=204, num_samples=20, seed=85,
+                           correlation=exponential_correlation(200))
+    batch = sample_batch(config)
+    for index, triangle in enumerate(_triangles(config)):
+        svd = np.linalg.svd(triangle, compute_uv=False)[-1] ** 2
+        assert abs(batch.smallest_eigenvalues[index] / svd - 1.0) <= 1e-13, \
+            f"Lanczos and SVD differ at sample {index}"
+
+
+@pytest.mark.parametrize("p, n, seed", [(10, 14, 621), (30, 32, 623)])
+def test_triangular_sampler_matches_dense_svd(p: int, n: int, seed: int) -> None:
+    # Two-sample Kolmogorov-Smirnov at level 1e-3: 1.95 sqrt(2/N).
+    count = 20000
+    correlation = exponential_correlation(p, 0.5)
+    triangular = sample_batch(SamplerConfig(p=p, n=n, num_samples=count,
+                                            seed=seed, correlation=correlation))
+    dense = _dense_smallest(p, n, count, seed + 1, correlation)
+    statistic = ks_2samp(triangular.smallest_eigenvalues, dense).statistic
+    assert statistic <= 1.95 * math.sqrt(2.0 / count), \
+        f"triangular and dense samplers differ: KS {statistic}"
+
+
+@pytest.mark.parametrize("p", [2, 3, 6])
+def test_lanczos_exhausts_small_krylov_spaces(p: int) -> None:
+    # At n = p the whole Krylov space is reached within p steps and the
+    # last residual is zero up to rounding; every value must still settle.
+    config = SamplerConfig(p=p, n=p, num_samples=500, seed=29,
+                           correlation=exponential_correlation(p))
+    draws = _Draws(config)
+    values = sample_batch(config).smallest_eigenvalues
+    assert np.all(np.isfinite(values)) and np.all(values > 0.0)
+    for index in range(config.num_samples):
+        triangle, stream = draws.triangle(index)
+        theta = montecarlo._largest_inverse_eigenvalue(
+            triangle, stream.standard_normal(p))
+        assert theta is not None, f"Lanczos did not settle at sample {index}"
+        svd = np.linalg.svd(triangle, compute_uv=False)[-1] ** 2
+        assert abs(values[index] / svd - 1.0) <= 1e-13, \
+            f"Lanczos and SVD differ at sample {index}"
+
+
+def test_unsettled_lanczos_falls_back_to_svd(monkeypatch) -> None:
+    config = SamplerConfig(p=6, n=8, num_samples=20, seed=31,
+                           correlation=exponential_correlation(6))
+    settled = sample_batch(config).smallest_eigenvalues
+    calls = []
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_LANCZOS_STEPS", 1)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    fallback = sample_batch(config).smallest_eigenvalues
+    assert calls == [(6, 6)] * config.num_samples
+    assert np.allclose(fallback, settled, rtol=1e-13, atol=0.0)
 
 
 def test_scalar_correlation_is_exact_multiple_of_plain_batch() -> None:
