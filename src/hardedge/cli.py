@@ -20,12 +20,11 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
-from importlib.metadata import PackageNotFoundError, version as package_version
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+from . import __version__
 from .distributions import FiniteSpec, gap_finite, smallest_finite, tabulate
 from .microscopic import gap_micro, micro_density, smallest_micro
 from .montecarlo import (
@@ -50,115 +49,69 @@ EXIT_IO = 4
 OUTDIR_VARIABLE = "HARDEDGE_OUTDIR"
 
 
-def _tool_version() -> str:
-    try:
-        return package_version("hardedge")
-    except PackageNotFoundError:
-        return "unknown"
-
-
-def _resolve(path: str) -> str:
-    if os.path.isabs(path):
-        return path
-    return os.path.join(os.environ.get(OUTDIR_VARIABLE, "."), path)
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record written alongside every output file."""
-
-    command: str
-    parameters: dict[str, object]
-    seeds: tuple[int, ...]
-    outputs: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    def write(self, duration: float) -> None:
-        lines = [f"command: {self.command}"]
-        for key in sorted(self.parameters):
-            lines.append(f"parameter {key}: {self.parameters[key]}")
-        lines.append(f"seeds: {','.join(str(s) for s in self.seeds) or 'none'}")
-        lines.append(f"version: {_tool_version()}")
-        lines.append(f"duration_seconds: {duration:.3f}")
-        for name in self.outputs:
-            lines.append(f"output: {name}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        for name in self.outputs:
-            with open(name + ".manifest", "w", encoding="utf-8") as handle:
-                handle.write("\n".join(lines) + "\n")
-
-
-def _write_csv(path: str, header: tuple[str, ...],
-               rows: list[tuple[float, ...]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+def _emit(args: argparse.Namespace, default_name: str, header: tuple[str, ...],
+          rows: list[tuple[float, ...]], parameters: dict[str, object],
+          seeds: tuple[int, ...] = (), notes: tuple[str, ...] = ()) -> None:
+    """Write the CSV and its manifest sidecar, then report both on stdout."""
+    out = args.out or default_name
+    if not os.path.isabs(out):
+        out = os.path.join(os.environ.get(OUTDIR_VARIABLE, "."), out)
+    with open(out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{x:.17g}" for x in row])
+        writer.writerows([f"{x:.17g}" for x in row] for row in rows)
+    lines = [f"command: {args.command}"]
+    lines += [f"parameter {key}: {parameters[key]}" for key in sorted(parameters)]
+    lines += [f"seeds: {','.join(str(s) for s in seeds) or 'none'}",
+              f"version: {__version__}",
+              f"duration_seconds: {time.time() - args.start:.3f}",
+              f"output: {out}"]
+    lines += [f"note: {note}" for note in notes]
+    with open(out + ".manifest", "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+    print(f"wrote {out} ({len(rows)} rows)")
+    for note in notes:
+        print(note)
 
 
-def _grid(args: argparse.Namespace) -> np.ndarray:
+def _grid(args: argparse.Namespace, axis: str) -> np.ndarray:
+    low, high = getattr(args, f"{axis}_min"), getattr(args, f"{axis}_max")
     if args.points < 1:
         raise ValueError(f"points must be at least 1, got {args.points}")
-    if not args.t_min < args.t_max:
-        raise ValueError("t-min must lie below t-max")
-    return np.linspace(args.t_min, args.t_max, args.points)
+    if not low < high:
+        raise ValueError(f"{axis}-min must lie below {axis}-max")
+    return np.linspace(low, high, args.points)
 
 
-def _cmd_finite_curve(args: argparse.Namespace, quantity: str) -> int:
-    start = time.time()
-    grid = _grid(args)
-    curve = tabulate(quantity, args.k, grid, p=args.p)
-    out = _resolve(args.out or f"{quantity}_p{args.p}_k{args.k}.csv")
-    _write_csv(out, ("t", "value"), list(zip(curve.abscissae, curve.values)))
-    manifest = RunManifest(
-        command=quantity,
-        parameters={"p": args.p, "k": args.k, "t_min": args.t_min,
-                    "t_max": args.t_max, "points": args.points},
-        seeds=(), outputs=[out])
-    manifest.write(time.time() - start)
-    print(f"wrote {out} ({args.points} rows)")
+def _cmd_finite_curve(args: argparse.Namespace) -> int:
+    curve = tabulate(args.command, args.k, _grid(args, "t"), p=args.p)
+    _emit(args, f"{args.command}_p{args.p}_k{args.k}.csv", ("t", "value"),
+          list(zip(curve.abscissae, curve.values)),
+          {"p": args.p, "k": args.k, "t_min": args.t_min, "t_max": args.t_max,
+           "points": args.points})
     return EXIT_OK
 
 
-def _micro_values(quantity: str, k: int, nu: int, grid) -> tuple[float, ...]:
-    # The level density is not a tabulate curve: curves carry k = nu/2, and
-    # the density also takes odd nu.
-    if quantity == "density":
-        return tuple(micro_density(nu, u) for u in grid)
-    return tabulate(f"{quantity}_micro", k, grid).values
-
-
 def _cmd_micro(args: argparse.Namespace) -> int:
-    start = time.time()
     if args.k is None and args.nu is None:
         raise ValueError("one of --k or --nu is required")
-    if args.k is not None:
-        k, nu = args.k, 2 * args.k
+    nu = args.nu if args.k is None else 2 * args.k
+    if args.quantity != "density" and nu % 2 != 0:
+        raise ValueError(f"{args.quantity} supports only even topology, got nu={nu}")
+    grid = _grid(args, "u") if args.u is None else (args.u,)
+    if args.quantity == "density":
+        # The level density is not a tabulate curve: curves carry k = nu/2,
+        # and the density also takes odd nu.
+        values = tuple(micro_density(nu, u) for u in grid)
     else:
-        nu = args.nu
-        if args.quantity != "density" and nu % 2 != 0:
-            raise ValueError(
-                f"{args.quantity} supports only even topology, got nu={nu}")
-        k = nu // 2
+        values = tabulate(f"{args.quantity}_micro", nu // 2, grid).values
     if args.u is not None:
-        print(f"{_micro_values(args.quantity, k, nu, (args.u,))[0]:.17g}")
+        print(f"{values[0]:.17g}")
         return EXIT_OK
-    if not args.u_min < args.u_max:
-        raise ValueError("u-min must lie below u-max")
-    grid = np.linspace(args.u_min, args.u_max, args.points)
-    rows = list(zip(grid, _micro_values(args.quantity, k, nu, grid)))
-    out = _resolve(args.out or f"micro_{args.quantity}_nu{nu}.csv")
-    _write_csv(out, ("u", "value"), rows)
-    manifest = RunManifest(
-        command="micro",
-        parameters={"quantity": args.quantity, "nu": nu,
-                    "u_min": args.u_min, "u_max": args.u_max,
-                    "points": args.points},
-        seeds=(), outputs=[out])
-    manifest.write(time.time() - start)
-    print(f"wrote {out} ({args.points} rows)")
+    _emit(args, f"micro_{args.quantity}_nu{nu}.csv", ("u", "value"),
+          list(zip(grid, values)),
+          {"quantity": args.quantity, "nu": nu, "u_min": args.u_min,
+           "u_max": args.u_max, "points": args.points})
     return EXIT_OK
 
 
@@ -176,12 +129,14 @@ def _interpolated_cdf(evaluate, top: float, points: int = 240):
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
-    start = time.time()
     if args.nu % 2 != 0:
         raise ValueError(f"only even topology is supported, got nu={args.nu}")
     correlation = None
     if args.c_file is not None:
         correlation = load_correlation(args.c_file, args.p)
+        if args.compare != "micro":
+            raise ValueError("--c-file needs --compare micro: the finite-p law "
+                             "holds only for uncorrelated samples")
     config = SamplerConfig(p=args.p, n=args.p + args.nu,
                            num_samples=args.samples, seed=args.seed,
                            correlation=correlation)
@@ -202,37 +157,24 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         scale_note = "u = 4 p lambda scale (hard-edge comparison)"
 
     distance = ks_distance(batch, cdf)
-    median = float(np.median(values))
-    estimate, error = empirical_gap(batch, median)
-
-    out = _resolve(args.out or f"mc_p{args.p}_nu{args.nu}.csv")
-    rows = [(float(i), v) for i, v in enumerate(values)]
-    _write_csv(out, ("sample_index", "smallest_eigenvalue"), rows)
-    summary = [
-        f"ks_distance: {distance:.6f}",
-        f"gap_at_empirical_median: {estimate:.6f} +- {error:.6f}",
-        f"scale: {scale_note}",
-    ]
-    manifest = RunManifest(
-        command="mc",
-        parameters={"p": args.p, "nu": args.nu, "samples": args.samples,
-                    "compare": args.compare, "c_file": args.c_file},
-        seeds=(args.seed,), outputs=[out], notes=summary)
-    manifest.write(time.time() - start)
-    print(f"wrote {out} ({args.samples} rows)")
-    for line in summary:
-        print(line)
+    estimate, error = empirical_gap(batch, float(np.median(values)))
+    _emit(args, f"mc_p{args.p}_nu{args.nu}.csv",
+          ("sample_index", "smallest_eigenvalue"),
+          [(float(i), v) for i, v in enumerate(values)],
+          {"p": args.p, "nu": args.nu, "samples": args.samples,
+           "compare": args.compare, "c_file": args.c_file},
+          seeds=(args.seed,),
+          notes=(f"ks_distance: {distance:.6f}",
+                 f"gap_at_empirical_median: {estimate:.6f} +- {error:.6f}",
+                 f"scale: {scale_note}"))
     return EXIT_OK
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    start = time.time()
     sizes = [int(s) for s in args.p.split(",") if s]
     if not sizes or any(p < 1 for p in sizes):
         raise ValueError(f"p-list must hold positive integers, got {args.p!r}")
-    if not 0.0 < args.u_min < args.u_max:
-        raise ValueError("u range must satisfy 0 < u-min < u-max")
-    grid = np.linspace(args.u_min, args.u_max, args.points)
+    grid = _grid(args, "u")
     limit = np.array(tabulate("smallest_micro", args.k, grid).values)
     columns = [grid, limit]
     deviations = []
@@ -243,20 +185,12 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         columns.append(scaled)
         deviations.append(float(np.max(np.abs(scaled - limit))))
 
-    out = _resolve(args.out or f"converge_k{args.k}.csv")
-    header = ("u", "limit") + tuple(f"p={p}" for p in sizes)
-    _write_csv(out, header, list(zip(*columns)))
-    summary = [f"max_abs_deviation p={p}: {d:.6f}"
-               for p, d in zip(sizes, deviations)]
-    manifest = RunManifest(
-        command="converge",
-        parameters={"k": args.k, "p_list": args.p, "u_min": args.u_min,
-                    "u_max": args.u_max, "points": args.points},
-        seeds=(), outputs=[out], notes=summary)
-    manifest.write(time.time() - start)
-    print(f"wrote {out} ({args.points} rows)")
-    for line in summary:
-        print(line)
+    _emit(args, f"converge_k{args.k}.csv",
+          ("u", "limit") + tuple(f"p={p}" for p in sizes), list(zip(*columns)),
+          {"k": args.k, "p_list": args.p, "u_min": args.u_min,
+           "u_max": args.u_max, "points": args.points},
+          notes=tuple(f"max_abs_deviation p={p}: {d:.6f}"
+                      for p, d in zip(sizes, deviations)))
     if len(sizes) >= 2:
         ordered = all(a > b for a, b in zip(deviations[:-1], deviations[1:]))
         if not ordered:
@@ -375,6 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, blurb in (("gap", "probability of an eigenvalue-free (0, t)"),
                         ("smallest", "density of the smallest eigenvalue")):
         cmd = sub.add_parser(name, help=blurb)
+        cmd.set_defaults(handler=_cmd_finite_curve)
         cmd.add_argument("--p", type=_positive_int, required=True)
         cmd.add_argument("--k", type=_non_negative_int, required=True)
         cmd.add_argument("--t-min", type=float, default=1e-3)
@@ -383,6 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", type=str, default=None)
 
     micro = sub.add_parser("micro", help="hard-edge limit curves")
+    micro.set_defaults(handler=_cmd_micro)
     micro.add_argument("--quantity", choices=("gap", "smallest", "density"),
                        required=True)
     group = micro.add_mutually_exclusive_group()
@@ -396,6 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     micro.add_argument("--out", type=str, default=None)
 
     mc = sub.add_parser("mc", help="Monte-Carlo comparison run")
+    mc.set_defaults(handler=_cmd_mc)
     mc.add_argument("--p", type=_positive_int, required=True)
     mc.add_argument("--nu", type=_non_negative_int, required=True)
     mc.add_argument("--samples", type=_positive_int, required=True)
@@ -407,6 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--out", type=str, default=None)
 
     conv = sub.add_parser("converge", help="approach to the hard-edge limit")
+    conv.set_defaults(handler=_cmd_converge)
     conv.add_argument("--k", type=_non_negative_int, required=True)
     conv.add_argument("--p", type=str, required=True,
                       help="comma-separated list of matrix sizes")
@@ -415,23 +353,17 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--points", type=int, default=100)
     conv.add_argument("--out", type=str, default=None)
 
-    sub.add_parser("selftest", help="run the built-in identity suite")
+    sub.add_parser("selftest", help="run the built-in identity suite").set_defaults(
+        handler=_cmd_selftest)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "gap": lambda a: _cmd_finite_curve(a, "gap"),
-        "smallest": lambda a: _cmd_finite_curve(a, "smallest"),
-        "micro": _cmd_micro,
-        "mc": _cmd_mc,
-        "converge": _cmd_converge,
-        "selftest": _cmd_selftest,
-    }
+    args.start = time.time()
     logger.debug("dispatching %s", args.command)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER

@@ -31,7 +31,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .kernels import BulkTables, border_column, kernel_matrix
-from .microscopic import _ln_count_constant, gap_micro, micro_density, smallest_micro
+from .microscopic import (VALUE_TOL, _ln_count_constant, _possible, gap_micro,
+                          micro_density, smallest_micro)
 from .pfaffian import AntisymmetricMatrix, bordered_pfaffian, pfaffian
 from .specfun import LogScaled, tricomi_u
 
@@ -46,12 +47,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 GAP_QUANTITIES = ("gap", "gap_micro")
-DENSITY_QUANTITIES = ("smallest", "smallest_micro", "density")
 FINITE_QUANTITIES = ("gap", "smallest")
-
-# Numerical slack for curve invariants: values are accurate to ~1e-10
-# relative, so violations beyond this are structural, not rounding.
-_CURVE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -103,53 +99,29 @@ class DistributionCurve:
     """Quantity values matching the grid pointwise."""
 
     def __post_init__(self) -> None:
-        if self.quantity not in GAP_QUANTITIES + DENSITY_QUANTITIES:
-            raise ValueError(f"unknown quantity {self.quantity!r}")
-        if self.quantity in FINITE_QUANTITIES:
-            if self.p is None or self.p < 1:
-                raise ValueError(f"{self.quantity} requires p >= 1")
-        elif self.p is not None:
-            raise ValueError(f"{self.quantity} is a limit curve, p must be None")
-        if self.k < 0:
-            raise ValueError(f"k must be non-negative, got {self.k}")
-        if len(self.abscissae) != len(self.values) or not self.abscissae:
-            raise ValueError("grid and values must be non-empty and equal length")
-        pairs = zip(self.abscissae[:-1], self.abscissae[1:])
-        if not all(lo < hi for lo, hi in pairs):
-            raise ValueError("abscissae must be strictly increasing")
+        _check_request(self.quantity, self.p, self.k, self.abscissae)
+        if len(self.abscissae) != len(self.values):
+            raise ValueError("grid and values must have equal length")
         if self.quantity in GAP_QUANTITIES:
             self._check_gap_invariants()
         else:
             self._check_density_invariants()
 
     def _check_gap_invariants(self) -> None:
-        if self.abscissae[0] < 0.0:
-            raise ValueError("gap abscissae must be non-negative")
         for x, v in zip(self.abscissae, self.values):
-            if not -_CURVE_TOL <= v <= 1.0 + _CURVE_TOL:
+            if not -VALUE_TOL <= v <= 1.0 + VALUE_TOL:
                 raise ValueError(f"gap value {v} outside [0, 1] at t={x}")
         for i in range(len(self.values) - 1):
-            if self.values[i + 1] > self.values[i] + _CURVE_TOL:
+            if self.values[i + 1] > self.values[i] + VALUE_TOL:
                 raise ValueError(
                     f"gap values increase at t={self.abscissae[i + 1]}")
-        if self.abscissae[0] == 0.0 and abs(self.values[0] - 1.0) > _CURVE_TOL:
+        if self.abscissae[0] == 0.0 and abs(self.values[0] - 1.0) > VALUE_TOL:
             raise ValueError(f"gap value at 0 must be 1, got {self.values[0]}")
 
     def _check_density_invariants(self) -> None:
-        if self.abscissae[0] <= 0.0:
-            raise ValueError("density abscissae must be positive")
         for x, v in zip(self.abscissae, self.values):
-            if not (math.isfinite(v) and v >= -_CURVE_TOL):
+            if not (math.isfinite(v) and v >= -VALUE_TOL):
                 raise ValueError(f"density value {v} negative or not finite at t={x}")
-
-    @property
-    def regime(self) -> str:
-        """Evaluation regime: finite, microscopic, or density."""
-        if self.quantity in FINITE_QUANTITIES:
-            return "finite"
-        if self.quantity == "density":
-            return "density"
-        return "microscopic"
 
     @property
     def nu(self) -> int:
@@ -214,7 +186,7 @@ def _finite_value(gamma: int, spec: FiniteSpec) -> float:
     else:
         ln_pre = ln_pre - math.log(2.0) - 1.5 * math.log(2.0 * p) + math.log(4.0 * p)
     value = tricomi_u(a_half, 1.5 + gamma, 0.5 * t) * LogScaled.from_value(pf)
-    return value.scaled(ln_pre).value
+    return _possible(value.scaled(ln_pre).value, gamma, "finite-p", p=p, k=k, t=t)
 
 
 def gap_finite(spec: FiniteSpec) -> float:
@@ -236,22 +208,41 @@ def smallest_finite(spec: FiniteSpec) -> float:
     return _finite_value(1, spec)
 
 
-def _point_evaluator(quantity: str, p: int | None, k: int):
+# Point functions by quantity, all called as (p, k, x); the limit
+# quantities take no p.
+_POINTS = {
+    "gap": lambda p, k, t: gap_finite(FiniteSpec(p=p, k=k, t=t)),
+    "smallest": lambda p, k, t: smallest_finite(FiniteSpec(p=p, k=k, t=t)),
+    "gap_micro": lambda p, k, u: gap_micro(k, u),
+    "smallest_micro": lambda p, k, u: smallest_micro(k, u),
+    "density": lambda p, k, u: micro_density(2 * k, u),
+}
+
+
+def _check_request(quantity: str, p: int | None, k: int,
+                   abscissae: tuple[float, ...]) -> None:
+    """Reject a curve request that no evaluation can meet: an unknown
+    quantity, a p that does not fit its regime, a negative k, or a grid
+    that is empty, not strictly increasing or outside the domain."""
+    if quantity not in _POINTS:
+        raise ValueError(f"unknown quantity {quantity!r}")
     if quantity in FINITE_QUANTITIES:
-        if p is None:
-            raise ValueError(f"{quantity} requires a matrix size p")
-        if quantity == "gap":
-            return lambda t: gap_finite(FiniteSpec(p=p, k=k, t=t))
-        return lambda t: smallest_finite(FiniteSpec(p=p, k=k, t=t))
-    if p is not None:
+        if p is None or p < 1:
+            raise ValueError(f"{quantity} requires a matrix size p >= 1")
+    elif p is not None:
         raise ValueError(f"{quantity} is a limit quantity, p must be None")
-    if quantity == "gap_micro":
-        return lambda u: gap_micro(k, u)
-    if quantity == "smallest_micro":
-        return lambda u: smallest_micro(k, u)
-    if quantity == "density":
-        return lambda u: micro_density(2 * k, u)
-    raise ValueError(f"unknown quantity {quantity!r}")
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    if not abscissae:
+        raise ValueError("grid must not be empty")
+    if not all(lo < hi for lo, hi in zip(abscissae[:-1], abscissae[1:])):
+        raise ValueError("grid must be strictly increasing")
+    low = abscissae[0]
+    if quantity in GAP_QUANTITIES:
+        if low < 0.0:
+            raise ValueError(f"gap grid must be non-negative, got {low}")
+    elif low <= 0.0:
+        raise ValueError(f"density grid must be positive, got {low}")
 
 
 def tabulate(quantity: str, k: int, grid: Sequence[float],
@@ -265,21 +256,12 @@ def tabulate(quantity: str, k: int, grid: Sequence[float],
     ValueError when the point was out of range, else as a RuntimeError.
     """
     abscissae = tuple(float(x) for x in grid)
-    if not abscissae:
-        raise ValueError("grid must not be empty")
-    if not all(lo < hi for lo, hi in zip(abscissae[:-1], abscissae[1:])):
-        raise ValueError("grid must be strictly increasing")
-    low = abscissae[0]
-    if quantity in GAP_QUANTITIES:
-        if low < 0.0:
-            raise ValueError(f"gap grid must be non-negative, got {low}")
-    elif low <= 0.0:
-        raise ValueError(f"density grid must be positive, got {low}")
-    point = _point_evaluator(quantity, p, k)
+    _check_request(quantity, p, k, abscissae)
+    point = _POINTS[quantity]
 
     def evaluate(x: float) -> float:
         try:
-            return point(x)
+            return point(p, k, x)
         except Exception as exc:
             kind = ValueError if isinstance(exc, ValueError) else RuntimeError
             raise kind(

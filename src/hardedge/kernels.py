@@ -106,7 +106,8 @@ class BulkTables:
         if (a0, b) not in self._chains:
             self._chains[a0, b] = tricomi_u_chain(a0, b, self.t / 2.0, self._tops[a0])
         w, log_scale = self._chains[a0, b]
-        assert start + count <= len(w), f"U({a} + {count - 1}, {b}) is past the chain top"
+        if start + count > len(w):
+            raise IndexError(f"U({a} + {count - 1}, {b}) is past the chain top")
         return w[start:start + count], log_scale
 
     def quotient(self, num: tuple[float, float], den: tuple[float, float],

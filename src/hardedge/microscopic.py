@@ -33,6 +33,24 @@ __all__ = ["gap_micro", "smallest_micro", "micro_density"]
 
 logger = logging.getLogger(__name__)
 
+# Numerical slack for distribution values: they are accurate to ~1e-10
+# relative, so violations beyond this are structural, not rounding.
+VALUE_TOL = 1e-9
+
+
+def _possible(value: float, gamma: int, regime: str, **point: float) -> float:
+    """Return a gap probability (gamma = 0) or density (gamma = 1) that can
+    be one; raise naming the regime and the point when it cannot."""
+    if gamma == 0:
+        possible = -VALUE_TOL <= value <= 1.0 + VALUE_TOL
+    else:
+        possible = -VALUE_TOL <= value < math.inf
+    if not possible:
+        where = ", ".join(f"{name}={x}" for name, x in point.items())
+        raise RuntimeError(f"{regime} value {value} is impossible at "
+                           f"gamma={gamma}, {where}")
+    return value
+
 
 def _bessel_i_reduced(n: int, x: np.ndarray) -> np.ndarray:
     """Values of I_n(x) / (x/2)^n, the entire part of the Bessel function.
@@ -166,7 +184,8 @@ def _micro_value(gamma: int, k: int, u: float) -> float:
         pf = bordered_pfaffian(matrix, _border_balanced(gamma, k, u))
         if gamma == 0:
             ln_scale += math.log(0.25)
-    return LogScaled.from_value(pf).scaled(ln_scale).value
+    return _possible(LogScaled.from_value(pf).scaled(ln_scale).value, gamma,
+                     "hard-edge limit", k=k, u=u)
 
 
 def gap_micro(k: int, u: float) -> float:

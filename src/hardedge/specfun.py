@@ -46,7 +46,8 @@ class LogScaled:
     sign: int
 
     def __post_init__(self) -> None:
-        assert self.sign in (-1, 0, 1), f"invalid sign {self.sign}"
+        if self.sign not in (-1, 0, 1):
+            raise ValueError(f"invalid sign {self.sign}")
 
     @classmethod
     def from_value(cls, x: float) -> "LogScaled":
@@ -75,7 +76,8 @@ class LogScaled:
                          self.sign * other.sign)
 
     def __truediv__(self, other: "LogScaled") -> "LogScaled":
-        assert other.sign != 0, "division by an exact LogScaled zero"
+        if other.sign == 0:
+            raise ZeroDivisionError("division by an exact LogScaled zero")
         if self.sign == 0:
             return LogScaled.zero()
         return LogScaled(self.log_magnitude - other.log_magnitude,

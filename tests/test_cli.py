@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hardedge
 from hardedge import cli, specfun
 from hardedge.cli import main
 from hardedge.distributions import FiniteSpec, gap_finite
@@ -209,6 +210,44 @@ def test_mc_rejects_invalid_correlation(tmp_path: Path,
     assert "positive definite" in capsys.readouterr().err
 
 
+def test_mc_correlation_needs_hard_edge_comparison(
+        tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    # The finite-p law is that of uncorrelated samples; only the hard-edge
+    # comparison applies the correlation's scale.
+    good = tmp_path / "good.csv"
+    np.savetxt(good, 0.5 ** np.abs(np.subtract.outer(np.arange(4), np.arange(4))),
+               delimiter=",")
+    assert main(["mc", "--p", "4", "--nu", "2", "--samples", "10",
+                 "--c-file", str(good)]) == 2
+    assert "--compare micro" in capsys.readouterr().err
+    assert not list(tmp_path.glob("mc_*"))
+    assert main(["mc", "--p", "4", "--nu", "2", "--samples", "10",
+                 "--c-file", str(good), "--compare", "micro"]) == 0
+
+
+@pytest.mark.parametrize("argv, seeds, notes", [
+    (["gap", "--p", "6", "--k", "1", "--points", "5"], "none", 0),
+    (["smallest", "--p", "6", "--k", "1", "--points", "5"], "none", 0),
+    (["micro", "--quantity", "gap", "--k", "1", "--points", "5"], "none", 0),
+    (["mc", "--p", "5", "--nu", "2", "--samples", "50", "--seed", "3"], "3", 3),
+    (["converge", "--k", "1", "--p", "7,19", "--points", "5"], "none", 2),
+])
+def test_manifest_line_order(argv: list[str], seeds: str, notes: int, tmp_path: Path,
+                             capsys: pytest.CaptureFixture[str]) -> None:
+    assert main(argv + ["--out", "run.csv"]) == 0
+    lines = (tmp_path / "run.csv.manifest").read_text().splitlines()
+    assert lines[0] == f"command: {argv[0]}"
+    parameters = [line for line in lines if line.startswith("parameter ")]
+    assert lines[1:1 + len(parameters)] == sorted(parameters)
+    rest = lines[1 + len(parameters):]
+    assert rest[0] == f"seeds: {seeds}"
+    assert rest[1] == f"version: {hardedge.__version__}"
+    assert rest[2].startswith("duration_seconds: ")
+    assert rest[3] == f"output: {tmp_path / 'run.csv'}"
+    assert len(rest) == 4 + notes
+    assert all(line.startswith("note: ") for line in rest[4:])
+
+
 def test_converge_emits_curves_and_deviations(
         tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
     assert main(["converge", "--k", "1", "--p", "7,19", "--u-min", "0.5",
@@ -238,11 +277,11 @@ def test_converge_flags_non_decreasing_sequence(
 
 def test_converge_rejects_impossible_densities(
         tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
-    # At k = 11 and u near 1000 the assembly loses every digit; the limit
-    # curve rejects the negative densities instead of writing them.
+    # At k = 11 and u near 1000 the assembly loses every digit; the negative
+    # densities are a numerical failure, reported instead of written.
     assert main(["converge", "--k", "11", "--p", "10,20", "--u-min", "900",
-                 "--u-max", "1000", "--points", "2"]) == 2
-    assert "parameter error" in capsys.readouterr().err
+                 "--u-max", "1000", "--points", "2"]) == 3
+    assert "numerical validation failed" in capsys.readouterr().err
     assert not (tmp_path / "converge_k11.csv").exists()
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from hardedge.distributions import (
     smallest_finite,
     tabulate,
 )
+from hardedge.microscopic import gap_micro, smallest_micro
 from hardedge.reference.distributions import closed_form_k0, closed_form_k1
 from hardedge.reference.sop import half_power_average, partition_z
 
@@ -237,13 +239,11 @@ def test_curve_validation() -> None:
     curve = DistributionCurve(quantity="gap", p=5, k=1,
                               abscissae=(0.0, 1.0, 2.0),
                               values=(1.0, 0.6, 0.3))
-    assert curve.regime == "finite" and curve.nu == 2
-    micro = DistributionCurve(quantity="gap_micro", p=None, k=0,
-                              abscissae=(0.0, 4.0), values=(1.0, 0.2))
-    assert micro.regime == "microscopic"
-    rho = DistributionCurve(quantity="density", p=None, k=1,
-                            abscissae=(1.0, 2.0), values=(0.1, 0.2))
-    assert rho.regime == "density"
+    assert curve.nu == 2
+    DistributionCurve(quantity="gap_micro", p=None, k=0,
+                      abscissae=(0.0, 4.0), values=(1.0, 0.2))
+    DistributionCurve(quantity="density", p=None, k=1,
+                      abscissae=(1.0, 2.0), values=(0.1, 0.2))
 
     with pytest.raises(ValueError):
         DistributionCurve(quantity="spacing", p=5, k=0,
@@ -329,6 +329,20 @@ def test_overflowing_pfaffian_raises(quantity: str) -> None:
         evaluate(FiniteSpec(p=2000, k=4, t=4.1))
     with pytest.raises(RuntimeError, match=f"{quantity} evaluation failed at abscissa 4.1"):
         tabulate(quantity, 4, (4.1,), p=2000)
+
+
+@pytest.mark.parametrize("evaluate, point", [
+    (lambda: gap_micro(9, 1000.0), "gamma=0, k=9, u=1000.0"),
+    (lambda: gap_micro(14, 0.01), "gamma=0, k=14, u=0.01"),
+    (lambda: smallest_micro(11, 1000.0), "gamma=1, k=11, u=1000.0"),
+    (lambda: gap_finite(FiniteSpec(p=1000, k=8, t=0.125)),
+     "gamma=0, p=1000, k=8, t=0.125"),
+], ids=["gap-limit-k9", "gap-limit-k14", "density-limit-k11", "gap-finite-k8"])
+def test_impossible_values_raise(evaluate, point: str) -> None:
+    # Where the assembly loses every digit it returns a negative probability
+    # or density; that must fail by name instead of leaving the library.
+    with pytest.raises(RuntimeError, match="impossible at " + re.escape(point)):
+        evaluate()
 
 
 def test_curve_rejects_non_finite_values() -> None:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from hardedge.reference.specfun import (
     laguerre_monic_deriv,
     ln_gamma,
 )
+from hardedge import specfun
 from hardedge.specfun import LogScaled, log_sum, tricomi_u
 
 # Reference values from 40-digit arbitrary-precision evaluations.
@@ -43,6 +47,25 @@ def test_log_scaled_arithmetic() -> None:
     cancel = log_sum([LogScaled.from_value(1.0), LogScaled.from_value(-1.0)])
     assert cancel.sign == 0
 
+
+def test_log_scaled_checks_hold_under_optimization() -> None:
+    # An invalid sign and division by an exact zero must raise also when
+    # assertions are stripped.
+    script = (
+        "from hardedge.specfun import LogScaled\n"
+        "calls = ((lambda: LogScaled(0.0, 2), ValueError),\n"
+        "         (lambda: LogScaled.from_value(2.0) / LogScaled.zero(), ZeroDivisionError))\n"
+        "for number, (call, kind) in enumerate(calls):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except kind:\n"
+        "        continue\n"
+        "    raise SystemExit(f'call {number} accepted')\n"
+    )
+    src = str(Path(specfun.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env={"PYTHONPATH": src})
+    assert done.returncode == 0, done.stdout + done.stderr
 
 def test_ln_gamma_against_math() -> None:
     for x in (0.5, 1.0, 7.3, 400.0):

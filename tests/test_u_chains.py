@@ -140,6 +140,24 @@ def test_tables_reject_bad_parameters_under_optimization() -> None:
     assert done.returncode == 0, done.stdout + done.stderr
 
 
+
+def test_reading_past_the_chain_top_raises_under_optimization() -> None:
+    # A ratio run longer than the chain must not silently come back short.
+    script = (
+        "from hardedge.kernels import BulkTables\n"
+        "try:\n"
+        "    BulkTables(0, 12, 0.5).quotient((0.0, 0.5), (0.0, 0.5), 100)\n"
+        "except IndexError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit('read past the chain top')\n"
+    )
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env={"PYTHONPATH": src})
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "past the chain top" in done.stdout
+
 def test_finite_point_needs_few_quadratures(monkeypatch) -> None:
     calls = []
 
