@@ -31,10 +31,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .kernels import BulkTables, border_column, kernel_matrix
-from .microscopic import (VALUE_TOL, _ln_count_constant, _possible, gap_micro,
-                          micro_density, smallest_micro)
-from .pfaffian import AntisymmetricMatrix, bordered_pfaffian, pfaffian
-from .specfun import LogScaled, tricomi_u
+from .microscopic import (VALUE_TOL, _in_range, _ln_count_constant, _pfaffian_value,
+                          gap_micro, micro_density, smallest_micro)
+from .specfun import tricomi_u
 
 __all__ = [
     "FiniteSpec",
@@ -109,7 +108,7 @@ class DistributionCurve:
 
     def _check_gap_invariants(self) -> None:
         for x, v in zip(self.abscissae, self.values):
-            if not -VALUE_TOL <= v <= 1.0 + VALUE_TOL:
+            if not _in_range(v, 0):
                 raise ValueError(f"gap value {v} outside [0, 1] at t={x}")
         for i in range(len(self.values) - 1):
             if self.values[i + 1] > self.values[i] + VALUE_TOL:
@@ -120,7 +119,7 @@ class DistributionCurve:
 
     def _check_density_invariants(self) -> None:
         for x, v in zip(self.abscissae, self.values):
-            if not (math.isfinite(v) and v >= -VALUE_TOL):
+            if not _in_range(v, 1):
                 raise ValueError(f"density value {v} negative or not finite at t={x}")
 
     @property
@@ -165,28 +164,23 @@ def _finite_value(gamma: int, spec: FiniteSpec) -> float:
     power = (1.0 if (k + gamma) % 2 else 0.5) - k * k / 2.0
     # The raw kernel block is pf * t^tpow; at k = 0 it is empty.
     tpow = k * (gamma + 0.5) + k * (k - 1) / 2.0
-    pf = 1.0
+    matrix, border = np.zeros((0, 0)), None
     if k > 0:
-        # Far in the tail the entries overflow; the check below reports it.
+        # Far in the tail the entries overflow; _pfaffian_value reports it.
         with np.errstate(over="ignore", invalid="ignore"):
             tables = BulkTables(gamma, l, t)
-            stripped = kernel_matrix(tables, k)
+            matrix = kernel_matrix(tables, k)
             if odd:
-                pf = bordered_pfaffian(stripped, border_column(tables, k))
+                border = border_column(tables, k)
                 tpow = tpow + gamma - 0.5
-            else:
-                pf = pfaffian(AntisymmetricMatrix(data=stripped))
-    if not math.isfinite(pf):
-        raise RuntimeError(f"kernel Pfaffian is {pf} at gamma={gamma}, "
-                           f"p={p}, k={k}, t={t}")
     ln_pre = _ln_constant(p, k, gamma) + gammaln(a_half) - 0.5 * p * t \
         + power * math.log(4.0 * p * t) + tpow * math.log(t)
     if gamma == 0:
         ln_pre = ln_pre - math.log(2.0 * math.sqrt(2.0 * p))
     else:
         ln_pre = ln_pre - math.log(2.0) - 1.5 * math.log(2.0 * p) + math.log(4.0 * p)
-    value = tricomi_u(a_half, 1.5 + gamma, 0.5 * t) * LogScaled.from_value(pf)
-    return _possible(value.scaled(ln_pre).value, gamma, "finite-p", p=p, k=k, t=t)
+    return _pfaffian_value(gamma, matrix, border, tricomi_u(a_half, 1.5 + gamma, 0.5 * t),
+                           ln_pre, "finite-p", p=p, k=k, t=t)
 
 
 def gap_finite(spec: FiniteSpec) -> float:

@@ -31,6 +31,7 @@ import logging
 import math
 
 import numpy as np
+from scipy.special import poch
 
 from .specfun import tricomi_u, tricomi_u_chain
 
@@ -52,14 +53,6 @@ def _gamma_run(x: float, d: float, count: int) -> np.ndarray:
     i = np.arange(count - 1)
     first = math.exp(math.lgamma(x) - math.lgamma(x + d))
     return first * np.concatenate(([1.0], np.cumprod((x + i) / (x + i + d))))
-
-
-def _rising(x: np.ndarray, m: int) -> np.ndarray:
-    """Rising factorial x (x + 1) ... (x + m - 1), elementwise."""
-    out = np.ones_like(x)
-    for i in range(m):
-        out = out * (x + i)
-    return out
 
 
 def _gather(rows: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -199,7 +192,7 @@ def kernel_matrix(tables: BulkTables, size: int) -> np.ndarray:
                 - 2.0 * (gamma + j) * rho / (2 * j + 1) * _gather(rows, 2 * j - 2 - a, a + 1))
 
     u = tables.quotient((1.0, h), (0.0, h), count)
-    norm_w = 0.5 / (u * _rising(2.0 * js + 2.0, 2 * gamma))
+    norm_w = 0.5 / (u * poch(2.0 * js + 2.0, 2 * gamma))
     matrix = odd_vals.T @ (norm_w[:, None] * even_vals)
     matrix = matrix.T - matrix
 
@@ -210,8 +203,8 @@ def kernel_matrix(tables: BulkTables, size: int) -> np.ndarray:
         # Even-polynomial moments up to a common factor: U(j + 1/2, h)/U(j, h)
         # times Gamma(j + 3/2)/Gamma(j + gamma + 3/2), for j = 0..big_k.
         moments = tables.quotient((0.5, h), (0.0, h), big_k + 1) \
-            / _rising(np.arange(big_k + 1) + 1.5, gamma)
-        even_w = moments[:count] / (moments[big_k] * _rising(2.0 * big_k + 2.0, 2 * gamma)
+            / poch(np.arange(big_k + 1) + 1.5, gamma)
+        even_w = moments[:count] / (moments[big_k] * poch(2.0 * big_k + 2.0, 2 * gamma)
                                     * 2.0 * u)
         odd_over_even = t * ((js + 0.5) * tables.quotient((1.5, h + 1.0), (0.5, h), count)
                              - js * tables.quotient((1.0, h + 1.0), (0.0, h), count))

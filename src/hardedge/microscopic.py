@@ -8,7 +8,8 @@ k x k matrix in one array-valued quadrature.  That quadrature, and the one
 of the level density, is the order-doubling Gauss-Legendre loop that
 specfun.tricomi_u also runs, here with the tolerance 1e-11 * max(1, |value|).
 One assembly turns the entries into the limiting gap probability
-(gamma = 0) and smallest-eigenvalue density (gamma = 1); the Bessel level
+(gamma = 0) and smallest-eigenvalue density (gamma = 1); its last step,
+_pfaffian_value, is shared with the finite-p assembly.  The Bessel level
 density stands apart.  The entries one at a time (xi_small_lim,
 xi_big_lim) live in hardedge.reference.microscopic.
 
@@ -26,7 +27,7 @@ import math
 import numpy as np
 from scipy.special import gammaln, ive, jv
 
-from .pfaffian import AntisymmetricMatrix, bordered_pfaffian, pfaffian
+from .pfaffian import AntisymmetricMatrix, pfaffian
 from .specfun import LogScaled, _settled_integral
 
 __all__ = ["gap_micro", "smallest_micro", "micro_density"]
@@ -38,15 +39,36 @@ logger = logging.getLogger(__name__)
 VALUE_TOL = 1e-9
 
 
-def _possible(value: float, gamma: int, regime: str, **point: float) -> float:
-    """Return a gap probability (gamma = 0) or density (gamma = 1) that can
-    be one; raise naming the regime and the point when it cannot."""
+def _in_range(value: float, gamma: int) -> bool:
+    """Whether a value can be a gap probability (gamma = 0), within [0, 1],
+    or a density (gamma = 1), non-negative and finite, up to VALUE_TOL."""
     if gamma == 0:
-        possible = -VALUE_TOL <= value <= 1.0 + VALUE_TOL
-    else:
-        possible = -VALUE_TOL <= value < math.inf
-    if not possible:
-        where = ", ".join(f"{name}={x}" for name, x in point.items())
+        return -VALUE_TOL <= value <= 1.0 + VALUE_TOL
+    return -VALUE_TOL <= value < math.inf
+
+
+def _pfaffian_value(gamma: int, matrix: np.ndarray, border: np.ndarray | None,
+                    factor: LogScaled, ln_scale: float, regime: str,
+                    **point: float) -> float:
+    """factor * exp(ln_scale) times the Pfaffian of the kernel block `matrix`,
+    bordered as [[matrix, border], [-border^T, 0]] when `border` is given.
+    A non-finite Pfaffian, or a value _in_range rejects, raises RuntimeError
+    naming the regime, gamma and the point."""
+    where = ", ".join(f"{name}={x}" for name, x in point.items())
+    if border is not None:
+        k = border.shape[0]
+        bordered = np.zeros((k + 1, k + 1))
+        bordered[:k, :k] = matrix
+        bordered[:k, k] = border
+        bordered[k, :k] = -border
+        matrix = bordered
+    # Far in the tail the entries overflow; the check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pf = pfaffian(AntisymmetricMatrix(data=matrix))
+    if not math.isfinite(pf):
+        raise RuntimeError(f"kernel Pfaffian is {pf} at gamma={gamma}, {where}")
+    value = (factor * LogScaled.from_value(pf)).scaled(ln_scale).value
+    if not _in_range(value, gamma):
         raise RuntimeError(f"{regime} value {value} is impossible at "
                            f"gamma={gamma}, {where}")
     return value
@@ -177,15 +199,11 @@ def _micro_value(gamma: int, k: int, u: float) -> float:
     else:
         ln_scale = _ln_count_constant(k) - math.log(8.0) + math.log(root + 2.0) \
             + (2 * k - 1) / 2.0 * math.log(u) + decay
-    matrix = _matrix_balanced(gamma, k, u)
-    if k % 2 == 0:
-        pf = pfaffian(AntisymmetricMatrix(data=matrix))
-    else:
-        pf = bordered_pfaffian(matrix, _border_balanced(gamma, k, u))
-        if gamma == 0:
-            ln_scale += math.log(0.25)
-    return _possible(LogScaled.from_value(pf).scaled(ln_scale).value, gamma,
-                     "hard-edge limit", k=k, u=u)
+    border = _border_balanced(gamma, k, u) if k % 2 else None
+    if k % 2 and gamma == 0:
+        ln_scale += math.log(0.25)
+    return _pfaffian_value(gamma, _matrix_balanced(gamma, k, u), border,
+                           LogScaled(0.0, 1), ln_scale, "hard-edge limit", k=k, u=u)
 
 
 def gap_micro(k: int, u: float) -> float:

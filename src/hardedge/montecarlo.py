@@ -27,6 +27,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg.lapack import dstebz, dstev, dtrtrs
@@ -113,10 +114,10 @@ class SampleBatch:
     smallest_eigenvalues: np.ndarray
     """One strictly positive eigenvalue per sample, in sample order."""
 
-    algorithm: str = RNG_ALGORITHM
+    algorithm: ClassVar[str] = RNG_ALGORITHM
     """Name of the counter-based RNG behind the streams."""
 
-    key_scheme: str = RNG_KEY_SCHEME
+    key_scheme: ClassVar[str] = RNG_KEY_SCHEME
     """How each sample's stream key was derived."""
 
     def __post_init__(self) -> None:
@@ -301,17 +302,10 @@ def hard_edge_scale(config: SamplerConfig) -> float:
     return 4.0 * float(np.trace(np.linalg.inv(config.correlation)))
 
 
-def microscopic_rescale(batch: SampleBatch, inverse: bool = False) -> SampleBatch:
-    """Map each eigenvalue to the hard-edge variable u = hard_edge_scale * lambda.
-
-    With `inverse` the map is undone, so applying both directions returns
-    the original values up to rounding.
-    """
-    scale = hard_edge_scale(batch.config)
-    values = batch.smallest_eigenvalues / scale if inverse \
-        else batch.smallest_eigenvalues * scale
-    return SampleBatch(config=batch.config, smallest_eigenvalues=values,
-                       algorithm=batch.algorithm, key_scheme=batch.key_scheme)
+def microscopic_rescale(batch: SampleBatch) -> SampleBatch:
+    """Map each eigenvalue to the hard-edge variable u = hard_edge_scale * lambda."""
+    values = batch.smallest_eigenvalues * hard_edge_scale(batch.config)
+    return SampleBatch(config=batch.config, smallest_eigenvalues=values)
 
 
 def trace_average(config: SamplerConfig) -> tuple[float, float]:
@@ -336,7 +330,7 @@ def exponential_correlation(p: int, decay: float = 0.5) -> np.ndarray:
     """Correlation matrix with exponentially decaying bands C_ij = decay^|i-j|.
 
     Its eigenvalues stay bounded away from zero for |decay| < 1, which
-    keeps the Cholesky factor well conditioned at any p.
+    keeps C well conditioned at any p.
     """
     if p < 1 or not abs(decay) < 1.0:
         raise ValueError(f"need p >= 1 and |decay| < 1, got p={p}, decay={decay}")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hardedge import specfun
+from hardedge import microscopic, specfun
 from hardedge.kernels import BulkTables, kernel_matrix
 from hardedge.microscopic import _matrix_balanced, gap_micro, micro_density, smallest_micro
 from hardedge.reference.kernels import KernelSpec, xi_small
@@ -163,6 +163,17 @@ def test_unsettled_kernel_quadrature_raises(monkeypatch) -> None:
     monkeypatch.setattr(specfun, "_gauss_legendre", _never_settles)
     with pytest.raises(RuntimeError, match=r"gamma=0, k=3, u=10\.0.*order 12288"):
         gap_micro(3, 10.0)
+
+
+@pytest.mark.parametrize("k", [2, 3], ids=["plain", "bordered"])
+def test_non_finite_limit_pfaffian_raises(monkeypatch, k: int) -> None:
+    # A kernel block that breaks down must fail by name in the limit as at
+    # finite p, whether or not the block is bordered.
+    monkeypatch.setattr(microscopic, "_matrix_balanced",
+                        lambda gamma, k, u: np.full((k, k), np.nan))
+    with pytest.raises(RuntimeError,
+                       match=rf"kernel Pfaffian is nan at gamma=0, k={k}, u=10\.0"):
+        gap_micro(k, 10.0)
 
 
 def test_gap_topology_zero_matches_closed_form() -> None:

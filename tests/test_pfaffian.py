@@ -10,30 +10,31 @@ import pytest
 from hardedge.pfaffian import AntisymmetricMatrix, pfaffian
 
 
+def _from_upper(dim: int, entries) -> AntisymmetricMatrix:
+    """The matrix with the given strictly-upper triangle in row-major order,
+    e.g. (a01, a02, a03, a12, a13, a23) for dim = 4."""
+    full = np.zeros((dim, dim))
+    full[np.triu_indices(dim, k=1)] = entries
+    return AntisymmetricMatrix(full - full.T)
+
+
 def test_empty_matrix() -> None:
-    assert pfaffian(AntisymmetricMatrix.from_upper(0, [])) == 1.0
+    assert pfaffian(_from_upper(0, [])) == 1.0
 
 
 def test_dim_two() -> None:
-    assert pfaffian(AntisymmetricMatrix.from_upper(2, [7.5])) == 7.5
+    assert pfaffian(_from_upper(2, [7.5])) == 7.5
 
 
 def test_dim_four_closed_form() -> None:
     # pf = a01 a23 - a02 a13 + a03 a12 = 6 - 10 + 12 = 8
-    mat = AntisymmetricMatrix.from_upper(4, [1, 2, 3, 4, 5, 6])
+    mat = _from_upper(4, [1, 2, 3, 4, 5, 6])
     assert pfaffian(mat) == pytest.approx(8.0, rel=1e-14)
 
 
 def test_odd_dimension_rejected() -> None:
     with pytest.raises(ValueError):
-        AntisymmetricMatrix.from_upper(3, [1, 2, 3])
-    with pytest.raises(ValueError):
         AntisymmetricMatrix(np.zeros((5, 5)))
-
-
-def test_upper_entry_count_enforced() -> None:
-    with pytest.raises(ValueError):
-        AntisymmetricMatrix.from_upper(4, [1, 2, 3])
 
 
 def test_non_square_rejected() -> None:
@@ -44,7 +45,7 @@ def test_non_square_rejected() -> None:
 
 
 def test_matrix_is_antisymmetric() -> None:
-    mat = AntisymmetricMatrix.from_upper(4, [1, 2, 3, 4, 5, 6])
+    mat = _from_upper(4, [1, 2, 3, 4, 5, 6])
     assert np.array_equal(mat.data, -mat.data.T)
     assert np.all(np.diag(mat.data) == 0.0)
 
@@ -57,7 +58,7 @@ def test_pfaffian_squared_is_determinant() -> None:
     for trial in range(200):
         dim = 2 * int(rng.integers(1, 7))
         upper = rng.uniform(-1.0, 1.0, size=dim * (dim - 1) // 2)
-        mat = AntisymmetricMatrix.from_upper(dim, upper)
+        mat = _from_upper(dim, upper)
         pf = pfaffian(mat)
         det = float(np.linalg.det(mat.data))
         assert pf * pf == pytest.approx(det, rel=1e-10), \
@@ -85,7 +86,7 @@ def test_pfaffian_permutation_covariance() -> None:
     rng = np.random.default_rng(7)
     for dim in (4, 6, 8):
         upper = rng.uniform(-1.0, 1.0, size=dim * (dim - 1) // 2)
-        mat = AntisymmetricMatrix.from_upper(dim, upper)
+        mat = _from_upper(dim, upper)
         base = pfaffian(mat)
         perms = (list(itertools.permutations(range(dim))) if dim == 4
                  else [tuple(rng.permutation(dim)) for _ in range(24)])
@@ -101,7 +102,7 @@ def test_pfaffian_scaling() -> None:
     rng = np.random.default_rng(11)
     for dim in (2, 6, 10):
         upper = rng.uniform(-1.0, 1.0, size=dim * (dim - 1) // 2)
-        mat = AntisymmetricMatrix.from_upper(dim, upper)
+        mat = _from_upper(dim, upper)
         base = pfaffian(mat)
         for c in (-2.0, 0.5):
             scaled = AntisymmetricMatrix(c * mat.data)
