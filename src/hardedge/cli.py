@@ -23,7 +23,7 @@ import sys
 import time
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from numpy.polynomial.chebyshev import chebfit, chebpts1, chebval
 
 from . import __version__
 from .distributions import FiniteSpec, gap_finite, smallest_finite, tabulate
@@ -116,17 +116,38 @@ def _cmd_micro(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _interpolated_cdf(evaluate, top: float, points: int = 240):
-    # The CDF rises like sqrt(x) at nu = 0; interpolating against sqrt(x)
-    # keeps the node spacing fine where that branch point lives.
-    roots = np.linspace(0.0, math.sqrt(top), points)
-    gaps = np.array([evaluate(s * s) for s in roots])
-    interpolant = PchipInterpolator(roots, 1.0 - gaps)
+CDF_TAIL = 1e-10
+CDF_MAX_NODES = 256
+
+
+def _interpolated_cdf(evaluate, top: float, label: str):
+    """Chebyshev interpolant of 1 - evaluate(x) on [0, top].
+
+    The CDF rises like sqrt(x) at nu = 0, so the curve is interpolated in
+    s = sqrt(x), where it is smooth, at first-kind Chebyshev points.  The
+    largest of the last three coefficients estimates the interpolation
+    error (Battles & Trefethen, SIAM J. Sci. Comput. 25 (2004) 1743); the
+    node count doubles from 32 until that tail is at most CDF_TAIL.
+    Returns the CDF, its node count and its tail.
+    """
+    half = 0.5 * math.sqrt(top)
+    nodes = 32
+    while True:
+        points = chebpts1(nodes)
+        values = [1.0 - evaluate((half * (z + 1.0)) ** 2) for z in points]
+        coef = chebfit(points, values, nodes - 1)
+        tail = float(np.max(np.abs(coef[-3:])))
+        if tail <= CDF_TAIL:
+            break
+        if nodes >= CDF_MAX_NODES:
+            raise RuntimeError(f"sample CDF for {label}, top={top:.6g} does not "
+                               f"settle: tail {tail:.1e} at {nodes} Chebyshev nodes")
+        nodes *= 2
 
     def cdf(x: float) -> float:
-        return float(interpolant(math.sqrt(x)))
+        return float(chebval(math.sqrt(x) / half - 1.0, coef))
 
-    return cdf
+    return cdf, nodes, tail
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
@@ -145,17 +166,17 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     k = args.nu // 2
 
     if args.compare == "finite":
-        values = batch.smallest_eigenvalues
-        top = float(values.max()) * 1.01
-        cdf = _interpolated_cdf(
-            lambda t: gap_finite(FiniteSpec(p=args.p, k=k, t=t)), top)
+        def evaluate(t: float) -> float:
+            return gap_finite(FiniteSpec(p=args.p, k=k, t=t))
         scale_note = "lambda scale (finite-size comparison)"
     else:
         batch = microscopic_rescale(batch)
-        values = batch.smallest_eigenvalues
-        top = float(values.max()) * 1.01
-        cdf = _interpolated_cdf(lambda u: gap_micro(k, u), top)
+        evaluate = functools.partial(gap_micro, k)
         scale_note = "u = 4 p lambda scale (hard-edge comparison)"
+    values = batch.smallest_eigenvalues
+    top = float(values.max()) * 1.01
+    cdf, nodes, tail = _interpolated_cdf(
+        evaluate, top, f"--compare {args.compare} (k={k}, p={args.p})")
 
     distance = ks_distance(batch, cdf)
     estimate, error = empirical_gap(batch, float(np.median(values)))
@@ -167,7 +188,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
           seeds=(args.seed,),
           notes=(f"ks_distance: {distance:.6f}",
                  f"gap_at_empirical_median: {estimate:.6f} +- {error:.6f}",
-                 f"scale: {scale_note}"))
+                 f"scale: {scale_note}",
+                 f"cdf_interpolation: {nodes} nodes, tail {tail:.1e}"))
     return EXIT_OK
 
 
@@ -177,6 +199,12 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         raise ValueError(f"p-list must hold positive integers, got {args.p!r}")
     grid = _grid(args, "u")
     limit = np.array(tabulate("smallest_micro", args.k, grid).values)
+    # Deviations are relative, so that a density of 1e-30 is judged as
+    # closely as one of order 1; they are taken where the limit is positive.
+    positive = limit > 0.0
+    if not positive.any():
+        raise RuntimeError(f"the limit density of k={args.k} underflows to 0 at "
+                           f"every u in [{args.u_min}, {args.u_max}]")
     columns = [grid, limit]
     deviations = []
     for p in sizes:
@@ -184,13 +212,13 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         scaled = np.array(tabulate("smallest", args.k, grid / (4.0 * p), p=p).values) \
             / (4.0 * p)
         columns.append(scaled)
-        deviations.append(float(np.max(np.abs(scaled - limit))))
+        deviations.append(float(np.max(np.abs(scaled[positive] / limit[positive] - 1.0))))
 
     _emit(args, f"converge_k{args.k}.csv",
           ("u", "limit") + tuple(f"p={p}" for p in sizes), list(zip(*columns)),
           {"k": args.k, "p_list": args.p, "u_min": args.u_min,
            "u_max": args.u_max, "points": args.points},
-          notes=tuple(f"max_abs_deviation p={p}: {d:.6f}"
+          notes=tuple(f"max_rel_deviation p={p}: {d:.3e}"
                       for p, d in zip(sizes, deviations)))
     if len(sizes) >= 2:
         ordered = all(a > b for a, b in zip(deviations[:-1], deviations[1:]))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -174,7 +175,52 @@ def test_mc_run_reports_ks(tmp_path: Path,
     manifest = (tmp_path / "mc_p10_nu4.csv.manifest").read_text()
     assert "seeds: 42" in manifest
     assert "note: ks_distance:" in manifest
+    assert re.search(r"^note: cdf_interpolation: \d+ nodes, tail \d\.\de-\d+$",
+                     manifest, re.MULTILINE), manifest
     assert "threads" not in manifest
+
+
+# Tops like those of real runs: the largest sample times 1.01, for 200
+# samples at p = 200 (nu = 0, 4, 8 in u; nu = 4 in lambda) and 2000 at p = 10.
+@pytest.mark.parametrize("evaluate, top", [
+    pytest.param(lambda u: gap_micro(0, u), 35.0, id="micro-k0"),
+    pytest.param(lambda u: gap_micro(2, u), 130.0, id="micro-k2"),
+    pytest.param(lambda u: gap_micro(4, u), 300.0, id="micro-k4"),
+    pytest.param(lambda t: gap_finite(FiniteSpec(p=10, k=4, t=t)), 3.5, id="finite-p10-k4"),
+    pytest.param(lambda t: gap_finite(FiniteSpec(p=200, k=2, t=t)), 0.16,
+                 id="finite-p200-k2"),
+])
+def test_cdf_interpolant_matches_direct_evaluation(evaluate, top: float) -> None:
+    cdf, nodes, tail = cli._interpolated_cdf(evaluate, top, "test curve")
+    assert nodes <= cli.CDF_MAX_NODES
+    assert tail <= cli.CDF_TAIL
+    xs = np.linspace(0.0, top, 99)[1:-1]
+    worst = max(abs(cdf(x) - (1.0 - evaluate(x))) for x in xs)
+    assert worst <= 1e-9, f"worst error {worst:.2e} at {nodes} nodes"
+
+
+def test_cdf_interpolant_rejects_a_step() -> None:
+    calls = []
+
+    def step(x: float) -> float:
+        calls.append(x)
+        return float(x < 0.3)
+
+    with pytest.raises(RuntimeError, match=r"step curve, top=1 .* at 256 Chebyshev nodes"):
+        cli._interpolated_cdf(step, 1.0, "step curve")
+    assert len(calls) == 32 + 64 + 128 + 256
+
+
+def test_mc_unsettled_cdf_fails_validation(
+        tmp_path: Path, monkeypatch: pytest.MonkeyPatch,
+        capsys: pytest.CaptureFixture[str]) -> None:
+    monkeypatch.setattr(cli, "gap_micro", lambda k, u: float(u < 2.0))
+    assert main(["mc", "--p", "5", "--nu", "2", "--samples", "50",
+                 "--compare", "micro"]) == 3
+    err = capsys.readouterr().err
+    assert "--compare micro (k=1, p=5), top=" in err
+    assert "at 256 Chebyshev nodes" in err
+    assert not list(tmp_path.glob("mc_*"))
 
 
 def test_threads_option_is_gone() -> None:
@@ -229,7 +275,7 @@ def test_mc_correlation_needs_hard_edge_comparison(
     (["gap", "--p", "6", "--k", "1", "--points", "5"], "none", 0),
     (["smallest", "--p", "6", "--k", "1", "--points", "5"], "none", 0),
     (["micro", "--quantity", "gap", "--k", "1", "--points", "5"], "none", 0),
-    (["mc", "--p", "5", "--nu", "2", "--samples", "50", "--seed", "3"], "3", 3),
+    (["mc", "--p", "5", "--nu", "2", "--samples", "50", "--seed", "3"], "3", 4),
     (["converge", "--k", "1", "--p", "7,19", "--points", "5"], "none", 2),
 ])
 def test_manifest_line_order(argv: list[str], seeds: str, notes: int, tmp_path: Path,
@@ -264,7 +310,7 @@ def test_converge_single_size_skips_monotonicity(
     assert main(["converge", "--k", "0", "--p", "9", "--u-min", "0.5",
                  "--u-max", "8", "--points", "8"]) == 0
     printed = capsys.readouterr().out
-    assert "max_abs_deviation p=9:" in printed
+    assert "max_rel_deviation p=9:" in printed
     assert "strictly decreasing" not in printed
 
 
@@ -273,6 +319,25 @@ def test_converge_flags_non_decreasing_sequence(
     assert main(["converge", "--k", "1", "--p", "19,7", "--u-min", "0.5",
                  "--u-max", "10", "--points", "8"]) == 3
     assert "not strictly decreasing" in capsys.readouterr().err
+
+
+def test_converge_deviations_are_relative(
+        capsys: pytest.CaptureFixture[str]) -> None:
+    # At k = 11 the densities are 1e-36 to 1e-19; absolute deviations would
+    # all print as zero although p = 10 is ~2,000 times the limit.
+    assert main(["converge", "--k", "11", "--p", "10,20", "--points", "5"]) == 0
+    printed = capsys.readouterr().out
+    found = dict(re.findall(r"max_rel_deviation p=(\d+): (\S+)", printed))
+    assert float(found["10"]) == pytest.approx(1.976e3, rel=1e-3), printed
+    assert float(found["20"]) == pytest.approx(95.52, rel=1e-3), printed
+
+
+def test_converge_rejects_an_underflowing_limit(
+        tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    assert main(["converge", "--k", "0", "--p", "10,20", "--u-min", "6000",
+                 "--u-max", "7000", "--points", "2"]) == 3
+    assert "underflows to 0" in capsys.readouterr().err
+    assert not (tmp_path / "converge_k0.csv").exists()
 
 
 def test_converge_rejects_impossible_densities(
@@ -302,10 +367,11 @@ def test_selftest_passes(capsys: pytest.CaptureFixture[str]) -> None:
 
 def test_cli_import_leaves_oracles_unloaded() -> None:
     # The reference package and the nested quadratures it needs stay out of
-    # every command but selftest.
+    # every command but selftest; the sample CDFs need no scipy.interpolate.
     script = ("import sys\n"
               "import hardedge.cli\n"
-              "print([m for m in ('hardedge.reference', 'scipy.integrate') if m in sys.modules])\n")
+              "print([m for m in ('hardedge.reference', 'scipy.integrate', 'scipy.interpolate')\n"
+              "       if m in sys.modules])\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120, env={"PYTHONPATH": src})
