@@ -131,7 +131,8 @@ def _interpolated_cdf(evaluate, top: float, label: str):
     error (Battles & Trefethen, SIAM J. Sci. Comput. 25 (2004) 1743); the
     node count goes 33, 65, 129, 257 until that tail is at most CDF_TAIL.
     These point sets nest, so each doubling evaluates only the new points.
-    Returns the CDF, its node count and its tail.
+    Returns the CDF, which takes a point or an array of them, its node
+    count and its tail.
     """
     half = 0.5 * math.sqrt(top)
 
@@ -156,8 +157,8 @@ def _interpolated_cdf(evaluate, top: float, label: str):
         fine[1::2] = sample(points[1::2])
         values = fine
 
-    def cdf(x: float) -> float:
-        return float(chebval(math.sqrt(x) / half - 1.0, coef))
+    def cdf(x):
+        return chebval(np.sqrt(x) / half - 1.0, coef)
 
     return cdf, nodes, tail
 

@@ -40,7 +40,6 @@ __all__ = [
     "ks_distance",
     "hard_edge_scale",
     "microscopic_rescale",
-    "trace_average",
     "exponential_correlation",
     "load_correlation",
 ]
@@ -231,17 +230,6 @@ class _Draws:
                 f"bidiagonal bisection failed at sample {index} (info={info})")
         return self.scale * float(values[0]) ** 2
 
-    def trace(self, index: int) -> float:
-        """tr(W W^T) of sample `index`.
-
-        Bidiagonalization is orthogonal, so on the bidiagonal path this is
-        the sum of the squared entries, a chi-square with p n degrees of
-        freedom.  On the triangular path it is tr(T^T T) = sum_ij d_j R_ij^2.
-        """
-        if self.triangular:
-            return float(np.sum(self.triangle(index)[0] ** 2))
-        return self.scale * float(np.sum(self.squares(index)))
-
 
 def sample_batch(config: SamplerConfig) -> SampleBatch:
     """Draw the configured batch of smallest Wishart eigenvalues.
@@ -275,12 +263,12 @@ def empirical_gap(batch: SampleBatch, t: float) -> tuple[float, float]:
 def ks_distance(batch: SampleBatch, analytic_cdf) -> float:
     """Sup-norm distance between the empirical CDF and an analytic one.
 
-    The analytic CDF is evaluated at every sample point and compared
-    against both one-sided empirical steps.
+    The analytic CDF takes an array: it is evaluated once, on the sorted
+    sample points, and compared against both one-sided empirical steps.
     """
     values = np.sort(batch.smallest_eigenvalues)
     count = values.size
-    analytic = np.asarray([analytic_cdf(x) for x in values], dtype=float)
+    analytic = np.asarray(analytic_cdf(values), dtype=float)
     upper = np.arange(1, count + 1) / count
     lower = np.arange(0, count) / count
     return float(np.max(np.maximum(np.abs(analytic - upper),
@@ -306,24 +294,6 @@ def microscopic_rescale(batch: SampleBatch) -> SampleBatch:
     """Map each eigenvalue to the hard-edge variable u = hard_edge_scale * lambda."""
     values = batch.smallest_eigenvalues * hard_edge_scale(batch.config)
     return SampleBatch(config=batch.config, smallest_eigenvalues=values)
-
-
-def trace_average(config: SamplerConfig) -> tuple[float, float]:
-    """Mean of tr(W W^T)/(p n) over the batch, with its standard error.
-
-    Reads the same per-sample draws as `sample_batch`, bidiagonal entries or
-    the factor T with tr(W W^T) = tr(T^T T).  The expectation is the mean
-    diagonal entry of the correlation matrix; the batch needs two samples.
-    """
-    if config.num_samples < 2:
-        raise ValueError(f"trace_average needs 2 or more samples, got {config.num_samples}")
-    draws = _Draws(config)
-    scale = config.p * config.n
-    traces = np.array([draws.trace(i) / scale
-                       for i in range(config.num_samples)])
-    mean = float(np.mean(traces))
-    error = float(np.std(traces, ddof=1) / math.sqrt(config.num_samples))
-    return mean, error
 
 
 def exponential_correlation(p: int, decay: float = 0.5) -> np.ndarray:

@@ -2,12 +2,14 @@
 
 The finite-size kernels and distributions are assembled from the functions
 in this module: log-scaled arithmetic and Tricomi's confluent
-hypergeometric function U(a, b, t), singly or as a whole chain in a.  Its
-order-doubling Gauss-Legendre loop is the only one in the package: the
-hard-edge quadratures in ``microscopic`` run through it as well, each
-caller with its own tolerance.  The functions only the reference routes
-use (log-gamma, monic Laguerre polynomials, Bessel functions) live in
-``hardedge.reference.specfun``.
+hypergeometric function U(a, b, t), singly or as a whole chain in a.  U is
+a closed form at the chain bottoms a = 1/2 and otherwise a quadrature over
+a window found without a general root finder: the peak in closed form,
+the edges by safeguarded Newton.  Its order-doubling Gauss-Legendre loop
+is the only one in the package: the hard-edge quadratures in
+``microscopic`` run through it as well, each caller with its own
+tolerance.  The functions only the reference routes use (log-gamma, monic
+Laguerre polynomials, Bessel functions) live in ``hardedge.reference.specfun``.
 
 Quantities such as Gamma[(p+k+1)/2] * U(...) pair enormous factors that cancel
 only at the very end of an assembly, so every function that can leave the
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.optimize import brentq
+from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.special import erfcx
 
 __all__ = [
     "LogScaled",
@@ -145,6 +147,68 @@ def _settled_integral(integrand, order: int, tol: float, floor: float, what: str
 # ----------------------------------------------------------------- Tricomi U
 
 
+# Nats the integrand of tricomi_u falls from its peak to either window edge.
+_WINDOW_DROP = 60.0
+
+
+def _newton_root(f, near: float, far: float, tol: float = 1e-12) -> float:
+    """Root of f between ``near`` and ``far`` by safeguarded Newton.
+
+    f(v) returns the value and the slope at v; the values at ``near`` and
+    ``far`` must have opposite signs.  Newton's method starts at ``far``
+    and keeps the bracket: a step that would leave it, or that shrinks less
+    than half as fast as the one before last, becomes a bisection (rtsafe of
+    Numerical Recipes).  Stops once a step is below tol * max(1, |v|), as
+    fine as Brent's method with xtol 2e-12.  Raises RuntimeError after 200
+    steps.
+    """
+    value, slope = f(far)
+    lo, hi = (far, near) if value < 0.0 else (near, far)    # f(lo) < 0 < f(hi)
+    v, step = far, abs(far - near)
+    before = step
+    for _ in range(200):
+        if value == 0.0:
+            return v
+        newton = v - value / slope if slope != 0.0 else math.nan
+        if min(lo, hi) <= newton <= max(lo, hi) and abs(2.0 * value) <= abs(before * slope):
+            before, step, v = step, abs(v - newton), newton
+        else:
+            before, step, v = step, 0.5 * abs(hi - lo), 0.5 * (lo + hi)
+        if step <= tol * max(1.0, abs(v)):
+            return v
+        value, slope = f(v)
+        if value < 0.0:
+            lo = v
+        else:
+            hi = v
+    raise RuntimeError(f"Newton search between {near} and {far} did not converge")
+
+
+def _half_anchor(b: float, t: float) -> LogScaled | None:
+    """U(1/2, b, t) in closed form where one exists without cancellation.
+
+    The chain bottoms a0 = 1/2 of the bulk route take b in {-1/2, 1/2,
+    3/2, 5/2}.  U(a, a + 1, t) = t^-a and U(1/2, 1/2, t) = sqrt(pi)
+    erfcx(sqrt(t)) (DLMF 13.6); the contiguous relation
+
+        (b - a - 1) U(a, b - 1, t) + (1 - b - t) U(a, b, t) + t U(a, b + 1, t) = 0
+
+    (DLMF 13.3) gives U(1/2, 5/2, t) = (t + 1/2) t^(-3/2) and
+    U(1/2, -1/2, t) = (1/2 - t) sqrt(pi) erfcx(sqrt(t)) + sqrt(t), a sum of
+    two positive terms only for t <= 1/2.  Returns None otherwise.
+    """
+    root = math.sqrt(t)
+    if b == 1.5:
+        return LogScaled(-0.5 * math.log(t), 1)
+    if b == 2.5:
+        return LogScaled(math.log(t + 0.5) - 1.5 * math.log(t), 1)
+    if b == 0.5:
+        return LogScaled.from_value(math.sqrt(math.pi) * erfcx(root))
+    if b == -0.5 and t <= 0.5:
+        return LogScaled.from_value((0.5 - t) * math.sqrt(math.pi) * erfcx(root) + root)
+    return None
+
+
 def tricomi_u(a: float, b: float, t: float) -> LogScaled:
     """Tricomi's confluent hypergeometric function U(a, b, t), log domain.
 
@@ -153,57 +217,62 @@ def tricomi_u(a: float, b: float, t: float) -> LogScaled:
         U(a, b, t) = 1/Gamma(a) * int_0^inf z^(a-1) (1+z)^(b-a-1) e^(-t z) dz
 
     after the substitution z = e^v, which turns the integrand into
-    exp(h(v)) with ``h(v) = a v + (b - a - 1) log(1 + e^v) - t e^v``.  For
-    every (a, b) pair used here h has a single interior maximum (strictly so
-    when b <= a + 1, where h is concave); Brent's method finds the peak as
-    the root of h' and the two ends of the window where h has dropped 60 nats
-    below it.  Both sides of the peak go through one Gauss-Legendre rule
-    whose order doubles from 48 until two successive values agree to 5e-13.
+    exp(h(v)) with ``h(v) = a v + c log(1 + e^v) - t e^v``, c = b - a - 1.
+    h has a single maximum for every a > 0: h'(v) = 0 is a quadratic in
+    e^v, t x^2 - (b - 1 - t) x - a = 0, whose one positive root is the
+    peak.  The two ends of the window, where h has dropped 60 nats below the
+    peak, are found by safeguarded Newton from the Laplace estimate
+    peak -+ sqrt(120 / |h''|), with h'' = c sigma (1 - sigma) - t e^v and
+    sigma the logistic function of v.  Both sides of the peak go through
+    one Gauss-Legendre rule whose order doubles from 48 until two successive
+    values agree to 5e-13.
 
     a = 0 returns 1 exactly (empty-product convention used by the
-    skew-orthogonal norm at index 0).  Serves as the anchor of
-    :func:`tricomi_u_chain`, so it is evaluated up to a ~ l/2 for l kernel
-    polynomials; it is tested up to a = 2003 and t down to 1e-8, without
-    overflow or underflow.  Raises RuntimeError if two successive values
-    still disagree at order 12288.
+    skew-orthogonal norm at index 0), and the chain bottoms U(1/2, b, t)
+    come in closed form where :func:`_half_anchor` has one.  Serves as the
+    anchor of :func:`tricomi_u_chain`, so it is evaluated up to a ~ l/2 for
+    l kernel polynomials; it is tested up to a = 2003 and t down to 1e-8,
+    without overflow or underflow.  Raises RuntimeError if two successive
+    values still disagree at order 12288.
     """
     if a == 0.0:
         return LogScaled.from_value(1.0)
     if a < 0.0 or t <= 0.0:
         raise ValueError(f"tricomi_u requires a >= 0 and t > 0, got a={a}, t={t}")
+    if a == 0.5:
+        anchor = _half_anchor(b, t)
+        if anchor is not None:
+            return anchor
 
     c = b - a - 1.0
 
     def h(v: np.ndarray) -> np.ndarray:
-        return a * v + c * np.log1p(np.exp(-np.abs(v))) + c * np.maximum(v, 0.0) \
-            - t * np.exp(v)
+        x = np.exp(v)
+        return a * v + c * np.log1p(x) - t * x
 
-    def h1(v: float) -> float:
-        # Scalar twin of h for the peak and window searches, which evaluate
-        # one point at a time and dominate the runtime if routed through numpy.
-        return a * v + c * math.log1p(math.exp(-abs(v))) + c * max(v, 0.0) \
-            - t * math.exp(v)
+    # The peak: h'(v) = 0 is t x^2 - m x - a = 0 in x = e^v, m = b - 1 - t,
+    # whose positive root is taken in the form without cancellation.
+    m = b - 1.0 - t
+    disc = math.sqrt(m * m + 4.0 * a * t)
+    x = (m + disc) / (2.0 * t) if m >= 0.0 else 2.0 * a / (disc - m)
+    peak = math.log(x)
+    h_peak = a * peak + c * math.log1p(x) - t * x
+    curvature = t * x - c * x / (1.0 + x) ** 2
 
-    def dh(v: float) -> float:
-        sig = 1.0 / (1.0 + math.exp(-v))
-        return a + c * sig - t * math.exp(v)
-
-    # Bracket the peak: h' > 0 far left (h' -> a), h' < 0 far right.
-    lo = math.log(max(a + min(c, 0.0), a / 2) / t) - 2.0
-    hi = math.log((a + max(c, 0.0)) / t) + 2.0
-    while dh(lo) <= 0.0:
-        lo -= 4.0
-    while dh(hi) >= 0.0:
-        hi += 4.0
-    peak = brentq(dh, lo, hi)
-    h_peak = h1(peak)
+    def drop(v: float) -> tuple[float, float]:
+        # h(v) - h(peak) + 60 and its slope h'(v), one point at a time for
+        # the window search.  The cap keeps exp finite far right of the peak.
+        x = math.exp(min(v, 700.0))
+        return a * v + c * math.log1p(x) - t * x - h_peak + _WINDOW_DROP, \
+            a + c * x / (1.0 + x) - t * x
 
     def window_edge(direction: float) -> float:
-        # h is monotone on each side of the peak; step out until 60 nats down.
-        step = 1.0
-        while h1(peak + direction * step) - h_peak > -60.0:
-            step *= 2.0
-        return brentq(lambda v: h1(v) - h_peak + 60.0, peak, peak + direction * step)
+        # h is monotone on each side of the peak.  Start from the Laplace
+        # estimate, step out until 60 nats down, then search that bracket.
+        near, far = peak, peak + direction * math.sqrt(2.0 * _WINDOW_DROP / curvature)
+        while drop(far)[0] > 0.0:
+            near, far = far, peak + 2.0 * (far - peak)
+        return _newton_root(drop, near, far)
 
     left, right = window_edge(-1.0), window_edge(+1.0)
     starts = np.array([[left], [peak]])
@@ -237,10 +306,11 @@ def tricomi_u_chain(a0: float, b: float, t: float, n: int) -> tuple[np.ndarray, 
 
     whose coefficients are O(a) and whose solutions vary at most like
     exp(+-2 sqrt(a t)) times powers of a, so nothing overflows.  The system
-    is tridiagonal.  Its condition grows like n^2 as t -> 0, where both
-    solutions of the recurrence become polynomial in a; one step of
-    iterative refinement wins the lost digits back.  The residual for it is
-    taken in extended precision and in the difference form
+    is tridiagonal and is factored once (LAPACK's dgttrf) for both solves.
+    Its condition grows like n^2 as t -> 0, where both solutions of the
+    recurrence become polynomial in a; one step of iterative refinement
+    wins the lost digits back.  The residual for it is taken in extended
+    precision and in the difference form
 
         a (w_{a+1} - 2 w_a + w_{a-1}) - a b / (a + 1) (w_{a+1} - w_a)
             + (b / (a + 1) - t) w_a,
@@ -260,22 +330,30 @@ def tricomi_u_chain(a0: float, b: float, t: float, n: int) -> tuple[np.ndarray, 
     w[0], w[-1] = math.exp(ln_lo - log_scale), math.exp(ln_hi - log_scale)
     if n <= 1:
         return w, log_scale
+    # The interior rows, padded with identity rows to the three that
+    # LAPACK's tridiagonal wrappers need at least.
     a = a0 + np.arange(1.0, n)
     upper = a * (a - b + 1.0) / (a + 1.0)
-    bands = np.zeros((3, n - 1))
-    bands[0, 1:] = upper[:-1]
-    bands[1] = b - 2.0 * a - t
-    bands[2, :-1] = a[1:]
-    rhs = np.zeros(n - 1)
+    size = max(n - 1, 3)
+    diagonal, below, above = np.ones(size), np.zeros(size - 1), np.zeros(size - 1)
+    diagonal[:n - 1] = b - 2.0 * a - t
+    above[:n - 2] = upper[:-1]
+    below[:n - 2] = a[1:]
+    factors = dgttrf(below, diagonal, above)
+    if factors[-1] != 0:
+        raise RuntimeError(
+            f"Tricomi U chain recurrence is singular for a0={a0}, b={b}, t={t}, n={n}")
+    rhs = np.zeros(size)
     rhs[0] -= a[0] * w[0]
-    rhs[-1] -= upper[-1] * w[-1]
-    w[1:-1] = solve_banded((1, 1), bands, rhs, check_finite=False)
+    rhs[n - 2] -= upper[-1] * w[-1]
+    w[1:-1] = dgttrs(*factors[:-1], rhs)[0][:n - 1]
 
     wide = a.astype(np.longdouble)
     step = np.diff(w.astype(np.longdouble))
-    residual = wide * np.diff(step) - wide * b / (wide + 1.0) * step[1:] \
+    residual = np.zeros(size)
+    residual[:n - 1] = wide * np.diff(step) - wide * b / (wide + 1.0) * step[1:] \
         + (b / (wide + 1.0) - t) * w[1:-1]
-    w[1:-1] -= solve_banded((1, 1), bands, residual.astype(float), check_finite=False)
+    w[1:-1] -= dgttrs(*factors[:-1], residual)[0][:n - 1]
     if not np.all(w > 0.0):
         raise RuntimeError(
             f"Tricomi U chain left the double range for a0={a0}, b={b}, t={t}, n={n}")

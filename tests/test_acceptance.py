@@ -88,7 +88,7 @@ def _smallest_direct(p: int, nu: int, t: float) -> float:
 
 
 def _survival_cdf(gap_at, top: float, points: int = 240):
-    """CDF interpolant built from a gap-probability callable.
+    """CDF interpolant built from a gap-probability callable; it takes arrays.
 
     The nodes are uniform in sqrt(t) because the topology-zero CDF has a
     square-root branch point at the origin that a uniform-in-t interpolant
@@ -97,15 +97,11 @@ def _survival_cdf(gap_at, top: float, points: int = 240):
     roots = np.linspace(0.0, math.sqrt(top), points)
     gaps = np.array([gap_at(s * s) for s in roots])
     interpolant = PchipInterpolator(roots, 1.0 - gaps)
-
-    def cdf(x: float) -> float:
-        return float(interpolant(math.sqrt(x)))
-
-    return cdf
+    return lambda x: interpolant(np.sqrt(x))
 
 
 def _density_cdf(density_at, top: float, points: int = 400):
-    """CDF interpolant built by integrating a density callable.
+    """CDF interpolant built by integrating a density callable; it takes arrays.
 
     Substituting t = s^2 turns the topology-zero inverse-square-root
     divergence into a smooth even integrand, so the cumulative trapezoid
@@ -116,11 +112,7 @@ def _density_cdf(density_at, top: float, points: int = 400):
                        * density_at(max(s, 1e-8) ** 2) for s in roots])
     cumulative = cumulative_trapezoid(masses, roots, initial=0.0)
     interpolant = PchipInterpolator(roots, cumulative)
-
-    def cdf(x: float) -> float:
-        return float(interpolant(math.sqrt(x)))
-
-    return cdf
+    return lambda x: interpolant(np.sqrt(x))
 
 
 def test_01_closed_forms_match_pfaffian_assembly() -> None:

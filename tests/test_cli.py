@@ -391,6 +391,19 @@ def test_cli_import_leaves_oracles_unloaded() -> None:
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_needs_no_root_finder() -> None:
+    # Tricomi U locates its window in closed form and by its own Newton
+    # steps; scipy.optimize would cost every invocation its import.
+    script = ("import sys\n"
+              "import hardedge.cli\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env={"PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_unknown_command_exits_with_usage() -> None:
     with pytest.raises(SystemExit) as info:
         main(["spectral-form-factor"])

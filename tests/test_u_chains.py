@@ -71,6 +71,71 @@ def test_anchor_at_large_a_matches_mpmath(a: float, b: float, z: float) -> None:
     assert abs(float(mpmath.expm1(got.log_magnitude - want))) <= 1e-11
 
 
+def _random_arguments() -> list[tuple[float, float, float]]:
+    rng = np.random.default_rng(2026)
+    a = rng.uniform(0.5, 2000.0, 300)
+    b = rng.choice([-1.5, -0.5, 0.5, 1.0, 1.5, 2.0, 2.5], 300)
+    t = np.exp(rng.uniform(math.log(1e-8), math.log(30.0), 300))
+    # Integer b at tiny t makes h flat around a far-off peak (c = -a): a
+    # window search without a bracket walks off there.
+    return [(679.5, 1.0, 3.3e-8), (121.0, 1.0, 1.2e-7)] \
+        + list(zip(a.tolist(), b.tolist(), t.tolist()))
+
+
+def test_tricomi_u_matches_mpmath_on_random_arguments() -> None:
+    # Rounding sets the bound: the worst error is reached where ln U ~ -1e4,
+    # so that one ulp of the log is ~2e-12 of U.
+    worst = 0.0
+    for a, b, t in _random_arguments():
+        got = tricomi_u(a, b, t)
+        assert got.sign == 1
+        want = mpmath.log(_hyperu(a, b, t))
+        worst = max(worst, abs(float(mpmath.expm1(got.log_magnitude - want))))
+    assert worst <= 2.7e-12
+
+
+def test_window_search_bisects_where_newton_crawls() -> None:
+    # Far right of a flat peak the drop is exponential, and plain Newton
+    # from v = 100 would crawl back one unit per step.
+    calls = []
+
+    def drop(v: float) -> tuple[float, float]:
+        calls.append(v)
+        return 60.0 - math.exp(v), -math.exp(v)
+
+    assert specfun._newton_root(drop, 0.0, 100.0) == pytest.approx(math.log(60.0), rel=1e-14)
+    assert len(calls) <= 30
+
+
+def _u_integral(a: float, b: float, z: float):
+    # The integral representation, for arguments where hyperu's series
+    # does not converge (such as b = -1/2, z = 1/2).
+    with mpmath.workdps(30):
+        integrand = lambda s: mpmath.exp(-z * s) * s ** (a - 1) * (1 + s) ** (b - a - 1)
+        return mpmath.quad(integrand, [0, 1, mpmath.inf]) / mpmath.gamma(a)
+
+
+@pytest.mark.parametrize("b", [-0.5, 0.5, 1.5, 2.5])
+def test_half_anchors_match_mpmath(b: float) -> None:
+    eps = np.finfo(float).eps
+    for z in np.geomspace(1e-6, 0.5, 13).tolist():
+        got = tricomi_u(0.5, b, z)
+        want = mpmath.log(_u_integral(0.5, b, z))
+        assert got.sign == 1
+        assert abs(float(got.log_magnitude - want)) <= 8 * eps * max(1.0, abs(float(want))), z
+
+
+@pytest.mark.parametrize("z", [0.25, 0.5, float(np.nextafter(0.5, 1.0)), 0.75])
+def test_half_anchor_switch_agrees_with_quadrature(z: float, monkeypatch) -> None:
+    # U(1/2, -1/2, z) is closed-form up to z = 1/2 and a quadrature above:
+    # both sides of the switch agree with mpmath to the quadrature's
+    # tolerance, and so does the quadrature where the closed form serves.
+    got = tricomi_u(0.5, -0.5, z).log_magnitude
+    assert abs(float(mpmath.expm1(got - mpmath.log(_u_integral(0.5, -0.5, z))))) <= 5e-13
+    monkeypatch.setattr(specfun, "_half_anchor", lambda b, t: None)
+    assert abs(math.expm1(tricomi_u(0.5, -0.5, z).log_magnitude - got)) <= 5e-13
+
+
 def test_chain_rejects_bad_arguments() -> None:
     with pytest.raises(ValueError):
         tricomi_u_chain(-0.5, 0.5, 1.0, 4)
