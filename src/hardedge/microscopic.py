@@ -4,9 +4,11 @@ In the limit p -> infinity at fixed u = 4 p t the finite-p Pfaffian
 structures converge entry by entry: the border entries xi_a^(gamma, l)(t)
 tend to Bessel-I brackets and the derivative kernel entries Xi_ab tend to
 one-dimensional integrals of Bessel-I products, taken here for a whole
-k x k matrix in one array-valued quadrature.  That quadrature, and the one
-of the level density, is the order-doubling Gauss-Legendre loop that
-specfun.tricomi_u also runs, here with the tolerance 1e-11 * max(1, |value|).
+k x k matrix in one array-valued quadrature, whose integrand evaluates the
+reduced Bessel functions at two orders and recurs down to the others.  That
+quadrature, and the one of the level density, is the order-doubling
+Gauss-Legendre loop that specfun.tricomi_u also runs, here with the
+tolerance 1e-11 * max(1, |value|).
 One assembly turns the entries into the limiting gap probability
 (gamma = 0) and smallest-eigenvalue density (gamma = 1); its last step,
 _pfaffian_value, is shared with the finite-p assembly.  The Bessel level
@@ -79,6 +81,8 @@ def _bessel_i_reduced(n: int, x: np.ndarray) -> np.ndarray:
 
     The reduced function equals 1/n! at x = 0 and stays O(e^x / x^n), so no
     spurious zeros or infinities appear at the lower integration endpoint.
+    The scaled ive multiplies outside the exponential: inside it, as
+    log(ive), the exponent's rounding cost up to ~35 ulp at high orders.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
@@ -93,7 +97,7 @@ def _bessel_i_reduced(n: int, x: np.ndarray) -> np.ndarray:
         out[small] = acc
     if np.any(~small):
         big = x[~small]
-        out[~small] = np.exp(big + np.log(ive(n, big)) - n * np.log(0.5 * big))
+        out[~small] = np.exp(big - n * np.log(0.5 * big)) * ive(n, big)
     return out
 
 
@@ -115,17 +119,22 @@ def _rows(gamma: int, k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced limiting factors alpha_a (even) and beta_a (odd polynomial)
     at Bessel order 2*gamma + a, a < k, as rows over the points x.
 
-    Both read the reduced Bessel functions I_n(2x)/x^n of orders
-    2*gamma - 1 .. 2*gamma + k, each evaluated once (order -1 as x^2 times
-    order 1).  The term of beta proportional to alpha is dropped: it cancels
-    identically in the antisymmetrized kernel combination.
+    Both read the reduced Bessel functions R_n(x) = I_n(2x)/x^n of orders
+    2*gamma - 1 .. 2*gamma + k.  Only the top two orders are evaluated; the
+    lower ones follow from R_(n-1) = x^2 R_(n+1) + n R_n (DLMF 10.29.1),
+    run downwards where I_n is the minimal solution, and with two positive
+    terms nothing cancels (order -1 comes out as x^2 times order 1).  The
+    term of beta proportional to alpha is dropped: it cancels identically in
+    the antisymmetrized kernel combination.
     """
     ratio, cross = _k_ratio_pair(gamma, x)
-    low = 2 * gamma - 1
-    bessel = np.array([_bessel_i_reduced(n, 2.0 * x)
-                       for n in range(max(low, 0), 2 * gamma + k + 1)])
-    if low < 0:
-        bessel = np.vstack([x * x * bessel[1], bessel])
+    low, top = 2 * gamma - 1, 2 * gamma + k
+    bessel = np.empty((top - low + 1,) + x.shape)
+    bessel[-1] = _bessel_i_reduced(top, 2.0 * x)
+    bessel[-2] = _bessel_i_reduced(top - 1, 2.0 * x)
+    x_squared = x * x
+    for n in range(top - 1, low, -1):
+        bessel[n - 1 - low] = x_squared * bessel[n + 1 - low] + n * bessel[n - low]
     mixed = x * ratio * bessel[1:]
     alpha = bessel[1:k + 1] + mixed[1:]
     beta = 2.0 * (bessel[:k] + mixed[:k]) + cross * bessel[2:]

@@ -335,13 +335,21 @@ def test_converge_flags_non_decreasing_sequence(
 
 def test_converge_deviations_are_relative(
         capsys: pytest.CaptureFixture[str]) -> None:
-    # At k = 11 the densities are 1e-36 to 1e-19; absolute deviations would
-    # all print as zero although p = 10 is ~2,000 times the limit.
+    # At u <= 0.1 and k = 4 the limit is at most 7.6e-12 and the absolute
+    # deviations at most 2e-11, which would all print as zero.
+    assert main(["converge", "--k", "4", "--p", "10,20", "--u-min", "0.01",
+                 "--u-max", "0.1", "--points", "5"]) == 0
+    printed = capsys.readouterr().out
+    found = dict(re.findall(r"max_rel_deviation p=(\d+): (\S+)", printed))
+    assert float(found["10"]) == pytest.approx(2.556, rel=1e-3), printed
+    assert float(found["20"]) == pytest.approx(1.012, rel=1e-3), printed
+    # At k = 11 the densities are 1e-36 to 1e-19 and the limit's last digits
+    # are rounding noise (its Pfaffian is ill-conditioned), so only the
+    # shape is pinned: p = 10 is ~2,000 times the limit, p = 20 ~100 times.
     assert main(["converge", "--k", "11", "--p", "10,20", "--points", "5"]) == 0
     printed = capsys.readouterr().out
     found = dict(re.findall(r"max_rel_deviation p=(\d+): (\S+)", printed))
-    assert float(found["10"]) == pytest.approx(1.976e3, rel=1e-3), printed
-    assert float(found["20"]) == pytest.approx(95.52, rel=1e-3), printed
+    assert 1.0 <= float(found["20"]) < float(found["10"]), printed
 
 
 def test_converge_rejects_an_underflowing_limit(

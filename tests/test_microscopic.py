@@ -87,36 +87,38 @@ def test_kernel_limit_antisymmetry() -> None:
         assert plus == pytest.approx(-minus, rel=1e-14)
 
 
-def _balanced_entry_mp(a: int, b: int, gamma: int, u: float) -> mpmath.mpf:
-    """Balanced limiting entry Xi_ab / u^(a+b+1+2 gamma) by mpmath quadrature.
+def _factors_mp(gamma: int, order: int, x: mpmath.mpf) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """The even and odd limiting factors at Bessel order `order` and x > 0.
 
-    With x = s sqrt(u)/2, I~(n) = I_n(2x)/x^n, R = K_{gamma-1/2}(x)/K_{gamma+1/2}(x)
-    and S = K_{gamma-3/2}(x)/K_{gamma+1/2}(x), the even and odd factors are
-    alpha_a = I~(2 gamma + a) + x R I~(2 gamma + a + 1) and
-    beta_a = 2 [I~(2 gamma + a - 1) + x R I~(2 gamma + a)]
-    + x^2 (R^2 - S) I~(2 gamma + a + 1).
+    With I~(n) = I_n(2x)/x^n, R = K_{gamma-1/2}(x)/K_{gamma+1/2}(x) and
+    S = K_{gamma-3/2}(x)/K_{gamma+1/2}(x), they are
+    alpha = I~(order) + x R I~(order + 1) and
+    beta = 2 [I~(order - 1) + x R I~(order)] + x^2 (R^2 - S) I~(order + 1).
     """
+    def reduced(n: int) -> mpmath.mpf:
+        return mpmath.besseli(abs(n), 2 * x) / x ** n  # I_{-n} = I_n
+
+    def bessel_k(nu: mpmath.mpf) -> mpmath.mpf:
+        return mpmath.besselk(abs(nu), x)  # K_{-nu} = K_nu
+
+    k_mid = bessel_k(gamma + mpmath.mpf(1) / 2)
+    ratio = bessel_k(gamma - mpmath.mpf(1) / 2) / k_mid
+    second = bessel_k(gamma - mpmath.mpf(3) / 2) / k_mid
+    alpha = reduced(order) + x * ratio * reduced(order + 1)
+    beta = 2 * (reduced(order - 1) + x * ratio * reduced(order)) \
+        + x * x * (ratio * ratio - second) * reduced(order + 1)
+    return alpha, beta
+
+
+def _balanced_entry_mp(a: int, b: int, gamma: int, u: float) -> mpmath.mpf:
+    """Balanced limiting entry Xi_ab / u^(a+b+1+2 gamma) by mpmath quadrature
+    of the factors at x = s sqrt(u)/2."""
     half_root = mpmath.sqrt(mpmath.mpf(u)) / 2
-
-    def factors(order: int, x: mpmath.mpf) -> tuple[mpmath.mpf, mpmath.mpf]:
-        def reduced(n: int) -> mpmath.mpf:
-            return mpmath.besseli(abs(n), 2 * x) / x ** n  # I_{-n} = I_n
-
-        def bessel_k(nu: mpmath.mpf) -> mpmath.mpf:
-            return mpmath.besselk(abs(nu), x)  # K_{-nu} = K_nu
-
-        k_mid = bessel_k(gamma + mpmath.mpf(1) / 2)
-        ratio = bessel_k(gamma - mpmath.mpf(1) / 2) / k_mid
-        second = bessel_k(gamma - mpmath.mpf(3) / 2) / k_mid
-        alpha = reduced(order) + x * ratio * reduced(order + 1)
-        beta = 2 * (reduced(order - 1) + x * ratio * reduced(order)) \
-            + x * x * (ratio * ratio - second) * reduced(order + 1)
-        return alpha, beta
 
     def integrand(s: mpmath.mpf) -> mpmath.mpf:
         x = half_root * s
-        alpha_a, beta_a = factors(2 * gamma + a, x)
-        alpha_b, beta_b = factors(2 * gamma + b, x)
+        alpha_a, beta_a = _factors_mp(gamma, 2 * gamma + a, x)
+        alpha_b, beta_b = _factors_mp(gamma, 2 * gamma + b, x)
         return s ** (2 * (a + b) + 4 * gamma + 1) * (beta_b * alpha_a - beta_a * alpha_b)
 
     return mpmath.quad(integrand, [0, 1]) / mpmath.mpf(4) ** (2 * gamma + a + b + 2)
@@ -134,6 +136,48 @@ def test_kernel_matrix_matches_mpmath(gamma: int) -> None:
                     want = _balanced_entry_mp(a, b, gamma, u)
                     error = float(abs((matrix[a, b] - want) / want))
                     assert error <= 1e-11, f"gamma={gamma} u={u} ({a},{b}): {error:.2e}"
+
+
+# The origin, both sides of the series switch at x = 0.25, and a bulk grid.
+ROW_POINTS = np.concatenate([[0.0, 0.2499, 0.25, 0.2501], np.linspace(0.01, 12.0, 55)])
+
+
+@pytest.mark.parametrize("gamma", [0, 1])
+def test_rows_match_mpmath(gamma: int) -> None:
+    # The downward recurrence must lose nothing against evaluating every
+    # order on its own, whose worst error on these points was 5.9e-15.
+    with mpmath.workdps(30):
+        # At the origin alpha_a = R_(2 gamma + a)(0) and beta_a =
+        # 2 R_(2 gamma + a - 1)(0), with R_n(0) = 1/n! and R_-1(0) = 0.
+        want = [[(1 / mpmath.factorial(n), 2 / mpmath.factorial(n - 1) if n else 0)
+                 for n in range(2 * gamma, 2 * gamma + 10)]]
+        want += [[_factors_mp(gamma, n, mpmath.mpf(x)) for n in range(2 * gamma, 2 * gamma + 10)]
+                 for x in ROW_POINTS[1:]]
+    worst = 0.0
+    for k in range(1, 11):
+        alpha, beta = microscopic._rows(gamma, k, ROW_POINTS)
+        for j, factors in enumerate(want):
+            for a, (want_alpha, want_beta) in enumerate(factors[:k]):
+                for got, exact in ((alpha[a, j], want_alpha), (beta[a, j], want_beta)):
+                    error = abs(got - exact) / abs(exact) if exact else abs(got)
+                    worst = max(worst, float(error))
+    assert worst <= 4e-15, f"gamma={gamma}: {worst:.2e}"
+
+
+@pytest.mark.parametrize("gamma", [0, 1])
+def test_rows_evaluate_two_bessel_orders(monkeypatch, gamma: int) -> None:
+    orders = []
+    evaluate = microscopic._bessel_i_reduced
+
+    def counted(n: int, x: np.ndarray) -> np.ndarray:
+        orders.append(n)
+        return evaluate(n, x)
+
+    monkeypatch.setattr(microscopic, "_bessel_i_reduced", counted)
+    for k in range(1, 11):
+        orders.clear()
+        microscopic._rows(gamma, k, ROW_POINTS)
+        assert sorted(orders) == [2 * gamma + k - 1, 2 * gamma + k], (gamma, k)
 
 
 def test_kernel_limit_small_u_power() -> None:
@@ -174,6 +218,19 @@ def test_non_finite_limit_pfaffian_raises(monkeypatch, k: int) -> None:
     with pytest.raises(RuntimeError,
                        match=rf"kernel Pfaffian is nan at gamma=0, k={k}, u=10\.0"):
         gap_micro(k, 10.0)
+
+
+@pytest.mark.parametrize("evaluate, gamma", [(gap_micro, 0), (smallest_micro, 1)],
+                         ids=["gap", "density"])
+def test_negative_limit_pfaffian_raises(monkeypatch, evaluate, gamma: int) -> None:
+    # A negated 2 x 2 block negates the Pfaffian, so the value leaves its
+    # range for certain; it must fail by name and not leave the library.
+    balanced = microscopic._matrix_balanced
+    monkeypatch.setattr(microscopic, "_matrix_balanced",
+                        lambda gamma, k, u: -balanced(gamma, k, u))
+    with pytest.raises(RuntimeError, match=rf"hard-edge limit value -\S+ is "
+                                            rf"impossible at gamma={gamma}, k=2, u=10\.0"):
+        evaluate(2, 10.0)
 
 
 def test_gap_topology_zero_matches_closed_form() -> None:
