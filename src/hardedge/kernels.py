@@ -16,24 +16,28 @@ border column xi_a of single derivatives.  Gap probabilities and smallest
 eigenvalue densities are Pfaffians of small matrices with these entries.
 
 The entries are built over standard Laguerre values L_n^(mu)(-t), which
-are positive and satisfy a benign forward recurrence, so matrices remain
-accurate for polynomial counts in the thousands where factorial-laden
-expressions overflow.  Every Tricomi U ratio is read off a few whole chains
-U(a0 + i, b, t/2) (specfun.tricomi_u_chain), held with the Laguerre rows in
-one BulkTables per evaluation point.  The independent routes the tests
-check these entries against (the polynomial pair sum and the closed
-Christoffel-Darboux form) live in hardedge.reference.kernels.
+are positive and come from a coupled forward recurrence that only adds
+positive terms, so matrices remain accurate for polynomial counts in the
+thousands where factorial-laden expressions overflow.  Every Tricomi U
+ratio is read off whole chains U(a0 + i, b, t/2), one call of
+specfun.tricomi_u_chain (one tridiagonal solve) per ladder a0 = 0 or 1/2,
+held with the Laguerre rows in one BulkTables per evaluation point.  The
+independent routes the tests check these entries against (the polynomial
+pair sum and the closed Christoffel-Darboux form) live in
+hardedge.reference.kernels.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 from scipy.special import poch
 
-from .specfun import tricomi_u, tricomi_u_chain
+from .specfun import LogScaled, tricomi_u, tricomi_u_chain
 
 __all__ = ["BulkTables", "kernel_matrix", "border_column"]
 
@@ -44,20 +48,41 @@ logger = logging.getLogger(__name__)
 _RECURRENCE_ENVELOPE = 1.2e5
 
 
+@functools.lru_cache(maxsize=64)
 def _gamma_run(x: float, d: float, count: int) -> np.ndarray:
-    """Gamma(x + i) / Gamma(x + i + d) for i = 0..count-1.
+    """Gamma(x + i) / Gamma(x + i + d) for i = 0..count-1, read-only.
 
     A running product from i = 0: differences of log-gamma would lose
-    ~|ln Gamma| ulps at the top of a chain.
+    ~|ln Gamma| ulps at the top of a chain.  Cached, since the runs depend
+    on (gamma, l) only and every point of a curve reads the same ones.
     """
     i = np.arange(count - 1)
     first = math.exp(math.lgamma(x) - math.lgamma(x + d))
-    return first * np.concatenate(([1.0], np.cumprod((x + i) / (x + i + d))))
+    run = first * np.concatenate(([1.0], np.cumprod((x + i) / (x + i + d))))
+    run.flags.writeable = False
+    return run
 
 
-def _gather(rows: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """rows[m, n], with the convention that Laguerre values at n < 0 vanish."""
-    return np.where(n >= 0, rows[m, np.maximum(n, 0)], 0.0)
+def _skewed(rows: np.ndarray) -> np.ndarray:
+    """The Laguerre rows as columns, column m moved m + 2 places down, zeros
+    elsewhere.
+
+    Entry [n + m + 2, m] holds rows[m, n], so the values the kernel reads,
+    L_(2j + c - a) at order a + d for j < count and a < size, fill the
+    strided slice [2 + c + d::2, d:d + size] (see _block), with zeros where
+    the degree is negative (c >= -2).
+    """
+    orders, width = rows.shape
+    skewed = np.zeros((width + orders + 1, orders))
+    for m in range(orders):
+        skewed[m + 2:m + 2 + width, m] = rows[m]
+    return skewed
+
+
+def _block(skewed: np.ndarray, c: int, d: int, count: int, size: int) -> np.ndarray:
+    """L_(2j + c - a)^(2 gamma + a + d)(-t) at [j, a], j < count, a < size."""
+    start = 2 + c + d
+    return skewed[start:start + 2 * count:2, d:d + size]
 
 
 class BulkTables:
@@ -65,13 +90,18 @@ class BulkTables:
     (gamma, l, t).
 
     Every U that kernel_matrix and border_column use is U(a, b, t/2) with a
-    on one of two ladders a0 + i, a0 = 0 or 1/2, and b among gamma - 1/2,
-    gamma + 1/2, gamma + 3/2, 1/2 - gamma and 3/2 - gamma.  Each (a0, b)
-    chain comes whole from tricomi_u_chain, built on first use up to the
-    highest a the route reads, so a point costs a handful of quadratures
-    instead of two per ratio.  The Laguerre rows L_n^(2 gamma + m)(-t) are
-    built once as well.  One table serves one evaluation point: it is made
-    per call and shared by the kernel matrix and its border column.
+    on one of two ladders a0 + i, a0 = 0 or 1/2.  Each ladder is built
+    whole on first use, up to the highest a the route reads, for its
+    consecutive set of b in one tricomi_u_chain call: gamma - 1/2 up to
+    gamma + 3/2 on a0 = 1/2, and h = 1/2 - gamma on a0 = 0; the hatted set
+    (odd l) also reads h on a0 = 1/2 and h + 1 on a0 = 0.  That is one
+    tridiagonal solve per ladder, and a quadrature for each chain top.  The
+    U values taken directly (the chain anchors, the border mix above a
+    ladder top and the prefactor of the finite-p assembly) go through one
+    memo, so a U that is also a chain anchor is evaluated once.  The
+    Laguerre rows L_n^(2 gamma + m)(-t) are built once as well.  One table
+    serves one evaluation point: it is made per call and shared by the
+    kernel matrix, its border column and the prefactor.
 
     gamma is the weight power (0 for gap matrices, 1 for density ones), l
     the number of polynomials paired (odd counts switch to the hatted set)
@@ -91,13 +121,26 @@ class BulkTables:
                 "of the Laguerre forward recurrence")
         self.gamma, self.l, self.t = gamma, l, t
         self._tops = {0.0: l // 2, 0.5: gamma + (l - 1) // 2}
+        # Lowest b and number of consecutive b per ladder.
+        hatted, h = l % 2, 0.5 - gamma
+        low = min(gamma - 0.5, h) if hatted else gamma - 0.5
+        self._b_sets = {0.0: (h, 1 + hatted), 0.5: (low, int(gamma + 2.5 - low))}
         self._chains: dict[tuple[float, float], tuple[np.ndarray, float]] = {}
+        self._direct: dict[tuple[float, float], LogScaled] = {}
         self._rows = np.empty((0, l + 1))
+
+    def u(self, a: float, b: float) -> LogScaled:
+        """U(a, b, t/2) by tricomi_u, evaluated at most once per table."""
+        if (a, b) not in self._direct:
+            self._direct[a, b] = tricomi_u(a, b, self.t / 2.0)
+        return self._direct[a, b]
 
     def _segment(self, a: float, b: float, count: int) -> tuple[np.ndarray, float]:
         a0, start = a % 1.0, int(a)
         if (a0, b) not in self._chains:
-            self._chains[a0, b] = tricomi_u_chain(a0, b, self.t / 2.0, self._tops[a0])
+            low, n_b = self._b_sets[a0]
+            chains = tricomi_u_chain(a0, low, self.t / 2.0, self._tops[a0], n_b, self.u)
+            self._chains.update(((a0, low + j), chain) for j, chain in enumerate(chains))
         w, log_scale = self._chains[a0, b]
         if start + count > len(w):
             raise IndexError(f"U({a} + {count - 1}, {b}) is past the chain top")
@@ -123,27 +166,40 @@ class BulkTables:
         num, den = (a, self.gamma + 0.5), (a, self.gamma + 1.5)
         if int(a) <= self._tops[a % 1.0]:
             return float(self.quotient(num, den, 1)[0])
-        # An integer a above the integer ladder's top: two direct quadratures.
-        return (tricomi_u(*num, self.t / 2.0) / tricomi_u(*den, self.t / 2.0)).value
+        # An integer a above the integer ladder's top: two direct values.
+        return (self.u(*num) / self.u(*den)).value
 
     def laguerre_rows(self, count: int) -> np.ndarray:
         """Standard Laguerre values L_n^(2 gamma + m)(-t), m < count, n = 0..l.
 
-        All values are positive: the lowest row comes from the three-term
-        recurrence, whose coefficients are positive at negative argument, and
-        each further row is the running sum of the one before
-        (L_n^(mu+1) = sum_{i<=n} L_i^(mu)), so no row carries cancellation.
+        Rows 0 and 1 come from one banded lower-triangular solve (BLAS
+        dtbsv) of the coupled recurrence (DLMF 18.9.13-14 at x = -t)
+
+            n L_n^(mu) = (n + mu) L_{n-1}^(mu) + t L_{n-1}^(mu+1),
+            L_n^(mu+1) = L_{n-1}^(mu+1) + L_n^(mu),
+
+        whose forward substitution only adds positive terms; each further
+        row is the running sum of the one before.  No row carries
+        cancellation.
         """
         if len(self._rows) < count:
-            mu, t = 2 * self.gamma, self.t
-            prev, cur = 1.0, mu + 1.0 + t
-            row = [prev, cur]
-            for n in range(1, self.l):
-                prev, cur = cur, ((2.0 * n + mu + 1.0 + t) * cur - (n + mu) * prev) / (n + 1.0)
-                row.append(cur)
-            rows = np.empty((count, self.l + 1))
-            rows[0] = row[:self.l + 1]
-            for m in range(1, count):
+            l, mu, t = self.l, 2 * self.gamma, self.t
+            # Unknown 2n is L_n^(mu), unknown 2n + 1 is L_n^(mu+1); band
+            # row d holds the entries d places below the diagonal.  Row 0
+            # sets L_0^(mu) = 1, whence row 1 gives L_0^(mu+1) = 1.  Fortran
+            # order spares the copy BLAS would otherwise take of the band.
+            n = np.arange(l + 1.0)
+            n[0] = 1.0
+            band = np.zeros((3, 2 * l + 2), order="F")
+            band[0, 0::2], band[0, 1::2] = n, 1.0
+            band[1, 0::2], band[1, 1::2] = -1.0, -t
+            band[2, 0:-2:2], band[2, 1:-2:2] = -(n[1:] + mu), -1.0
+            rhs = np.zeros(2 * l + 2)
+            rhs[0] = 1.0
+            pairs = dtbsv(2, band, rhs, lower=1)
+            rows = np.empty((max(count, 2), l + 1))
+            rows[0], rows[1] = pairs[0::2], pairs[1::2]
+            for m in range(2, count):
                 rows[m] = np.cumsum(rows[m - 1])
             self._rows = rows
         return self._rows
@@ -172,10 +228,13 @@ def kernel_matrix(tables: BulkTables, size: int) -> np.ndarray:
     hatted = l % 2 == 1
     j_max = (l - 3) // 2 if hatted else (l - 2) // 2
     count = j_max + 1
-    rows = tables.laguerre_rows(size + 1)
-    js, orders = np.arange(count), np.arange(size)
-    j, a = js[:, None], orders[None, :]
+    rows = _skewed(tables.laguerre_rows(size + 1))
+    js = np.arange(count)
+    j = js[:, None]
     half, h = gamma + 0.5, 0.5 - gamma
+
+    def block(c: int, d: int) -> np.ndarray:
+        return _block(rows, c, d, count, size)
 
     # rho_j, sigma_j: b-shifts of U(j + gamma + 1/2, ., t/2); at j = 0 they
     # multiply Laguerre values of negative degree only.  The hatted set also
@@ -183,13 +242,13 @@ def kernel_matrix(tables: BulkTables, size: int) -> np.ndarray:
     rho_all = tables.quotient((half, half), (half, half + 1.0), count + hatted)
     rho = rho_all[:count, None]
     sig = tables.quotient((half, half - 1.0), (half, half + 1.0), count)[:, None]
-    even_vals = _gather(rows, 2 * j - a, a) + rho * _gather(rows, 2 * j - 1 - a, a + 1)
+    even_vals = block(0, 0) + rho * block(-1, 1)
     mid = (rho + 2 * j * rho ** 2 - 2 * (j + 1) * sig) / (2 * j + 1)
-    odd_vals = (_gather(rows, 2 * j + 1 - a, a)
-                - 2.0 * (gamma + j) / (2 * j + 1) * _gather(rows, 2 * j - 1 - a, a)
-                + mid * _gather(rows, 2 * j - 1 - a, a + 1)
-                + 2.0 * j * rho / (2 * j + 1) * _gather(rows, 2 * j - a, a + 1)
-                - 2.0 * (gamma + j) * rho / (2 * j + 1) * _gather(rows, 2 * j - 2 - a, a + 1))
+    odd_vals = (block(1, 0)
+                - 2.0 * (gamma + j) / (2 * j + 1) * block(-1, 0)
+                + mid * block(-1, 1)
+                + 2.0 * j * rho / (2 * j + 1) * block(0, 1)
+                - 2.0 * (gamma + j) * rho / (2 * j + 1) * block(-2, 1))
 
     u = tables.quotient((1.0, h), (0.0, h), count)
     norm_w = 0.5 / (u * poch(2.0 * js + 2.0, 2 * gamma))
@@ -198,8 +257,8 @@ def kernel_matrix(tables: BulkTables, size: int) -> np.ndarray:
 
     if hatted:
         big_k = count
-        top_vals = _gather(rows, 2 * big_k - orders, orders) \
-            + rho_all[big_k] * _gather(rows, 2 * big_k - 1 - orders, orders + 1)
+        top_vals = _block(rows, 2 * big_k, 0, 1, size)[0] \
+            + rho_all[big_k] * _block(rows, 2 * big_k - 1, 1, 1, size)[0]
         # Even-polynomial moments up to a common factor: U(j + 1/2, h)/U(j, h)
         # times Gamma(j + 3/2)/Gamma(j + gamma + 3/2), for j = 0..big_k.
         moments = tables.quotient((0.5, h), (0.0, h), big_k + 1) \
@@ -225,7 +284,6 @@ def border_column(tables: BulkTables, size: int) -> np.ndarray:
     """
     l = tables.l
     _check_size(size, l)
-    rows = tables.laguerre_rows(size + 1)
-    a = np.arange(size)
-    return _gather(rows, l - a - 2, a) \
-        + tables.border_mix() * _gather(rows, l - a - 3, a + 1)
+    rows = _skewed(tables.laguerre_rows(size + 1))
+    return _block(rows, l - 2, 0, 1, size)[0] \
+        + tables.border_mix() * _block(rows, l - 3, 1, 1, size)[0]

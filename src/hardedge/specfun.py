@@ -287,20 +287,25 @@ def tricomi_u(a: float, b: float, t: float) -> LogScaled:
     return LogScaled(h_peak + math.log(total) - math.lgamma(a), 1)
 
 
-def tricomi_u_chain(a0: float, b: float, t: float, n: int) -> tuple[np.ndarray, float]:
-    """Tricomi U(a0 + i, b, t) for i = 0..n at once, in scaled form.
+def tricomi_u_chain(a0: float, b: float, t: float, n: int, count: int = 1,
+                    u=None) -> list[tuple[np.ndarray, float]]:
+    """Tricomi U(a0 + i, b + j, t) for i = 0..n and j = 0..count-1 at once,
+    in scaled form.
 
-    Returns (w, log_scale) with
+    Returns one (w, log_scale) per b + j, lowest first, with
 
-        U(a0 + i, b, t) = w[i] * exp(log_scale) / Gamma(a0 + i + 1),
+        U(a0 + i, b + j, t) = w[i] * exp(log_scale) / Gamma(a0 + i + 1),
 
     so ratios along the chain and between chains of equal length stay
-    accurate where the log of U itself runs into the thousands.
+    accurate where the log of U itself runs into the thousands.  All chains
+    share the log_scale of the lowest one.
 
-    Only the two ends come from :func:`tricomi_u` (none for U(0, b, t) = 1).
-    The interior solves the three-term recurrence in a (DLMF 13.3.7) as a
-    boundary-value problem (Olver 1967; Gil, Segura and Temme 2007, ch. 4):
-    with w_a = Gamma(a + 1) U(a, b, t) it reads
+    Only the anchors come from ``u(a, b)``, which evaluates U(a, b, t) and
+    defaults to :func:`tricomi_u` (a caller may pass a memo): both ends of
+    the lowest chain (none for U(0, b, t) = 1) and the top of each further
+    one.  The interior of the lowest chain solves the three-term recurrence
+    in a (DLMF 13.3.7) as a boundary-value problem (Olver 1967; Gil, Segura
+    and Temme 2007, ch. 4): with w_a = Gamma(a + 1) U(a, b, t) it reads
 
         a w_{a-1} + (b - 2a - t) w_a + a (a - b + 1) / (a + 1) w_{a+1} = 0,
 
@@ -318,13 +323,48 @@ def tricomi_u_chain(a0: float, b: float, t: float, n: int) -> tuple[np.ndarray, 
     in which the small terms are explicit instead of left to cancel (the
     difference form alone already gains most of the digits where numpy's
     long double is plain double).
+
+    Each further chain follows from the one below it by DLMF 13.3.9,
+    U(a, b) = U(a, b - 1) + a U(a + 1, b), unrolled up to the top a0 + n:
+
+        w_a(b) = w_a(b - 1) + a S_{a+1},
+        S_i = sum_{j=i}^{a0+n-1} w_j(b - 1) / j + w_{a0+n}(b) / (a0 + n),
+
+    one reverse cumulative sum of positive terms, with no solve.  Raises
+    RuntimeError if a chain leaves the double range.
     """
-    if a0 < 0.0 or n < 0:
-        raise ValueError(f"tricomi_u_chain requires a0 >= 0 and n >= 0, got a0={a0}, n={n}")
-    ln_lo = 0.0 if a0 == 0.0 else tricomi_u(a0, b, t).log_magnitude + math.lgamma(a0 + 1.0)
+    if a0 < 0.0 or n < 0 or count < 1:
+        raise ValueError("tricomi_u_chain requires a0 >= 0, n >= 0 and count >= 1, "
+                         f"got a0={a0}, n={n}, count={count}")
+    if u is None:
+        def u(a: float, b: float) -> LogScaled:
+            return tricomi_u(a, b, t)
+    top_a = a0 + n
+    w, log_scale = _solved_chain(a0, b, t, n, u)
+    chains = [(w, log_scale)]
+    a = a0 + np.arange(n + 1.0)
+    for j in range(1, count):
+        top = math.exp(u(top_a, b + j).log_magnitude + math.lgamma(top_a + 1.0) - log_scale)
+        # S_{a+1} for a = a0..a0+n-1, as a reverse cumulative sum (empty at n = 0).
+        tail = np.cumsum((np.append(w[1:-1], top) / a[1:])[::-1])[::-1]
+        w = np.append(w[:-1] + a[:-1] * tail, top)
+        _check_range(w, a0, b + j, t, n)
+        chains.append((w, log_scale))
+    return chains
+
+
+def _check_range(w: np.ndarray, a0: float, b: float, t: float, n: int) -> None:
+    if not np.all(w > 0.0):
+        raise RuntimeError(
+            f"Tricomi U chain left the double range for a0={a0}, b={b}, t={t}, n={n}")
+
+
+def _solved_chain(a0: float, b: float, t: float, n: int, u) -> tuple[np.ndarray, float]:
+    """The lowest chain of :func:`tricomi_u_chain`: anchors and tridiagonal solve."""
+    ln_lo = 0.0 if a0 == 0.0 else u(a0, b).log_magnitude + math.lgamma(a0 + 1.0)
     if n == 0:
         return np.ones(1), ln_lo
-    ln_hi = tricomi_u(a0 + n, b, t).log_magnitude + math.lgamma(a0 + n + 1.0)
+    ln_hi = u(a0 + n, b).log_magnitude + math.lgamma(a0 + n + 1.0)
     log_scale = max(ln_lo, ln_hi)
     w = np.empty(n + 1)
     w[0], w[-1] = math.exp(ln_lo - log_scale), math.exp(ln_hi - log_scale)
@@ -349,12 +389,10 @@ def tricomi_u_chain(a0: float, b: float, t: float, n: int) -> tuple[np.ndarray, 
     w[1:-1] = dgttrs(*factors[:-1], rhs)[0][:n - 1]
 
     wide = a.astype(np.longdouble)
+    ratio = b / (wide + 1.0)
     step = np.diff(w.astype(np.longdouble))
     residual = np.zeros(size)
-    residual[:n - 1] = wide * np.diff(step) - wide * b / (wide + 1.0) * step[1:] \
-        + (b / (wide + 1.0) - t) * w[1:-1]
+    residual[:n - 1] = wide * np.diff(step) - wide * ratio * step[1:] + (ratio - t) * w[1:-1]
     w[1:-1] -= dgttrs(*factors[:-1], residual)[0][:n - 1]
-    if not np.all(w > 0.0):
-        raise RuntimeError(
-            f"Tricomi U chain left the double range for a0={a0}, b={b}, t={t}, n={n}")
+    _check_range(w, a0, b, t, n)
     return w, log_scale

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgttrf
 
 from hardedge import distributions, kernels, specfun
 from hardedge.distributions import FiniteSpec, gap_finite, smallest_finite
@@ -35,28 +36,35 @@ def _hyperu(a: float, b: float, z: float):
 @pytest.mark.parametrize("z", [5e-9, 1e-4, 0.00375, 0.0875, 1.0, 100.0])
 @pytest.mark.parametrize("b", [-0.5, 0.5, 1.5, 2.5])
 def test_chain_matches_mpmath(a0: float, z: float, b: float) -> None:
-    w, log_scale = tricomi_u_chain(a0, b, z, CHAIN_LENGTH)
-    assert w.shape == (CHAIN_LENGTH + 1,) and np.all(w > 0.0)
+    # Every b above -1/2 is checked twice: solved as the lowest chain, and
+    # derived from b = -1/2 by DLMF 13.3.9.
+    chains = tricomi_u_chain(a0, b, z, CHAIN_LENGTH)
+    if b > -0.5:
+        chains.append(tricomi_u_chain(a0, -0.5, z, CHAIN_LENGTH, int(b + 1.5))[-1])
     indices = sorted({i + d for i in CHAIN_SAMPLES for d in (0, 1)})
     ref = {i: _hyperu(a0 + i, b, z) for i in indices}
-    for i in indices:
-        got = math.log(w[i]) + log_scale - math.lgamma(a0 + i + 1.0)
-        want = float(mpmath.log(ref[i]))
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (i, got, want)
-    for i in CHAIN_SAMPLES:
-        ratio = w[i + 1] / (w[i] * (a0 + i + 1.0))
-        want = float(ref[i + 1] / ref[i])
-        assert ratio == pytest.approx(want, rel=1e-12, abs=0.0), i
+    for w, log_scale in chains:
+        assert w.shape == (CHAIN_LENGTH + 1,) and np.all(w > 0.0)
+        for i in indices:
+            got = math.log(w[i]) + log_scale - math.lgamma(a0 + i + 1.0)
+            want = float(mpmath.log(ref[i]))
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (i, got, want)
+        for i in CHAIN_SAMPLES:
+            ratio = w[i + 1] / (w[i] * (a0 + i + 1.0))
+            want = float(ref[i + 1] / ref[i])
+            assert ratio == pytest.approx(want, rel=1e-12, abs=0.0), i
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_short_chains_match_mpmath(n: int) -> None:
     for a0, b, z in ((0.0, 0.5, 0.3), (0.5, -0.5, 2.0), (0.5, 2.5, 1e-4)):
-        w, log_scale = tricomi_u_chain(a0, b, z, n)
-        assert len(w) == n + 1
-        for i in range(n + 1):
-            got = w[i] * math.exp(log_scale - math.lgamma(a0 + i + 1.0))
-            assert got == pytest.approx(float(_hyperu(a0 + i, b, z)), rel=1e-12)
+        chains = tricomi_u_chain(a0, b, z, n, 2)
+        assert len(chains) == 2
+        for j, (w, log_scale) in enumerate(chains):
+            assert len(w) == n + 1
+            for i in range(n + 1):
+                got = w[i] * math.exp(log_scale - math.lgamma(a0 + i + 1.0))
+                assert got == pytest.approx(float(_hyperu(a0 + i, b + j, z)), rel=1e-12)
 
 
 @pytest.mark.parametrize("a", [1003.5, 2003.0, 2003.5])
@@ -141,6 +149,8 @@ def test_chain_rejects_bad_arguments() -> None:
         tricomi_u_chain(-0.5, 0.5, 1.0, 4)
     with pytest.raises(ValueError):
         tricomi_u_chain(0.5, 0.5, 1.0, -1)
+    with pytest.raises(ValueError):
+        tricomi_u_chain(0.5, 0.5, 1.0, 4, 0)
 
 
 def _never_settles(n):
@@ -223,6 +233,16 @@ def test_reading_past_the_chain_top_raises_under_optimization() -> None:
     assert done.returncode == 0, done.stdout + done.stderr
     assert "past the chain top" in done.stdout
 
+
+# tricomi_u calls per bulk point: the lowest chain of each ladder takes its
+# bottom (closed form) and top, each further b its top; the border mix
+# above a ladder top takes two values, the prefactor one unless the memo
+# holds it already (a chain top at gap p=1000, k=3, a border value at
+# smallest p=1000, k=3).
+POINT_CALLS = {(gap_finite, 500, 4): 6, (gap_finite, 1000, 3): 5,
+               (smallest_finite, 500, 4): 8, (smallest_finite, 1000, 3): 9}
+
+
 def test_finite_point_needs_few_quadratures(monkeypatch) -> None:
     calls = []
 
@@ -232,11 +252,46 @@ def test_finite_point_needs_few_quadratures(monkeypatch) -> None:
 
     for module in (specfun, kernels, distributions):
         monkeypatch.setattr(module, "tricomi_u", counted)
-    for quantity in (gap_finite, smallest_finite):
-        for p, k in ((500, 4), (1000, 3)):
-            calls.clear()
-            quantity(FiniteSpec(p=p, k=k, t=50.0 / (4 * p)))
-            assert 1 <= len(calls) <= 20, (quantity.__name__, p, k, len(calls))
+    for (quantity, p, k), count in POINT_CALLS.items():
+        calls.clear()
+        quantity(FiniteSpec(p=p, k=k, t=50.0 / (4 * p)))
+        assert len(calls) == count, (quantity.__name__, p, k, calls)
+
+
+def test_finite_point_factors_one_tridiagonal_system_per_ladder(monkeypatch) -> None:
+    factorisations = []
+
+    def counted(*args):
+        factorisations.append(args)
+        return dgttrf(*args)
+
+    monkeypatch.setattr(specfun, "dgttrf", counted)
+    for quantity, p, k in POINT_CALLS:
+        factorisations.clear()
+        quantity(FiniteSpec(p=p, k=k, t=50.0 / (4 * p)))
+        assert len(factorisations) == 2, (quantity.__name__, p, k)
+
+
+def _laguerre_mp(n: int, mu: int, t: float):
+    with mpmath.workdps(40):
+        return mpmath.laguerre(n, mu, -mpmath.mpf(t))
+
+
+@pytest.mark.parametrize("gamma", [0, 1])
+@pytest.mark.parametrize("l", [12, 504, 1004, 4004])
+def test_laguerre_rows_match_mpmath(l: int, gamma: int) -> None:
+    # The three-term recurrence missed by 1.3e-12 at l = 504, t = 0.0075
+    # and by 2.6e-10 at l = 4004, t = 1e-8.
+    degrees = sorted({0, 1, 2, 3, l // 3, l // 2, l - 2, l - 1, l})
+    for t in (1e-8, 1e-4, 0.0075, 0.1, 0.5, 1.9):
+        if l * t > 7000.0:
+            continue
+        rows = BulkTables(gamma, l, t).laguerre_rows(4)
+        assert rows.shape == (4, l + 1)
+        for m in range(4):
+            for n in degrees:
+                want = _laguerre_mp(n, 2 * gamma + m, t)
+                assert abs(float(rows[m, n] / want - 1)) <= 1e-14, (t, m, n)
 
 
 @pytest.fixture
@@ -273,3 +328,31 @@ def test_assembly_matches_mpmath_ratios(p: int, k: int, t: float, mpmath_ratios)
     mpmath_ratios()
     want = (gap_finite(spec), smallest_finite(spec))
     assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+def _rows_mp(self, count):
+    # The three-term recurrence at 30 digits, which covers the digits it
+    # loses to cancellation, and running sums for the higher orders.
+    l, mu = self.l, 2 * self.gamma
+    with mpmath.workdps(30):
+        t = mpmath.mpf(self.t)
+        row = [mpmath.mpf(1), mu + 1 + t]
+        for n in range(1, l):
+            row.append(((2 * n + mu + 1 + t) * row[n] - (n + mu) * row[n - 1]) / (n + 1))
+        rows = [row[:l + 1]]
+        for _ in range(1, count):
+            rows.append(list(np.cumsum(rows[-1])))
+        return np.array([[float(x) for x in r] for r in rows])
+
+
+@pytest.mark.parametrize("p, k, t", [(2000, 2, 0.0075), (2000, 2, 0.04), (2000, 1, 0.02),
+                                     (1000, 1, 0.0075), (1000, 2, 0.085), (500, 1, 0.015),
+                                     (50, 1, 1.0), (10, 2, 1e-6)])
+def test_assembly_matches_mpmath_rows(p: int, k: int, t: float, monkeypatch) -> None:
+    # At k <= 2 the Pfaffian is well conditioned, so the values follow the
+    # rows to rounding; the three-term recurrence was off by up to 1e-11.
+    spec = FiniteSpec(p=p, k=k, t=t)
+    got = (gap_finite(spec), smallest_finite(spec))
+    monkeypatch.setattr(BulkTables, "laguerre_rows", _rows_mp)
+    want = (gap_finite(spec), smallest_finite(spec))
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
