@@ -29,7 +29,6 @@ hardedge.reference.kernels.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 
@@ -48,41 +47,15 @@ logger = logging.getLogger(__name__)
 _RECURRENCE_ENVELOPE = 1.2e5
 
 
-@functools.lru_cache(maxsize=64)
 def _gamma_run(x: float, d: float, count: int) -> np.ndarray:
-    """Gamma(x + i) / Gamma(x + i + d) for i = 0..count-1, read-only.
+    """Gamma(x + i) / Gamma(x + i + d) for i = 0..count-1.
 
     A running product from i = 0: differences of log-gamma would lose
-    ~|ln Gamma| ulps at the top of a chain.  Cached, since the runs depend
-    on (gamma, l) only and every point of a curve reads the same ones.
+    ~|ln Gamma| ulps at the top of a chain.
     """
     i = np.arange(count - 1)
     first = math.exp(math.lgamma(x) - math.lgamma(x + d))
-    run = first * np.concatenate(([1.0], np.cumprod((x + i) / (x + i + d))))
-    run.flags.writeable = False
-    return run
-
-
-def _skewed(rows: np.ndarray) -> np.ndarray:
-    """The Laguerre rows as columns, column m moved m + 2 places down, zeros
-    elsewhere.
-
-    Entry [n + m + 2, m] holds rows[m, n], so the values the kernel reads,
-    L_(2j + c - a) at order a + d for j < count and a < size, fill the
-    strided slice [2 + c + d::2, d:d + size] (see _block), with zeros where
-    the degree is negative (c >= -2).
-    """
-    orders, width = rows.shape
-    skewed = np.zeros((width + orders + 1, orders))
-    for m in range(orders):
-        skewed[m + 2:m + 2 + width, m] = rows[m]
-    return skewed
-
-
-def _block(skewed: np.ndarray, c: int, d: int, count: int, size: int) -> np.ndarray:
-    """L_(2j + c - a)^(2 gamma + a + d)(-t) at [j, a], j < count, a < size."""
-    start = 2 + c + d
-    return skewed[start:start + 2 * count:2, d:d + size]
+    return first * np.concatenate(([1.0], np.cumprod((x + i) / (x + i + d))))
 
 
 class BulkTables:
@@ -99,7 +72,8 @@ class BulkTables:
     U values taken directly (the chain anchors, the border mix above a
     ladder top and the prefactor of the finite-p assembly) go through one
     memo, so a U that is also a chain anchor is evaluated once.  The
-    Laguerre rows L_n^(2 gamma + m)(-t) are built once as well.  One table
+    Laguerre rows L_n^(2 gamma + m)(-t), and the skewed copy of them that
+    the kernel reads in strided blocks, are built once as well.  One table
     serves one evaluation point: it is made per call and shared by the
     kernel matrix, its border column and the prefactor.
 
@@ -128,6 +102,7 @@ class BulkTables:
         self._chains: dict[tuple[float, float], tuple[np.ndarray, float]] = {}
         self._direct: dict[tuple[float, float], LogScaled] = {}
         self._rows = np.empty((0, l + 1))
+        self._skewed = np.empty((0, 0))
 
     def u(self, a: float, b: float) -> LogScaled:
         """U(a, b, t/2) by tricomi_u, evaluated at most once per table."""
@@ -139,7 +114,7 @@ class BulkTables:
         a0, start = a % 1.0, int(a)
         if (a0, b) not in self._chains:
             low, n_b = self._b_sets[a0]
-            chains = tricomi_u_chain(a0, low, self.t / 2.0, self._tops[a0], n_b, self.u)
+            chains = tricomi_u_chain(a0, low, self.t / 2.0, self._tops[a0], self.u, n_b)
             self._chains.update(((a0, low + j), chain) for j, chain in enumerate(chains))
         w, log_scale = self._chains[a0, b]
         if start + count > len(w):
@@ -204,6 +179,23 @@ class BulkTables:
             self._rows = rows
         return self._rows
 
+    def laguerre_block(self, c: int, d: int, count: int, size: int) -> np.ndarray:
+        """L_(2j + c - a)^(2 gamma + a + d)(-t) at [j, a], j < count, a < size,
+        zero where the degree is negative (c >= -2).
+
+        A strided view of one skewed copy of the Laguerre rows, built once
+        per table: entry [n + m + 2, m] holds L_n^(2 gamma + m)(-t), zeros
+        elsewhere, so the block is the slice [2 + c + d::2, d:d + size].
+        """
+        if self._skewed.shape[1] < size + 1:
+            rows = self.laguerre_rows(size + 1)
+            orders, width = rows.shape
+            self._skewed = np.zeros((width + orders + 1, orders))
+            for m in range(orders):
+                self._skewed[m + 2:m + 2 + width, m] = rows[m]
+        start = 2 + c + d
+        return self._skewed[start:start + 2 * count:2, d:d + size]
+
 
 def _check_size(size: int, l: int) -> None:
     if not 1 <= size <= l - 1:
@@ -228,13 +220,12 @@ def kernel_matrix(tables: BulkTables, size: int) -> np.ndarray:
     hatted = l % 2 == 1
     j_max = (l - 3) // 2 if hatted else (l - 2) // 2
     count = j_max + 1
-    rows = _skewed(tables.laguerre_rows(size + 1))
     js = np.arange(count)
     j = js[:, None]
     half, h = gamma + 0.5, 0.5 - gamma
 
     def block(c: int, d: int) -> np.ndarray:
-        return _block(rows, c, d, count, size)
+        return tables.laguerre_block(c, d, count, size)
 
     # rho_j, sigma_j: b-shifts of U(j + gamma + 1/2, ., t/2); at j = 0 they
     # multiply Laguerre values of negative degree only.  The hatted set also
@@ -257,8 +248,8 @@ def kernel_matrix(tables: BulkTables, size: int) -> np.ndarray:
 
     if hatted:
         big_k = count
-        top_vals = _block(rows, 2 * big_k, 0, 1, size)[0] \
-            + rho_all[big_k] * _block(rows, 2 * big_k - 1, 1, 1, size)[0]
+        top_vals = tables.laguerre_block(2 * big_k, 0, 1, size)[0] \
+            + rho_all[big_k] * tables.laguerre_block(2 * big_k - 1, 1, 1, size)[0]
         # Even-polynomial moments up to a common factor: U(j + 1/2, h)/U(j, h)
         # times Gamma(j + 3/2)/Gamma(j + gamma + 3/2), for j = 0..big_k.
         moments = tables.quotient((0.5, h), (0.0, h), big_k + 1) \
@@ -284,6 +275,5 @@ def border_column(tables: BulkTables, size: int) -> np.ndarray:
     """
     l = tables.l
     _check_size(size, l)
-    rows = _skewed(tables.laguerre_rows(size + 1))
-    return _block(rows, l - 2, 0, 1, size)[0] \
-        + tables.border_mix() * _block(rows, l - 3, 1, 1, size)[0]
+    return tables.laguerre_block(l - 2, 0, 1, size)[0] \
+        + tables.border_mix() * tables.laguerre_block(l - 3, 1, 1, size)[0]

@@ -287,8 +287,8 @@ def tricomi_u(a: float, b: float, t: float) -> LogScaled:
     return LogScaled(h_peak + math.log(total) - math.lgamma(a), 1)
 
 
-def tricomi_u_chain(a0: float, b: float, t: float, n: int, count: int = 1,
-                    u=None) -> list[tuple[np.ndarray, float]]:
+def tricomi_u_chain(a0: float, b: float, t: float, n: int, u,
+                    count: int = 1) -> list[tuple[np.ndarray, float]]:
     """Tricomi U(a0 + i, b + j, t) for i = 0..n and j = 0..count-1 at once,
     in scaled form.
 
@@ -300,8 +300,8 @@ def tricomi_u_chain(a0: float, b: float, t: float, n: int, count: int = 1,
     accurate where the log of U itself runs into the thousands.  All chains
     share the log_scale of the lowest one.
 
-    Only the anchors come from ``u(a, b)``, which evaluates U(a, b, t) and
-    defaults to :func:`tricomi_u` (a caller may pass a memo): both ends of
+    Only the anchors come from ``u(a, b)``, which returns U(a, b, t) as a
+    LogScaled (:func:`tricomi_u` at this t, or a memo of it): both ends of
     the lowest chain (none for U(0, b, t) = 1) and the top of each further
     one.  The interior of the lowest chain solves the three-term recurrence
     in a (DLMF 13.3.7) as a boundary-value problem (Olver 1967; Gil, Segura
@@ -336,9 +336,6 @@ def tricomi_u_chain(a0: float, b: float, t: float, n: int, count: int = 1,
     if a0 < 0.0 or n < 0 or count < 1:
         raise ValueError("tricomi_u_chain requires a0 >= 0, n >= 0 and count >= 1, "
                          f"got a0={a0}, n={n}, count={count}")
-    if u is None:
-        def u(a: float, b: float) -> LogScaled:
-            return tricomi_u(a, b, t)
     top_a = a0 + n
     w, log_scale = _solved_chain(a0, b, t, n, u)
     chains = [(w, log_scale)]
@@ -389,10 +386,11 @@ def _solved_chain(a0: float, b: float, t: float, n: int, u) -> tuple[np.ndarray,
     w[1:-1] = dgttrs(*factors[:-1], rhs)[0][:n - 1]
 
     wide = a.astype(np.longdouble)
-    ratio = b / (wide + 1.0)
+    above_wide = wide + 1.0
     step = np.diff(w.astype(np.longdouble))
     residual = np.zeros(size)
-    residual[:n - 1] = wide * np.diff(step) - wide * ratio * step[1:] + (ratio - t) * w[1:-1]
+    residual[:n - 1] = wide * np.diff(step) - wide * b / above_wide * step[1:] \
+        + (b / above_wide - t) * w[1:-1]
     w[1:-1] -= dgttrs(*factors[:-1], residual)[0][:n - 1]
     _check_range(w, a0, b, t, n)
     return w, log_scale
