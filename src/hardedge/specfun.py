@@ -4,12 +4,13 @@ The finite-size kernels and distributions are assembled from the functions
 in this module: log-scaled arithmetic and Tricomi's confluent
 hypergeometric function U(a, b, t), singly or as a whole chain in a.  U is
 a closed form at the chain bottoms a = 1/2 and otherwise a quadrature over
-a window found without a general root finder: the peak in closed form,
-the edges by safeguarded Newton.  Its order-doubling Gauss-Legendre loop
-is the only one in the package: the hard-edge quadratures in
-``microscopic`` run through it as well, each caller with its own
-tolerance.  The functions only the reference routes use (log-gamma, monic
-Laguerre polynomials, Bessel functions) live in ``hardedge.reference.specfun``.
+a window found without a root finder: the peak in closed form, the
+edges by doubling out from the Laplace estimate.  Its order-doubling
+Gauss-Legendre loop is the only one in the package: the hard-edge
+quadratures in ``microscopic`` run through it as well, each caller with
+its own tolerance.  The functions only the reference routes use
+(log-gamma, monic Laguerre polynomials, Bessel functions) live in
+``hardedge.reference.specfun``.
 
 Quantities such as Gamma[(p+k+1)/2] * U(...) pair enormous factors that cancel
 only at the very end of an assembly, so every function that can leave the
@@ -151,39 +152,6 @@ def _settled_integral(integrand, order: int, tol: float, floor: float, what: str
 _WINDOW_DROP = 60.0
 
 
-def _newton_root(f, near: float, far: float, tol: float = 1e-12) -> float:
-    """Root of f between ``near`` and ``far`` by safeguarded Newton.
-
-    f(v) returns the value and the slope at v; the values at ``near`` and
-    ``far`` must have opposite signs.  Newton's method starts at ``far``
-    and keeps the bracket: a step that would leave it, or that shrinks less
-    than half as fast as the one before last, becomes a bisection (rtsafe of
-    Numerical Recipes).  Stops once a step is below tol * max(1, |v|), as
-    fine as Brent's method with xtol 2e-12.  Raises RuntimeError after 200
-    steps.
-    """
-    value, slope = f(far)
-    lo, hi = (far, near) if value < 0.0 else (near, far)    # f(lo) < 0 < f(hi)
-    v, step = far, abs(far - near)
-    before = step
-    for _ in range(200):
-        if value == 0.0:
-            return v
-        newton = v - value / slope if slope != 0.0 else math.nan
-        if min(lo, hi) <= newton <= max(lo, hi) and abs(2.0 * value) <= abs(before * slope):
-            before, step, v = step, abs(v - newton), newton
-        else:
-            before, step, v = step, 0.5 * abs(hi - lo), 0.5 * (lo + hi)
-        if step <= tol * max(1.0, abs(v)):
-            return v
-        value, slope = f(v)
-        if value < 0.0:
-            lo = v
-        else:
-            hi = v
-    raise RuntimeError(f"Newton search between {near} and {far} did not converge")
-
-
 def _half_anchor(b: float, t: float) -> LogScaled | None:
     """U(1/2, b, t) in closed form where one exists without cancellation.
 
@@ -220,25 +188,29 @@ def tricomi_u(a: float, b: float, t: float) -> LogScaled:
     exp(h(v)) with ``h(v) = a v + c log(1 + e^v) - t e^v``, c = b - a - 1.
     h has a single maximum for every a > 0: h'(v) = 0 is a quadratic in
     e^v, t x^2 - (b - 1 - t) x - a = 0, whose one positive root is the
-    peak.  The two ends of the window, where h has dropped 60 nats below the
-    peak, are found by safeguarded Newton from the Laplace estimate
+    peak.  Each window edge starts at the Laplace estimate
     peak -+ sqrt(120 / |h''|), with h'' = c sigma (1 - sigma) - t e^v and
-    sigma the logistic function of v.  Both sides of the peak go through
-    one Gauss-Legendre rule whose order doubles from 48 until two successive
-    values agree to 5e-13.
+    sigma the logistic function of v.  Its distance from the peak doubles
+    until h is 60 nats down there, and quarters while a quarter is still
+    that far down (the plateau of h at b ~ 1 and small t).  h is monotone
+    on each side of the peak, so the window holds all mass above the drop;
+    where neither step is taken the edge is the Laplace estimate, smooth in
+    a.  Both sides of the peak go through one Gauss-Legendre rule whose
+    order doubles from 48 until two successive values agree to 5e-13.
 
     a = 0 returns 1 exactly (empty-product convention used by the
     skew-orthogonal norm at index 0), and the chain bottoms U(1/2, b, t)
     come in closed form where :func:`_half_anchor` has one.  Serves as the
     anchor of :func:`tricomi_u_chain`, so it is evaluated up to a ~ l/2 for
-    l kernel polynomials; it is tested up to a = 2003 and t down to 1e-8,
-    without overflow or underflow.  Raises RuntimeError if two successive
-    values still disagree at order 12288.
+    l kernel polynomials; tested up to a = 2003 and t down to 1e-8, without
+    overflow or underflow.  Raises ValueError for a non-finite argument,
+    a < 0 or t <= 0, and RuntimeError if not settled by order 12288.
     """
+    if not (a >= 0.0 and t > 0.0 and all(map(math.isfinite, (a, b, t)))):
+        raise ValueError("tricomi_u requires finite a >= 0, b and t > 0, "
+                         f"got a={a}, b={b}, t={t}")
     if a == 0.0:
         return LogScaled.from_value(1.0)
-    if a < 0.0 or t <= 0.0:
-        raise ValueError(f"tricomi_u requires a >= 0 and t > 0, got a={a}, t={t}")
     if a == 0.5:
         anchor = _half_anchor(b, t)
         if anchor is not None:
@@ -246,12 +218,12 @@ def tricomi_u(a: float, b: float, t: float) -> LogScaled:
 
     c = b - a - 1.0
 
-    def h(v: np.ndarray) -> np.ndarray:
-        x = np.exp(v)
+    def h(v):
+        # The cap keeps exp finite where the window walk steps far right.
+        x = np.exp(np.minimum(v, 700.0))
         return a * v + c * np.log1p(x) - t * x
 
-    # The peak: h'(v) = 0 is t x^2 - m x - a = 0 in x = e^v, m = b - 1 - t,
-    # whose positive root is taken in the form without cancellation.
+    # The peak, x = e^v: the positive root of t x^2 - m x - a, cancellation-free.
     m = b - 1.0 - t
     disc = math.sqrt(m * m + 4.0 * a * t)
     x = (m + disc) / (2.0 * t) if m >= 0.0 else 2.0 * a / (disc - m)
@@ -259,20 +231,13 @@ def tricomi_u(a: float, b: float, t: float) -> LogScaled:
     h_peak = a * peak + c * math.log1p(x) - t * x
     curvature = t * x - c * x / (1.0 + x) ** 2
 
-    def drop(v: float) -> tuple[float, float]:
-        # h(v) - h(peak) + 60 and its slope h'(v), one point at a time for
-        # the window search.  The cap keeps exp finite far right of the peak.
-        x = math.exp(min(v, 700.0))
-        return a * v + c * math.log1p(x) - t * x - h_peak + _WINDOW_DROP, \
-            a + c * x / (1.0 + x) - t * x
-
     def window_edge(direction: float) -> float:
-        # h is monotone on each side of the peak.  Start from the Laplace
-        # estimate, step out until 60 nats down, then search that bracket.
-        near, far = peak, peak + direction * math.sqrt(2.0 * _WINDOW_DROP / curvature)
-        while drop(far)[0] > 0.0:
-            near, far = far, peak + 2.0 * (far - peak)
-        return _newton_root(drop, near, far)
+        edge = peak + direction * math.sqrt(2.0 * _WINDOW_DROP / curvature)
+        while h(edge) > h_peak - _WINDOW_DROP:
+            edge = peak + 2.0 * (edge - peak)
+        while h(peak + 0.25 * (edge - peak)) <= h_peak - _WINDOW_DROP:
+            edge = peak + 0.25 * (edge - peak)
+        return edge
 
     left, right = window_edge(-1.0), window_edge(+1.0)
     starts = np.array([[left], [peak]])
@@ -288,7 +253,7 @@ def tricomi_u(a: float, b: float, t: float) -> LogScaled:
 
 
 def tricomi_u_chain(a0: float, b: float, t: float, n: int, u,
-                    count: int = 1) -> list[tuple[np.ndarray, float]]:
+                    count: int) -> list[tuple[np.ndarray, float]]:
     """Tricomi U(a0 + i, b + j, t) for i = 0..n and j = 0..count-1 at once,
     in scaled form.
 

@@ -400,8 +400,9 @@ def test_cli_import_leaves_oracles_unloaded() -> None:
 
 
 def test_cli_import_needs_no_root_finder() -> None:
-    # Tricomi U locates its window in closed form and by its own Newton
-    # steps; scipy.optimize would cost every invocation its import.
+    # Tricomi U locates its window in closed form and by doubling out from
+    # the Laplace estimate; scipy.optimize would cost every invocation its
+    # import.
     script = ("import sys\n"
               "import hardedge.cli\n"
               "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n")

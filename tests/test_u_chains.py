@@ -90,9 +90,10 @@ def _random_arguments() -> list[tuple[float, float, float]]:
     b = rng.choice([-1.5, -0.5, 0.5, 1.0, 1.5, 2.0, 2.5], 300)
     t = np.exp(rng.uniform(math.log(1e-8), math.log(30.0), 300))
     # Integer b at tiny t makes h flat around a far-off peak (c = -a): a
-    # window search without a bracket walks off there.
-    return [(679.5, 1.0, 3.3e-8), (121.0, 1.0, 1.2e-7)] \
-        + list(zip(a.tolist(), b.tolist(), t.tolist()))
+    # window search without a bracket walks off there, and at small a the
+    # Laplace estimate lands 10 to 60 times too far out on each side.
+    return [(679.5, 1.0, 3.3e-8), (121.0, 1.0, 1.2e-7), (1.0, 1.0, 1e-8),
+            (4.3, 1.0, 8.2e-8)] + list(zip(a.tolist(), b.tolist(), t.tolist()))
 
 
 def test_tricomi_u_matches_mpmath_on_random_arguments() -> None:
@@ -105,19 +106,6 @@ def test_tricomi_u_matches_mpmath_on_random_arguments() -> None:
         want = mpmath.log(_hyperu(a, b, t))
         worst = max(worst, abs(float(mpmath.expm1(got.log_magnitude - want))))
     assert worst <= 2.7e-12
-
-
-def test_window_search_bisects_where_newton_crawls() -> None:
-    # Far right of a flat peak the drop is exponential, and plain Newton
-    # from v = 100 would crawl back one unit per step.
-    calls = []
-
-    def drop(v: float) -> tuple[float, float]:
-        calls.append(v)
-        return 60.0 - math.exp(v), -math.exp(v)
-
-    assert specfun._newton_root(drop, 0.0, 100.0) == pytest.approx(math.log(60.0), rel=1e-14)
-    assert len(calls) <= 30
 
 
 def _u_integral(a: float, b: float, z: float):
@@ -191,6 +179,48 @@ def test_tricomi_u_nonconvergence_raises_under_optimization() -> None:
     assert "order 12288" in done.stdout
 
 
+NAN, INF = math.nan, math.inf
+# Past a < 0 and t <= 0, a non-finite argument anywhere, also where a
+# shortcut (a = 0, a closed-form anchor at a = 1/2) would otherwise answer.
+BAD_TRICOMI = ((-1.0, 0.5, 1.0), (2.5, 0.5, 0.0), (2.5, 0.5, -1.0),
+               (NAN, 0.5, 1.0), (INF, 0.5, 1.0), (2.5, NAN, 1.0), (2.5, -INF, 1.0),
+               (2.5, 0.5, NAN), (2.5, 0.5, INF), (0.0, NAN, 1.0), (0.0, 0.5, INF),
+               (0.5, 1.5, NAN), (0.5, 0.5, INF))
+
+
+def test_tricomi_u_rejects_bad_arguments(monkeypatch) -> None:
+    # Rejected before any quadrature: a NaN would otherwise climb the
+    # order-doubling loop to its 12288-node cap.
+    def no_quadrature(*args):
+        raise AssertionError("reached the quadrature")
+
+    monkeypatch.setattr(specfun, "_settled_integral", no_quadrature)
+    for args in BAD_TRICOMI:
+        with pytest.raises(ValueError):
+            tricomi_u(*args)
+
+
+def test_tricomi_u_rejects_bad_arguments_under_optimization() -> None:
+    # The checks must not depend on assertions being enabled.
+    script = (
+        "import hardedge.specfun as s\n"
+        "nan, inf = float('nan'), float('inf')\n"
+        "def no_quadrature(*args):\n"
+        "    raise SystemExit('reached the quadrature')\n"
+        "s._settled_integral = no_quadrature\n"
+        f"for args in {BAD_TRICOMI!r}:\n"
+        "    try:\n"
+        "        s.tricomi_u(*args)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'accepted {args}')\n"
+    )
+    src = str(Path(specfun.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env={"PYTHONPATH": src})
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
 # ------------------------------------------------------------ bulk route
 
 
@@ -261,6 +291,49 @@ def test_finite_point_needs_few_quadratures(monkeypatch) -> None:
         calls.clear()
         quantity(FiniteSpec(p=p, k=k, t=50.0 / (4 * p)))
         assert len(calls) == count, (quantity.__name__, p, k, calls)
+
+
+@pytest.fixture
+def settling_orders(monkeypatch) -> list[int]:
+    """The order at which each tricomi_u quadrature settles: the highest
+    Gauss-Legendre order one call asks for (closed forms ask for none)."""
+    settled, asked = [], []
+    gauss_legendre, plain = specfun._gauss_legendre, specfun.tricomi_u
+
+    def recorded(n):
+        asked.append(n)
+        return gauss_legendre(n)
+
+    def u(a, b, t):
+        asked.clear()
+        value = plain(a, b, t)
+        if asked:
+            settled.append(max(asked))
+        return value
+
+    monkeypatch.setattr(specfun, "_gauss_legendre", recorded)
+    for module in (specfun, kernels, distributions):
+        monkeypatch.setattr(module, "tricomi_u", u)
+    return settled
+
+
+def test_finite_point_quadratures_settle_at_order_96(settling_orders) -> None:
+    # The bulk u = 4pt of the four finite_large cases: the window is tight
+    # enough that orders 48 and 96 already agree.
+    for quantity, p, k in POINT_CALLS:
+        for u in np.linspace(30.0, 350.0, 10):
+            quantity(FiniteSpec(p=p, k=k, t=u / (4 * p)))
+    assert settling_orders and set(settling_orders) == {96}
+
+
+def test_random_argument_quadratures_settle_by_order_768(settling_orders,
+                                                         monkeypatch) -> None:
+    # Flat integrands (b = 1, tiny t) need the highest orders.  The cap
+    # turns a window that needs more into a quick RuntimeError.
+    monkeypatch.setattr(specfun, "_MAX_ORDER", 768)
+    for args in _random_arguments():
+        specfun.tricomi_u(*args)
+    assert max(settling_orders) <= 768
 
 
 def test_finite_point_factors_one_tridiagonal_system_per_ladder(monkeypatch) -> None:
