@@ -165,7 +165,6 @@ def _finite_value(gamma: int, spec: FiniteSpec) -> float:
     # The raw kernel block is pf * t^tpow; at k = 0 it is empty.
     tpow = k * (gamma + 0.5) + k * (k - 1) / 2.0
     matrix, border = np.zeros((0, 0)), None
-    prefactor = (a_half, 1.5 + gamma)
     if k > 0:
         # Far in the tail the entries overflow; _pfaffian_value reports it.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -174,17 +173,14 @@ def _finite_value(gamma: int, spec: FiniteSpec) -> float:
             if odd:
                 border = border_column(tables, k)
                 tpow = tpow + gamma - 0.5
-        # Often a chain anchor or a border value of the same tables.
-        u_pre = tables.u(*prefactor)
-    else:
-        u_pre = tricomi_u(*prefactor, 0.5 * t)
     ln_pre = _ln_constant(p, k, gamma) + gammaln(a_half) - 0.5 * p * t \
         + power * math.log(4.0 * p * t) + tpow * math.log(t)
     if gamma == 0:
         ln_pre = ln_pre - math.log(2.0 * math.sqrt(2.0 * p))
     else:
         ln_pre = ln_pre - math.log(2.0) - 1.5 * math.log(2.0 * p) + math.log(4.0 * p)
-    return _pfaffian_value(gamma, matrix, border, u_pre, ln_pre, "finite-p", p=p, k=k, t=t)
+    ln_pre = ln_pre + tricomi_u(a_half, 1.5 + gamma, 0.5 * t).log_magnitude
+    return _pfaffian_value(gamma, matrix, border, ln_pre, "finite-p", p=p, k=k, t=t)
 
 
 def gap_finite(spec: FiniteSpec) -> float:

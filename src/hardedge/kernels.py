@@ -19,11 +19,12 @@ The entries are built over standard Laguerre values L_n^(mu)(-t), which
 are positive and come from a coupled forward recurrence that only adds
 positive terms, so matrices remain accurate for polynomial counts in the
 thousands where factorial-laden expressions overflow.  Every Tricomi U
-ratio is read off whole chains U(a0 + i, b, t/2), one call of
-specfun.tricomi_u_chain (one tridiagonal solve) per ladder a0 = 0 or 1/2,
-held with the Laguerre rows in one BulkTables per evaluation point.  The
-independent routes the tests check these entries against (the polynomial
-pair sum and the closed Christoffel-Darboux form) live in
+ratio is read off whole chains U(1/2 + i, b, t/2), one call of
+specfun.tricomi_u_chain (one tridiagonal solve) per evaluation point; the
+integer-a values map onto that ladder through Kummer's transformation.
+The chains are held with the Laguerre rows in one BulkTables per point.
+The independent routes the tests check these entries against (the
+polynomial pair sum and the closed Christoffel-Darboux form) live in
 hardedge.reference.kernels.
 """
 
@@ -36,7 +37,7 @@ import numpy as np
 from scipy.linalg.blas import dtbsv
 from scipy.special import poch
 
-from .specfun import LogScaled, tricomi_u, tricomi_u_chain
+from .specfun import tricomi_u_chain
 
 __all__ = ["BulkTables", "kernel_matrix", "border_column"]
 
@@ -62,20 +63,23 @@ class BulkTables:
     """The Tricomi U ratios and Laguerre rows the bulk route reads for one
     (gamma, l, t).
 
-    Every U that kernel_matrix and border_column use is U(a, b, t/2) with a
-    on one of two ladders a0 + i, a0 = 0 or 1/2.  Each ladder is built
-    whole on first use, up to the highest a the route reads, for its
-    consecutive set of b in one tricomi_u_chain call: gamma - 1/2 up to
-    gamma + 3/2 on a0 = 1/2, and h = 1/2 - gamma on a0 = 0; the hatted set
-    (odd l) also reads h on a0 = 1/2 and h + 1 on a0 = 0.  That is one
-    tridiagonal solve per ladder, and a quadrature for each chain top.  The
-    U values taken directly (the chain anchors, the border mix above a
-    ladder top and the prefactor of the finite-p assembly) go through one
-    memo, so a U that is also a chain anchor is evaluated once.  The
-    Laguerre rows L_n^(2 gamma + m)(-t), and the skewed copy of them that
-    the kernel reads in strided blocks, are built once as well.  One table
-    serves one evaluation point: it is made per call and shared by the
-    kernel matrix, its border column and the prefactor.
+    Every U that kernel_matrix and border_column use is U(a, b, z) at
+    z = t/2 with a an integer or a half-integer.  The half-integer values
+    lie on one ladder U(1/2 + i, b, z), built whole on first use, up to
+    i = gamma + l // 2, for the consecutive b from gamma - 1/2 up to
+    gamma + 3/2, extended down to h = 1/2 - gamma for the hatted set of
+    odd l, in one tricomi_u_chain call: one tridiagonal solve, and a
+    quadrature for each chain top.  The integer-a values map onto it
+    through Kummer's transformation (DLMF 13.2.40)
+
+        U(a, b, z) = z^(1 - b) U(a - b + 1, 2 - b, z),
+
+    which at the b = h and h + 1 the route reads lands on half-integer a
+    and on b = gamma + 3/2 and gamma + 1/2.  The Laguerre rows
+    L_n^(2 gamma + m)(-t), and the skewed copy of them that the kernel
+    reads in strided blocks, are built once as well.  One table serves one
+    evaluation point: it is made per call and shared by the kernel matrix
+    and its border column.
 
     gamma is the weight power (0 for gap matrices, 1 for density ones), l
     the number of polynomials paired (odd counts switch to the hatted set)
@@ -94,32 +98,28 @@ class BulkTables:
                 f"l * t = {l * t:.3g} exceeds the stable range {_RECURRENCE_ENVELOPE:.3g} "
                 "of the Laguerre forward recurrence")
         self.gamma, self.l, self.t = gamma, l, t
-        self._tops = {0.0: l // 2, 0.5: gamma + (l - 1) // 2}
-        # Lowest b and number of consecutive b per ladder.
-        hatted, h = l % 2, 0.5 - gamma
-        low = min(gamma - 0.5, h) if hatted else gamma - 0.5
-        self._b_sets = {0.0: (h, 1 + hatted), 0.5: (low, int(gamma + 2.5 - low))}
-        self._chains: dict[tuple[float, float], tuple[np.ndarray, float]] = {}
-        self._direct: dict[tuple[float, float], LogScaled] = {}
+        self._chains: dict[float, tuple[np.ndarray, float]] = {}
         self._rows = np.empty((0, l + 1))
         self._skewed = np.empty((0, 0))
 
-    def u(self, a: float, b: float) -> LogScaled:
-        """U(a, b, t/2) by tricomi_u, evaluated at most once per table."""
-        if (a, b) not in self._direct:
-            self._direct[a, b] = tricomi_u(a, b, self.t / 2.0)
-        return self._direct[a, b]
-
-    def _segment(self, a: float, b: float, count: int) -> tuple[np.ndarray, float]:
-        a0, start = a % 1.0, int(a)
-        if (a0, b) not in self._chains:
-            low, n_b = self._b_sets[a0]
-            chains = tricomi_u_chain(a0, low, self.t / 2.0, self._tops[a0], self.u, n_b)
-            self._chains.update(((a0, low + j), chain) for j, chain in enumerate(chains))
-        w, log_scale = self._chains[a0, b]
+    def _segment(self, a: float, b: float,
+                 count: int) -> tuple[np.ndarray, float, float]:
+        """U(a + i, b, z) = w[i] exp(log_scale) / Gamma(a' + i + 1), i < count,
+        as (w, log_scale, a'): a' = a on the ladder, a - b + 1 off it."""
+        z = self.t / 2.0
+        if a % 1.0 == 0.0:
+            w, log_scale, a_half = self._segment(a - b + 1.0, 2.0 - b, count)
+            return w, log_scale + (1.0 - b) * math.log(z), a_half
+        if not self._chains:
+            gamma, l = self.gamma, self.l
+            low = min(gamma - 0.5, 0.5 - gamma) if l % 2 else gamma - 0.5
+            chains = tricomi_u_chain(0.5, low, z, gamma + l // 2, int(gamma + 2.5 - low))
+            self._chains = {low + j: chain for j, chain in enumerate(chains)}
+        w, log_scale = self._chains[b]
+        start = int(a)
         if start + count > len(w):
             raise IndexError(f"U({a} + {count - 1}, {b}) is past the chain top")
-        return w[start:start + count], log_scale
+        return w[start:start + count], log_scale, a
 
     def quotient(self, num: tuple[float, float], den: tuple[float, float],
                  count: int) -> np.ndarray:
@@ -128,9 +128,8 @@ class BulkTables:
         num = (a_n, b_n) and den = (a_d, b_d); a_n and a_d are integers or
         half-integers.
         """
-        (a_num, b_num), (a_den, b_den) = num, den
-        w_num, s_num = self._segment(a_num, b_num, count)
-        w_den, s_den = self._segment(a_den, b_den, count)
+        w_num, s_num, a_num = self._segment(*num, count)
+        w_den, s_den, a_den = self._segment(*den, count)
         return w_num / w_den * math.exp(s_num - s_den) \
             * _gamma_run(a_den + 1.0, a_num - a_den, count)
 
@@ -138,11 +137,7 @@ class BulkTables:
         """U(a, gamma + 1/2, t/2) / U(a, gamma + 3/2, t/2) at a = gamma + (l-1)/2,
         the coefficient mixing the two border terms."""
         a = self.gamma + (self.l - 1) / 2.0
-        num, den = (a, self.gamma + 0.5), (a, self.gamma + 1.5)
-        if int(a) <= self._tops[a % 1.0]:
-            return float(self.quotient(num, den, 1)[0])
-        # An integer a above the integer ladder's top: two direct values.
-        return (self.u(*num) / self.u(*den)).value
+        return float(self.quotient((a, self.gamma + 0.5), (a, self.gamma + 1.5), 1)[0])
 
     def laguerre_rows(self, count: int) -> np.ndarray:
         """Standard Laguerre values L_n^(2 gamma + m)(-t), m < count, n = 0..l.

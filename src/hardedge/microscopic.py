@@ -50,9 +50,8 @@ def _in_range(value: float, gamma: int) -> bool:
 
 
 def _pfaffian_value(gamma: int, matrix: np.ndarray, border: np.ndarray | None,
-                    factor: LogScaled, ln_scale: float, regime: str,
-                    **point: float) -> float:
-    """factor * exp(ln_scale) times the Pfaffian of the kernel block `matrix`,
+                    ln_scale: float, regime: str, **point: float) -> float:
+    """exp(ln_scale) times the Pfaffian of the kernel block `matrix`,
     bordered as [[matrix, border], [-border^T, 0]] when `border` is given.
     A non-finite Pfaffian, or a value _in_range rejects, raises RuntimeError
     naming the regime, gamma and the point."""
@@ -69,7 +68,7 @@ def _pfaffian_value(gamma: int, matrix: np.ndarray, border: np.ndarray | None,
         pf = pfaffian(AntisymmetricMatrix(data=matrix))
     if not math.isfinite(pf):
         raise RuntimeError(f"kernel Pfaffian is {pf} at gamma={gamma}, {where}")
-    value = (factor * LogScaled.from_value(pf)).scaled(ln_scale).value
+    value = LogScaled.from_value(pf).scaled(ln_scale).value
     if not _in_range(value, gamma):
         raise RuntimeError(f"{regime} value {value} is impossible at "
                            f"gamma={gamma}, {where}")
@@ -211,8 +210,8 @@ def _micro_value(gamma: int, k: int, u: float) -> float:
     border = _border_balanced(gamma, k, u) if k % 2 else None
     if k % 2 and gamma == 0:
         ln_scale += math.log(0.25)
-    return _pfaffian_value(gamma, _matrix_balanced(gamma, k, u), border,
-                           LogScaled(0.0, 1), ln_scale, "hard-edge limit", k=k, u=u)
+    return _pfaffian_value(gamma, _matrix_balanced(gamma, k, u), border, ln_scale,
+                           "hard-edge limit", k=k, u=u)
 
 
 def gap_micro(k: int, u: float) -> float:

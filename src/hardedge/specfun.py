@@ -252,7 +252,7 @@ def tricomi_u(a: float, b: float, t: float) -> LogScaled:
     return LogScaled(h_peak + math.log(total) - math.lgamma(a), 1)
 
 
-def tricomi_u_chain(a0: float, b: float, t: float, n: int, u,
+def tricomi_u_chain(a0: float, b: float, t: float, n: int,
                     count: int) -> list[tuple[np.ndarray, float]]:
     """Tricomi U(a0 + i, b + j, t) for i = 0..n and j = 0..count-1 at once,
     in scaled form.
@@ -265,12 +265,13 @@ def tricomi_u_chain(a0: float, b: float, t: float, n: int, u,
     accurate where the log of U itself runs into the thousands.  All chains
     share the log_scale of the lowest one.
 
-    Only the anchors come from ``u(a, b)``, which returns U(a, b, t) as a
-    LogScaled (:func:`tricomi_u` at this t, or a memo of it): both ends of
-    the lowest chain (none for U(0, b, t) = 1) and the top of each further
-    one.  The interior of the lowest chain solves the three-term recurrence
-    in a (DLMF 13.3.7) as a boundary-value problem (Olver 1967; Gil, Segura
-    and Temme 2007, ch. 4): with w_a = Gamma(a + 1) U(a, b, t) it reads
+    Only the anchors are evaluated, each by one :func:`tricomi_u` call:
+    both ends of the lowest chain and the top of each further one, count + 1
+    calls in all (count at n = 0).  The bottoms U(0, b, t) = 1 and the
+    closed-form U(1/2, b, t) cost no quadrature.  The interior of the
+    lowest chain solves the three-term recurrence in a (DLMF 13.3.7) as a
+    boundary-value problem (Olver 1967; Gil, Segura and Temme 2007, ch. 4):
+    with w_a = Gamma(a + 1) U(a, b, t) it reads
 
         a w_{a-1} + (b - 2a - t) w_a + a (a - b + 1) / (a + 1) w_{a+1} = 0,
 
@@ -302,11 +303,12 @@ def tricomi_u_chain(a0: float, b: float, t: float, n: int, u,
         raise ValueError("tricomi_u_chain requires a0 >= 0, n >= 0 and count >= 1, "
                          f"got a0={a0}, n={n}, count={count}")
     top_a = a0 + n
-    w, log_scale = _solved_chain(a0, b, t, n, u)
+    w, log_scale = _solved_chain(a0, b, t, n)
     chains = [(w, log_scale)]
     a = a0 + np.arange(n + 1.0)
     for j in range(1, count):
-        top = math.exp(u(top_a, b + j).log_magnitude + math.lgamma(top_a + 1.0) - log_scale)
+        ln_top = tricomi_u(top_a, b + j, t).log_magnitude + math.lgamma(top_a + 1.0)
+        top = math.exp(ln_top - log_scale)
         # S_{a+1} for a = a0..a0+n-1, as a reverse cumulative sum (empty at n = 0).
         tail = np.cumsum((np.append(w[1:-1], top) / a[1:])[::-1])[::-1]
         w = np.append(w[:-1] + a[:-1] * tail, top)
@@ -321,12 +323,12 @@ def _check_range(w: np.ndarray, a0: float, b: float, t: float, n: int) -> None:
             f"Tricomi U chain left the double range for a0={a0}, b={b}, t={t}, n={n}")
 
 
-def _solved_chain(a0: float, b: float, t: float, n: int, u) -> tuple[np.ndarray, float]:
+def _solved_chain(a0: float, b: float, t: float, n: int) -> tuple[np.ndarray, float]:
     """The lowest chain of :func:`tricomi_u_chain`: anchors and tridiagonal solve."""
-    ln_lo = 0.0 if a0 == 0.0 else u(a0, b).log_magnitude + math.lgamma(a0 + 1.0)
+    ln_lo = tricomi_u(a0, b, t).log_magnitude + math.lgamma(a0 + 1.0)
     if n == 0:
         return np.ones(1), ln_lo
-    ln_hi = u(a0 + n, b).log_magnitude + math.lgamma(a0 + n + 1.0)
+    ln_hi = tricomi_u(a0 + n, b, t).log_magnitude + math.lgamma(a0 + n + 1.0)
     log_scale = max(ln_lo, ln_hi)
     w = np.empty(n + 1)
     w[0], w[-1] = math.exp(ln_lo - log_scale), math.exp(ln_hi - log_scale)

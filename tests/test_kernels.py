@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from hardedge import kernels, specfun
+from hardedge import specfun
 from hardedge.kernels import BulkTables, border_column, kernel_matrix
 from hardedge.reference.kernels import KernelSpec, kernel_cd, kernel_sum, xi_big, xi_small
 from hardedge.reference.sop import WeightParams, partition_z_t, weight
@@ -218,7 +218,6 @@ def test_size_one_matrix_is_zero_without_quadrature(monkeypatch) -> None:
         raise AssertionError(f"tricomi_u{args} evaluated")
 
     monkeypatch.setattr(specfun, "tricomi_u", forbidden)
-    monkeypatch.setattr(kernels, "tricomi_u", forbidden)
     for gamma in (0, 1):
         for l in (4, 5, 1001):
             matrix = kernel_matrix(BulkTables(gamma, l, 0.3), 1)

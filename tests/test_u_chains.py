@@ -33,8 +33,7 @@ def _hyperu(a: float, b: float, z: float):
 
 
 def _chains(a0: float, b: float, z: float, n: int, count: int = 1):
-    """tricomi_u_chain with its anchors straight from tricomi_u."""
-    return tricomi_u_chain(a0, b, z, n, lambda a, b: tricomi_u(a, b, z), count)
+    return tricomi_u_chain(a0, b, z, n, count)
 
 
 @pytest.mark.parametrize("a0", [0.0, 0.5])
@@ -269,13 +268,34 @@ def test_reading_past_the_chain_top_raises_under_optimization() -> None:
     assert "past the chain top" in done.stdout
 
 
-# tricomi_u calls per bulk point: the lowest chain of each ladder takes its
-# bottom (closed form) and top, each further b its top; the border mix
-# above a ladder top takes two values, the prefactor one unless the memo
-# holds it already (a chain top at gap p=1000, k=3, a border value at
-# smallest p=1000, k=3).
-POINT_CALLS = {(gap_finite, 500, 4): 6, (gap_finite, 1000, 3): 5,
-               (smallest_finite, 500, 4): 8, (smallest_finite, 1000, 3): 9}
+@pytest.mark.parametrize("gamma", [0, 1])
+@pytest.mark.parametrize("l", [12, 13, 404, 405])
+@pytest.mark.parametrize("z", [1e-4, 0.1, 5.0])
+def test_integer_a_reads_match_mpmath(gamma: int, l: int, z: float) -> None:
+    # The integer-a values come off the half-integer ladder through Kummer's
+    # transformation.  test_assembly_matches_mpmath_ratios replaces quotient
+    # wholesale, so only this test checks the values it reads.
+    tables = BulkTables(gamma, l, 2.0 * z)
+    h, odd = 0.5 - gamma, l % 2
+    count = (l - 1) // 2 if odd else l // 2
+    reads = [((1.0, h), (0.0, h), count), ((1.0, h + 1.0), (0.0, h), count)]
+    if odd:
+        reads.append(((0.5, h), (0.0, h), count + 1))
+    for num, den, n in reads:
+        got = tables.quotient(num, den, n)
+        for i in sorted({0, 1, n // 2, n - 1}):
+            want = _hyperu(num[0] + i, num[1], z) / _hyperu(den[0] + i, den[1], z)
+            assert got[i] == pytest.approx(float(want), rel=1e-12, abs=0.0), (num, den, i)
+    a = gamma + (l - 1) / 2.0
+    want = _hyperu(a, gamma + 0.5, z) / _hyperu(a, gamma + 1.5, z)
+    assert tables.border_mix() == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+# tricomi_u calls per bulk point: the lowest chain of the ladder takes its
+# bottom (closed form) and top, each further b its top, and the prefactor
+# one more.
+POINT_CALLS = {(gap_finite, 500, 4): 5, (gap_finite, 1000, 3): 5,
+               (smallest_finite, 500, 4): 6, (smallest_finite, 1000, 3): 6}
 
 
 def test_finite_point_needs_few_quadratures(monkeypatch) -> None:
@@ -285,7 +305,7 @@ def test_finite_point_needs_few_quadratures(monkeypatch) -> None:
         calls.append(a)
         return tricomi_u(a, b, t)
 
-    for module in (specfun, kernels, distributions):
+    for module in (specfun, distributions):
         monkeypatch.setattr(module, "tricomi_u", counted)
     for (quantity, p, k), count in POINT_CALLS.items():
         calls.clear()
@@ -312,7 +332,7 @@ def settling_orders(monkeypatch) -> list[int]:
         return value
 
     monkeypatch.setattr(specfun, "_gauss_legendre", recorded)
-    for module in (specfun, kernels, distributions):
+    for module in (specfun, distributions):
         monkeypatch.setattr(module, "tricomi_u", u)
     return settled
 
@@ -336,18 +356,24 @@ def test_random_argument_quadratures_settle_by_order_768(settling_orders,
     assert max(settling_orders) <= 768
 
 
-def test_finite_point_factors_one_tridiagonal_system_per_ladder(monkeypatch) -> None:
-    factorisations = []
+def test_finite_point_factors_one_tridiagonal_system_per_point(monkeypatch) -> None:
+    factorisations, chains = [], []
 
     def counted(*args):
         factorisations.append(args)
         return dgttrf(*args)
 
+    def chain(*args):
+        chains.append(args)
+        return tricomi_u_chain(*args)
+
     monkeypatch.setattr(specfun, "dgttrf", counted)
+    monkeypatch.setattr(kernels, "tricomi_u_chain", chain)
     for quantity, p, k in POINT_CALLS:
         factorisations.clear()
+        chains.clear()
         quantity(FiniteSpec(p=p, k=k, t=50.0 / (4 * p)))
-        assert len(factorisations) == 2, (quantity.__name__, p, k)
+        assert len(factorisations) == 1 and len(chains) == 1, (quantity.__name__, p, k)
 
 
 def _laguerre_mp(n: int, mu: int, t: float):
