@@ -7,8 +7,8 @@ one-dimensional integrals of Bessel-I products, taken here for a whole
 k x k matrix in one array-valued quadrature, whose integrand evaluates the
 reduced Bessel functions at two orders and recurs down to the others.  That
 quadrature, and the one of the level density, is the order-doubling
-Gauss-Legendre loop that specfun.tricomi_u also runs, here with the
-tolerance 1e-11 * max(1, |value|).
+Gauss-Legendre loop that specfun.tricomi_u also runs, on the same ladder
+of orders from 48 to 3072, here with the tolerance 1e-11 * max(1, |value|).
 One assembly turns the entries into the limiting gap probability
 (gamma = 0) and smallest-eigenvalue density (gamma = 1); its last step,
 _pfaffian_value, is shared with the finite-p assembly.  The Bessel level
@@ -163,8 +163,7 @@ def _matrix_balanced(gamma: int, k: int, u: float) -> np.ndarray:
             * (beta[lower] * alpha[upper] - beta[upper] * alpha[lower])
 
     scale = 4.0 ** (-(2 * gamma + upper + lower + 2))
-    order = math.ceil(20.0 + 3.0 * math.sqrt(u))
-    values = scale * _settled_integral(integrand, order, 1e-11, 1.0,
+    values = scale * _settled_integral(integrand, 1e-11, 1.0,
                                        f"limiting kernel quadrature at gamma={gamma}, "
                                        f"k={k}, u={u}")
     data[upper, lower] = values
@@ -220,8 +219,8 @@ def gap_micro(k: int, u: float) -> float:
     The exact power of u cancels the u^(-k^2/2) prefactor analytically, so
     the value tends to 1 as u -> 0.
     """
-    if not u >= 0.0:
-        raise ValueError(f"u must be non-negative, got {u}")
+    if not 0.0 <= u < math.inf:
+        raise ValueError(f"u must be finite and non-negative, got {u}")
     return _micro_value(0, k, u)
 
 
@@ -231,8 +230,8 @@ def smallest_micro(k: int, u: float) -> float:
     Both parities reduce to the same exact power u^((2k-1)/2) after
     balancing, which reproduces the u^(k - 1/2) vanishing at the origin.
     """
-    if not u > 0.0:
-        raise ValueError(f"u must be positive, got {u}")
+    if not 0.0 < u < math.inf:
+        raise ValueError(f"u must be finite and positive, got {u}")
     return _micro_value(1, k, u)
 
 
@@ -244,8 +243,8 @@ def micro_density(nu: int, u: float) -> float:
     """
     if nu < 0:
         raise ValueError(f"nu must be non-negative, got {nu}")
-    if u <= 0.0:
-        raise ValueError(f"u must be positive, got {u}")
+    if not 0.0 < u < math.inf:
+        raise ValueError(f"u must be finite and positive, got {u}")
     root = math.sqrt(u)
     j_mid = jv(nu, root)
     j_down = jv(nu - 1, root)
@@ -254,8 +253,7 @@ def micro_density(nu: int, u: float) -> float:
     def integrand(s: np.ndarray) -> np.ndarray:
         return jv(nu, root * s)
 
-    order = math.ceil(20.0 + 2.0 * root)
-    partial = root * _settled_integral(integrand, order, 1e-11, 1.0,
+    partial = root * _settled_integral(integrand, 1e-11, 1.0,
                                        f"level density quadrature at nu={nu}, u={u}")
     return 0.25 * (j_mid * j_mid - j_down * j_up) \
         + j_mid * (1.0 - partial) / (4.0 * root)

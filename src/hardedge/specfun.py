@@ -8,9 +8,9 @@ a window found without a root finder: the peak in closed form, the
 edges by doubling out from the Laplace estimate.  Its order-doubling
 Gauss-Legendre loop is the only one in the package: the hard-edge
 quadratures in ``microscopic`` run through it as well, each caller with
-its own tolerance.  The functions only the reference routes use
-(log-gamma, monic Laguerre polynomials, Bessel functions) live in
-``hardedge.reference.specfun``.
+its own tolerance, all on one ladder of orders 48, 96, ..., 3072.  The
+functions only the reference routes use (log-gamma, monic Laguerre
+polynomials, Bessel functions) live in ``hardedge.reference.specfun``.
 
 Quantities such as Gamma[(p+k+1)/2] * U(...) pair enormous factors that cancel
 only at the very end of an assembly, so every function that can leave the
@@ -122,19 +122,20 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[n]
 
 
-# Highest Gauss-Legendre order tried before giving up.
-_MAX_ORDER = 12288
+# Highest Gauss-Legendre order tried: the ladder 48, 96, ..., 3072 of seven rules.
+_MAX_ORDER = 3072
 
 
-def _settled_integral(integrand, order: int, tol: float, floor: float, what: str):
-    """Integrate over [0, 1] by Gauss-Legendre, doubling the order from
-    ``order`` until two successive values agree to tol * max(floor, |value|).
+def _settled_integral(integrand, tol: float, floor: float, what: str):
+    """Integrate over [0, 1] by Gauss-Legendre, doubling the order from 48
+    until two successive values agree to tol * max(floor, |value|).
 
     The integrand may be array-valued, nodes on its last axis, as for a whole
-    kernel matrix; the order doubles until every entry has settled.  Raises
-    RuntimeError naming ``what`` once the order would pass 12288.
+    kernel matrix; the order doubles until every entry has settled.  Every
+    caller climbs the same ladder, so the rule cache holds at most seven
+    rules.  Raises RuntimeError naming ``what`` once the order would pass 3072.
     """
-    order, previous = max(order, 8), None
+    order, previous = 48, None
     while order <= _MAX_ORDER:
         nodes, weights = _gauss_legendre(order)
         current = integrand(0.5 * (nodes + 1.0)) @ (0.5 * weights)
@@ -204,7 +205,7 @@ def tricomi_u(a: float, b: float, t: float) -> LogScaled:
     anchor of :func:`tricomi_u_chain`, so it is evaluated up to a ~ l/2 for
     l kernel polynomials; tested up to a = 2003 and t down to 1e-8, without
     overflow or underflow.  Raises ValueError for a non-finite argument,
-    a < 0 or t <= 0, and RuntimeError if not settled by order 12288.
+    a < 0 or t <= 0, and RuntimeError if not settled by order 3072.
     """
     if not (a >= 0.0 and t > 0.0 and all(map(math.isfinite, (a, b, t)))):
         raise ValueError("tricomi_u requires finite a >= 0, b and t > 0, "
@@ -247,7 +248,7 @@ def tricomi_u(a: float, b: float, t: float) -> LogScaled:
         # The two sides of the peak, each mapped onto [0, 1], summed.
         return widths @ np.exp(h(starts + widths[:, None] * s) - h_peak)
 
-    total = _settled_integral(integrand, 48, 5e-13, 0.0,
+    total = _settled_integral(integrand, 5e-13, 0.0,
                               f"Tricomi U quadrature for a={a}, b={b}, t={t}")
     return LogScaled(h_peak + math.log(total) - math.lgamma(a), 1)
 

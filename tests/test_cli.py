@@ -56,6 +56,17 @@ def test_micro_point_rejects_negative_u(capsys: pytest.CaptureFixture[str]) -> N
     assert main(["micro", "--quantity", "smallest", "--k", "0", "--u", "-1"]) == 2
 
 
+@pytest.mark.parametrize("u", ["inf", "nan"])
+@pytest.mark.parametrize("quantity", [["gap", "--k", "2"], ["smallest", "--k", "2"],
+                                      ["density", "--nu", "2"]], ids=lambda q: q[0])
+def test_micro_point_rejects_non_finite_u(quantity: list[str], u: str,
+                                          capsys: pytest.CaptureFixture[str]) -> None:
+    # A parameter error from the library, not a numerical failure.
+    assert main(["micro", "--quantity", *quantity, "--u", u]) == 2
+    assert re.search(f"u must be finite and (non-negative|positive), got {u}",
+                     capsys.readouterr().err)
+
+
 def test_micro_gap_at_zero(capsys: pytest.CaptureFixture[str]) -> None:
     assert main(["micro", "--quantity", "gap", "--k", "0", "--u", "0"]) == 0
     assert float(capsys.readouterr().out.strip()) == 1.0
@@ -375,7 +386,35 @@ def test_unsettled_quadrature_fails_validation(
     monkeypatch.setattr(specfun, "_gauss_legendre",
                         lambda n: (np.zeros(n), np.full(n, float(n))))
     assert main(["micro", "--quantity", "gap", "--k", "3", "--u", "10"]) == 3
-    assert "order 12288" in capsys.readouterr().err
+    assert "order 3072" in capsys.readouterr().err
+
+
+# Every quadrature starts at order 48 and doubles up to 3072.
+LADDER = {48 * 2 ** j for j in range(7)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["micro", "--quantity", "smallest", "--k", "3", "--u-min", "20", "--u-max", "250"],
+    ["mc", "--p", "200", "--nu", "4", "--samples", "200", "--compare", "micro"],
+    ["converge", "--k", "4", "--p", "10,20,40"],
+], ids=["micro", "mc", "converge"])
+def test_cold_run_climbs_one_quadrature_ladder(
+        argv: list[str], monkeypatch: pytest.MonkeyPatch,
+        capsys: pytest.CaptureFixture[str]) -> None:
+    # Tricomi U, the limiting kernel and the level density share one
+    # ladder of rules, so a cold run caches at most its seven rules
+    # instead of one rule per u.
+    asked, gauss_legendre = [], specfun._gauss_legendre
+
+    def recorded(n):
+        asked.append(n)
+        return gauss_legendre(n)
+
+    monkeypatch.setattr(specfun, "_GL_CACHE", {})
+    monkeypatch.setattr(specfun, "_gauss_legendre", recorded)
+    assert main(argv) == 0
+    assert asked and set(asked) <= LADDER, sorted(set(asked))
+    assert len(specfun._GL_CACHE) <= 7
 
 
 def test_selftest_passes(capsys: pytest.CaptureFixture[str]) -> None:

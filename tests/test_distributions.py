@@ -20,7 +20,7 @@ from hardedge.distributions import (
     smallest_finite,
     tabulate,
 )
-from hardedge.microscopic import gap_micro, smallest_micro
+from hardedge.microscopic import gap_micro
 from hardedge.reference.distributions import closed_form_k0, closed_form_k1
 from hardedge.reference.sop import half_power_average, partition_z
 
@@ -333,10 +333,9 @@ def test_overflowing_pfaffian_raises(quantity: str) -> None:
 
 @pytest.mark.parametrize("evaluate, point", [
     (lambda: gap_micro(14, 0.01), "gamma=0, k=14, u=0.01"),
-    (lambda: smallest_micro(11, 1000.0), "gamma=1, k=11, u=1000.0"),
     (lambda: gap_finite(FiniteSpec(p=1000, k=8, t=0.125)),
      "gamma=0, p=1000, k=8, t=0.125"),
-], ids=["gap-limit-k14", "density-limit-k11", "gap-finite-k8"])
+], ids=["gap-limit-k14", "gap-finite-k8"])
 def test_impossible_values_raise(evaluate, point: str) -> None:
     # Where the assembly loses every digit it returns a probability outside
     # [0, 1] or a negative density; that must fail by name instead of

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -205,7 +208,7 @@ def _never_settles(n):
 
 def test_unsettled_kernel_quadrature_raises(monkeypatch) -> None:
     monkeypatch.setattr(specfun, "_gauss_legendre", _never_settles)
-    with pytest.raises(RuntimeError, match=r"gamma=0, k=3, u=10\.0.*order 12288"):
+    with pytest.raises(RuntimeError, match=r"gamma=0, k=3, u=10\.0.*order 3072"):
         gap_micro(3, 10.0)
 
 
@@ -328,6 +331,68 @@ def test_density_tracks_smallest_at_small_u() -> None:
         rho = micro_density(nu, 0.01)
         dens = smallest_micro(nu // 2, 0.01)
         assert abs(rho - dens) / rho <= 1e-2
+
+
+def _bessel_j_integral(nu: int, x: mpmath.mpf) -> mpmath.mpf:
+    """int_0^x J_nu without quadrature: Abramowitz & Stegun 11.1.7 for
+    nu = 0 (through Struve H), 1 - J_0(x) for nu = 1, then
+    int J_(n+1) = int J_(n-1) - 2 J_n(x)."""
+    j0, j1 = mpmath.besselj(0, x), mpmath.besselj(1, x)
+    if nu % 2 == 0:
+        total = x * j0 + mpmath.pi * x / 2 \
+            * (j1 * mpmath.struveh(0, x) - j0 * mpmath.struveh(1, x))
+    else:
+        total = 1 - j0
+    for n in range(nu % 2 + 1, nu, 2):
+        total -= 2 * mpmath.besselj(n, x)
+    return total
+
+
+@pytest.mark.parametrize("nu", [0, 3, 4, 9])
+def test_density_matches_closed_form_bessel_integral(nu: int) -> None:
+    # Far out at the hard edge the partial integral of J_nu oscillates
+    # over ~sqrt(u) / pi periods; the quadrature must still settle on it.
+    for u in (1.0, 1e2, 1e4, 1e6):
+        with mpmath.workdps(30):
+            x = mpmath.sqrt(u)
+            down, mid, up = (mpmath.besselj(n, x) for n in (nu - 1, nu, nu + 1))
+            want = (mid * mid - down * up) / 4 \
+                + mid * (1 - _bessel_j_integral(nu, x)) / (4 * x)
+        assert micro_density(nu, u) == pytest.approx(float(want), rel=1e-11), u
+
+
+@pytest.mark.parametrize("evaluate", [gap_micro, smallest_micro, micro_density])
+def test_limit_rejects_non_finite_u(monkeypatch, evaluate) -> None:
+    # Rejected before any quadrature, which would otherwise climb its
+    # ladder on a NaN.
+    def no_quadrature(*args):
+        raise AssertionError("reached the quadrature")
+
+    monkeypatch.setattr(microscopic, "_settled_integral", no_quadrature)
+    for u in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            evaluate(2, u)
+
+
+def test_limit_rejects_non_finite_u_under_optimization() -> None:
+    # The checks must not depend on assertions being enabled.
+    script = (
+        "import hardedge.microscopic as m\n"
+        "def no_quadrature(*args):\n"
+        "    raise SystemExit('reached the quadrature')\n"
+        "m._settled_integral = no_quadrature\n"
+        "for evaluate in (m.gap_micro, m.smallest_micro, m.micro_density):\n"
+        "    for u in (float('nan'), float('inf')):\n"
+        "        try:\n"
+        "            evaluate(2, u)\n"
+        "        except ValueError:\n"
+        "            continue\n"
+        "        raise SystemExit(f'{evaluate.__name__} accepted {u}')\n"
+    )
+    src = str(Path(microscopic.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env={"PYTHONPATH": src})
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_density_rejects_non_positive_argument() -> None:

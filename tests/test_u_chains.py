@@ -153,7 +153,7 @@ def _never_settles(n):
 
 def test_tricomi_u_nonconvergence_raises(monkeypatch) -> None:
     monkeypatch.setattr(specfun, "_gauss_legendre", _never_settles)
-    with pytest.raises(RuntimeError, match=r"a=2\.5, b=0\.5, t=0\.25.*order 12288"):
+    with pytest.raises(RuntimeError, match=r"a=2\.5, b=0\.5, t=0\.25.*order 3072"):
         tricomi_u(2.5, 0.5, 0.25)
 
 
@@ -175,7 +175,7 @@ def test_tricomi_u_nonconvergence_raises_under_optimization() -> None:
     done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                           text=True, timeout=120, env={"PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    assert "order 12288" in done.stdout
+    assert "order 3072" in done.stdout
 
 
 NAN, INF = math.nan, math.inf
@@ -189,7 +189,7 @@ BAD_TRICOMI = ((-1.0, 0.5, 1.0), (2.5, 0.5, 0.0), (2.5, 0.5, -1.0),
 
 def test_tricomi_u_rejects_bad_arguments(monkeypatch) -> None:
     # Rejected before any quadrature: a NaN would otherwise climb the
-    # order-doubling loop to its 12288-node cap.
+    # order-doubling loop to its 3072-node cap.
     def no_quadrature(*args):
         raise AssertionError("reached the quadrature")
 
