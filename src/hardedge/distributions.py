@@ -8,6 +8,10 @@ recombined with the prefactor in the log domain, so the Pfaffian argument
 stays O(1) and the assembly remains stable from t -> 0 up to the far tail
 and from p = 1 into the thousands.
 
+The prefactor's normalisation is one closed form (_ln_prefactor): of the
+4k + 5 Gamma functions and the powers of p it is written with, every power
+of p cancels, leaving Gamma((p+1)/2) and k(k-1)/2 ratios i/(p + i).
+
 One assembly serves both quantities, the gap at weight power gamma = 0
 and the density at gamma = 1, and every topology index: at k = 0 the
 Pfaffian is empty and the assembly collapses, through a Kummer transform
@@ -28,10 +32,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .kernels import BulkTables, border_column, kernel_matrix
-from .microscopic import (VALUE_TOL, _in_range, _ln_count_constant, _pfaffian_value,
+from .microscopic import (VALUE_TOL, _count_factors, _in_range, _pfaffian_value,
                           gap_micro, micro_density, smallest_micro)
 from .specfun import tricomi_u
 
@@ -128,58 +131,47 @@ class DistributionCurve:
         return 2 * self.k
 
 
-# ln 2 enters the combinatorial constant as -(k + shift) / 2 times ln 2, with
-# shift indexed by [gamma][k % 2].
-_LN2_SHIFT = ((0, 3), (5, 6))
+def _ln_prefactor(gamma: int, spec: FiniteSpec) -> float:
+    """Log of the normalisation N of U(a, 3/2 + gamma, t/2) times the
+    Pfaffian, with o = k mod 2, a = (p + k + 1 + gamma - o)/2 and F_k from
+    microscopic._count_factors:
 
+        ln N = ln Gamma((p+1)/2) - ln(pi)/2 - sum_{i in F_k} ln(1 + p/i)
+               - p t/2 + (1/2 + gamma (k + 1/2)) ln t
+               + (k - 1 - gamma - o (1 + 2 gamma))/2 ln 2,
 
-def _ln_constant(p: int, k: int, gamma: int) -> float:
-    """Log of the combinatorial constant in the gap (gamma = 0) or the
-    smallest-eigenvalue (gamma = 1) assembly."""
-    lnp = math.log(p)
-    total = _ln_count_constant(k)
-    for j in range(k):
-        total += gammaln(p + j + 2) + (j - 1) * lnp - gammaln(p + 2 * j + 1)
-    total += -0.5 * math.log(math.pi) + gammaln(p + 1) + gammaln((p + 1) / 2) \
-        - gammaln(p + k + 1)
-    ln2 = -((k + _LN2_SHIFT[gamma][k % 2]) / 2) * math.log(2.0)
-    if (k + gamma) % 2 == 0:
-        total += ln2 + 1.5 * k * lnp - gammaln((p + k + 1) / 2)
-    else:
-        total += ln2 + (3 * k - 1) / 2 * lnp - gammaln((p + k) / 2)
-    return total
+    plus ln(a - 1) = ln((p + k)/2) when gamma = 1 and o = 0.
+    """
+    p, k, t = spec.p, spec.k, spec.t
+    odd = k % 2
+    terms = [math.lgamma((p + 1) / 2), -0.5 * math.log(math.pi), -0.5 * p * t,
+             (0.5 + gamma * (k + 0.5)) * math.log(t),
+             (k - 1 - gamma - odd * (1 + 2 * gamma)) / 2 * math.log(2.0)]
+    terms += [-math.log1p(p / i) for i in _count_factors(k)]
+    if gamma == 1 and not odd:
+        terms.append(math.log((p + k) / 2))
+    return math.fsum(terms)
 
 
 def _finite_value(gamma: int, spec: FiniteSpec) -> float:
     """Gap probability (gamma = 0) or smallest-eigenvalue density (gamma = 1).
 
-    Both are a Tricomi prefactor U(a, 3/2 + gamma, t/2) times the Pfaffian
-    of the t-balanced kernel block, bordered when k is odd, combined in the
-    log domain with the power of t the block carries.
+    Both are N U(a, 3/2 + gamma, t/2) times the Pfaffian of the t-balanced
+    kernel block, bordered when k is odd, combined in the log domain; ln N
+    (_ln_prefactor) already holds the powers of t the block carries.
     """
     p, k, t = spec.p, spec.k, spec.t
     odd = k % 2
-    l = p + k - gamma + odd
-    a_half = (p + k + 1 + gamma - odd) / 2
-    power = (1.0 if (k + gamma) % 2 else 0.5) - k * k / 2.0
-    # The raw kernel block is pf * t^tpow; at k = 0 it is empty.
-    tpow = k * (gamma + 0.5) + k * (k - 1) / 2.0
     matrix, border = np.zeros((0, 0)), None
     if k > 0:
         # Far in the tail the entries overflow; _pfaffian_value reports it.
         with np.errstate(over="ignore", invalid="ignore"):
-            tables = BulkTables(gamma, l, t)
+            tables = BulkTables(gamma, p + k - gamma + odd, t)
             matrix = kernel_matrix(tables, k)
             if odd:
                 border = border_column(tables, k)
-                tpow = tpow + gamma - 0.5
-    ln_pre = _ln_constant(p, k, gamma) + gammaln(a_half) - 0.5 * p * t \
-        + power * math.log(4.0 * p * t) + tpow * math.log(t)
-    if gamma == 0:
-        ln_pre = ln_pre - math.log(2.0 * math.sqrt(2.0 * p))
-    else:
-        ln_pre = ln_pre - math.log(2.0) - 1.5 * math.log(2.0 * p) + math.log(4.0 * p)
-    ln_pre = ln_pre + tricomi_u(a_half, 1.5 + gamma, 0.5 * t).log_magnitude
+    a = (p + k + 1 + gamma - odd) / 2
+    ln_pre = _ln_prefactor(gamma, spec) + tricomi_u(a, 1.5 + gamma, 0.5 * t).log_magnitude
     return _pfaffian_value(gamma, matrix, border, ln_pre, "finite-p", p=p, k=k, t=t)
 
 

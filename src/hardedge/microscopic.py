@@ -27,7 +27,7 @@ import logging
 import math
 
 import numpy as np
-from scipy.special import gammaln, ive, jv
+from scipy.special import ive, jv
 
 from .pfaffian import AntisymmetricMatrix, pfaffian
 from .specfun import LogScaled, _settled_integral
@@ -177,21 +177,21 @@ def _border_balanced(gamma: int, k: int, u: float) -> np.ndarray:
     return 4.0 ** -(np.arange(k) + 2 * gamma) * alpha[:, 0]
 
 
-def _ln_count_constant(k: int) -> float:
-    """Log of the product prod_{l=0}^{k-1} 4^(l+1) (2l)! / l!."""
-    total = 0.0
-    for l in range(k):
-        total += (l + 1) * math.log(4.0) + gammaln(2 * l + 1) - gammaln(l + 1)
-    return total
+def _count_factors(k: int) -> list[int]:
+    """F_k, the factors of prod_{l<k} (2l)!/l!: every i with l < i <= 2l for
+    each l < k, repeats kept.  The limit's scale sums ln i over them, the
+    finite-p prefactor -ln(1 + p/i)."""
+    return [i for l in range(k) for i in range(l + 1, 2 * l + 1)]
 
 
 def _micro_value(gamma: int, k: int, u: float) -> float:
     """Limiting gap probability (gamma = 0) or smallest-eigenvalue density
     (gamma = 1) at topology nu = 2k and u > 0, or u = 0 for the gap.
 
-    The balanced Pfaffian, bordered when k is odd, carries no powers of u;
-    the exact power from the unbalancing determinant is folded into the
-    log-domain prefactor.
+    The balanced Pfaffian, bordered when k is odd, carries no powers of u.
+    Its log scale is sum_{i in F_k} ln i + k(k+1) ln 2 - u/8 - sqrt(u)/2,
+    plus (2k - 1)/2 ln u + ln((sqrt(u) + 2)/8) for the density, which holds
+    the unbalancing power of u, or -2 ln 2 for the gap at odd k.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
@@ -201,14 +201,13 @@ def _micro_value(gamma: int, k: int, u: float) -> float:
     decay = -u / 8.0 - root / 2.0
     if decay < -740.0:
         return 0.0
-    if gamma == 0:
-        ln_scale = _ln_count_constant(k) + decay
-    else:
-        ln_scale = _ln_count_constant(k) - math.log(8.0) + math.log(root + 2.0) \
-            + (2 * k - 1) / 2.0 * math.log(u) + decay
+    ln_scale = math.fsum(math.log(i) for i in _count_factors(k)) \
+        + k * (k + 1) * math.log(2.0) + decay
+    if gamma == 1:
+        ln_scale += (2 * k - 1) / 2.0 * math.log(u) + math.log((root + 2.0) / 8.0)
+    elif k % 2:
+        ln_scale -= 2.0 * math.log(2.0)
     border = _border_balanced(gamma, k, u) if k % 2 else None
-    if k % 2 and gamma == 0:
-        ln_scale += math.log(0.25)
     return _pfaffian_value(gamma, _matrix_balanced(gamma, k, u), border, ln_scale,
                            "hard-edge limit", k=k, u=u)
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..kernels import BulkTables, border_column
-from ..specfun import LogScaled, log_sum, tricomi_u
+from ..specfun import LogScaled, tricomi_u
 from .sop import (
     WeightParams,
     partition_z_t,
@@ -25,7 +25,7 @@ from .sop import (
     sop_norm,
     sop_odd,
 )
-from .specfun import laguerre_monic
+from .specfun import laguerre_monic, log_sum, negated
 
 __all__ = [
     "KernelSpec",
@@ -96,10 +96,10 @@ def _bilinear_sum(spec: KernelSpec, first: tuple[int, float],
         if hatted:
             c_odd = sop_moment(2 * j + 1, params) / m_top
             c_even = sop_moment(2 * j, params) / m_top
-            o_1 = log_sum([odd.derivative_scaled(*first), -(c_odd * top_first)])
-            o_2 = log_sum([odd.derivative_scaled(*second), -(c_odd * top_second)])
-            e_1 = log_sum([even.derivative_scaled(*first), -(c_even * top_first)])
-            e_2 = log_sum([even.derivative_scaled(*second), -(c_even * top_second)])
+            o_1 = log_sum([odd.derivative_scaled(*first), negated(c_odd * top_first)])
+            o_2 = log_sum([odd.derivative_scaled(*second), negated(c_odd * top_second)])
+            e_1 = log_sum([even.derivative_scaled(*first), negated(c_even * top_first)])
+            e_2 = log_sum([even.derivative_scaled(*second), negated(c_even * top_second)])
         else:
             o_1 = odd.derivative_scaled(*first)
             o_2 = odd.derivative_scaled(*second)
@@ -109,7 +109,7 @@ def _bilinear_sum(spec: KernelSpec, first: tuple[int, float],
         swapped.append(o_2 * e_1 / r_j)
     # Summing each half on its own makes swapping the slots negate the sum
     # exactly, whatever the rounding of the terms.
-    return log_sum([log_sum(values), -log_sum(swapped)])
+    return log_sum([log_sum(values), negated(log_sum(swapped))])
 
 
 def xi_big(a: int, b: int, spec: KernelSpec) -> float:
@@ -196,7 +196,7 @@ def kernel_cd(xa: float, xb: float, gamma: int, l: int, t: float) -> float:
     delta = LogScaled.from_value(xa - xb)
     inner = log_sum([
         _evaluate_terms(second, xa, xb) / delta,
-        -(_evaluate_terms(first, xa, xb) / (delta * delta)).scaled(math.log(2.0)),
+        negated(_evaluate_terms(first, xa, xb) / (delta * delta)).scaled(math.log(2.0)),
     ])
     z_ratio = partition_z_t(l - 2, gamma, t) / partition_z_t(l, gamma, t)
     return (z_ratio * inner).value

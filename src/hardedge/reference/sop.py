@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammaln
 
-from ..specfun import LogScaled, log_sum, tricomi_u
-from .specfun import laguerre_monic_deriv
+from ..specfun import LogScaled, tricomi_u
+from .specfun import laguerre_monic_deriv, log_sum, negated
 
 __all__ = [
     "WeightParams",
@@ -431,7 +431,7 @@ def _moment_odd(j: int, params: WeightParams) -> LogScaled:
     if j > 0:
         term2 = (tricomi_u(j + 1.0, b + 1.0, t / 2.0)
                  / tricomi_u(float(j), b, t / 2.0)).scaled(math.log(float(j)))
-        parts.append(-term2)
+        parts.append(negated(term2))
     bracket = log_sum(parts)
     return (_moment_even(j, params) * bracket).scaled(math.log(t))
 

@@ -1,19 +1,23 @@
 """Log-scaled special functions that only the reference routes use.
 
-Log-gamma, monic Laguerre polynomials and their derivatives (the building
-blocks of the skew-orthogonal polynomials in ``sop``), and the Bessel
-functions I_n, J_n and K_{m+1/2} (the limiting border entries).
+Negation and signed sums of LogScaled values, log-gamma, monic Laguerre
+polynomials and their derivatives (the building blocks of the
+skew-orthogonal polynomials in ``sop``), and the Bessel functions I_n, J_n
+and K_{m+1/2} (the limiting border entries).
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 from scipy.special import ive, jv
 
 from ..specfun import LogScaled
 
 __all__ = [
+    "negated",
+    "log_sum",
     "ln_gamma",
     "laguerre_monic",
     "laguerre_monic_deriv",
@@ -26,6 +30,27 @@ __all__ = [
 _BIGNO = 1e250
 _BIGNI = 1e-250
 _LOG_BIGNO = math.log(_BIGNO)
+
+
+def negated(value: LogScaled) -> LogScaled:
+    """-value, in the log domain."""
+    return LogScaled(value.log_magnitude, -value.sign)
+
+
+def log_sum(values: Iterable[LogScaled]) -> LogScaled:
+    """Signed log-sum-exp of several :class:`LogScaled` values.
+
+    The largest magnitude is factored out, the remaining terms are summed as
+    plain floats (each at most 1 in magnitude), and the result is rescaled.
+    """
+    vals = [v for v in values if v.sign != 0]
+    if not vals:
+        return LogScaled.zero()
+    top = max(v.log_magnitude for v in vals)
+    acc = sum(v.sign * math.exp(v.log_magnitude - top) for v in vals)
+    if acc == 0.0:
+        return LogScaled.zero()
+    return LogScaled(top + math.log(abs(acc)), 1 if acc > 0 else -1)
 
 
 def ln_gamma(x: float) -> float:

@@ -9,10 +9,11 @@ edges by doubling out from the Laplace estimate.  Its order-doubling
 Gauss-Legendre loop is the only one in the package: the hard-edge
 quadratures in ``microscopic`` run through it as well, each caller with
 its own tolerance, all on one ladder of orders 48, 96, ..., 3072.  The
-functions only the reference routes use (log-gamma, monic Laguerre
-polynomials, Bessel functions) live in ``hardedge.reference.specfun``.
+functions only the reference routes use (negation and signed sums of
+log-scaled values, log-gamma, monic Laguerre polynomials, Bessel
+functions) live in ``hardedge.reference.specfun``.
 
-Quantities such as Gamma[(p+k+1)/2] * U(...) pair enormous factors that cancel
+Quantities such as Gamma((p+1)/2) * U(...) pair enormous factors that cancel
 only at the very end of an assembly, so every function that can leave the
 floating-point range returns a :class:`LogScaled` value.  Conversion to a
 plain float happens at final assembly where ratios are O(1).
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -30,7 +30,6 @@ from scipy.special import erfcx
 
 __all__ = [
     "LogScaled",
-    "log_sum",
     "tricomi_u",
     "tricomi_u_chain",
 ]
@@ -42,7 +41,8 @@ class LogScaled:
 
     ``sign == 0`` represents an exact zero; ``log_magnitude`` is ignored in
     that case.  Multiplication and division add or subtract logs and multiply
-    signs; sums of several values go through :func:`log_sum`.
+    signs; negation and sums, which only the reference routes need, are
+    ``hardedge.reference.specfun.negated`` and ``log_sum``.
     """
 
     log_magnitude: float
@@ -86,30 +86,11 @@ class LogScaled:
         return LogScaled(self.log_magnitude - other.log_magnitude,
                          self.sign * other.sign)
 
-    def __neg__(self) -> "LogScaled":
-        return LogScaled(self.log_magnitude, -self.sign)
-
     def scaled(self, log_factor: float) -> "LogScaled":
         """Multiply by exp(log_factor) without leaving the log domain."""
         if self.sign == 0:
             return self
         return LogScaled(self.log_magnitude + log_factor, self.sign)
-
-
-def log_sum(values: Iterable[LogScaled]) -> LogScaled:
-    """Signed log-sum-exp of several :class:`LogScaled` values.
-
-    The largest magnitude is factored out, the remaining terms are summed as
-    plain floats (each at most 1 in magnitude), and the result is rescaled.
-    """
-    vals = [v for v in values if v.sign != 0]
-    if not vals:
-        return LogScaled.zero()
-    top = max(v.log_magnitude for v in vals)
-    acc = sum(v.sign * math.exp(v.log_magnitude - top) for v in vals)
-    if acc == 0.0:
-        return LogScaled.zero()
-    return LogScaled(top + math.log(abs(acc)), 1 if acc > 0 else -1)
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
