@@ -166,10 +166,10 @@ def _finite_value(gamma: int, spec: FiniteSpec) -> float:
     if k > 0:
         # Far in the tail the entries overflow; _pfaffian_value reports it.
         with np.errstate(over="ignore", invalid="ignore"):
-            tables = BulkTables(gamma, p + k - gamma + odd, t)
-            matrix = kernel_matrix(tables, k)
+            tables = BulkTables(gamma, p + k - gamma + odd, t, k)
+            matrix = kernel_matrix(tables)
             if odd:
-                border = border_column(tables, k)
+                border = border_column(tables)
     a = (p + k + 1 + gamma - odd) / 2
     ln_pre = _ln_prefactor(gamma, spec) + tricomi_u(a, 1.5 + gamma, 0.5 * t).log_magnitude
     return _pfaffian_value(gamma, matrix, border, ln_pre, "finite-p", p=p, k=k, t=t)

@@ -22,7 +22,7 @@ thousands where factorial-laden expressions overflow.  Every Tricomi U
 ratio is read off whole chains U(1/2 + i, b, t/2), one call of
 specfun.tricomi_u_chain (one tridiagonal solve) per evaluation point; the
 integer-a values map onto that ladder through Kummer's transformation.
-The chains are held with the Laguerre rows in one BulkTables per point.
+The chains are built with the Laguerre rows in one BulkTables per point.
 The independent routes the tests check these entries against (the
 polynomial pair sum and the closed Christoffel-Darboux form) live in
 hardedge.reference.kernels.
@@ -59,34 +59,68 @@ def _gamma_run(x: float, d: float, count: int) -> np.ndarray:
     return first * np.concatenate(([1.0], np.cumprod((x + i) / (x + i + d))))
 
 
+def _laguerre_rows(gamma: int, l: int, t: float, count: int) -> np.ndarray:
+    """Standard Laguerre values L_n^(2 gamma + m)(-t), m < count, n = 0..l,
+    for count >= 2.
+
+    Rows 0 and 1 come from one banded lower-triangular solve (BLAS dtbsv) of
+    the coupled recurrence (DLMF 18.9.13-14 at x = -t)
+
+        n L_n^(mu) = (n + mu) L_{n-1}^(mu) + t L_{n-1}^(mu+1),
+        L_n^(mu+1) = L_{n-1}^(mu+1) + L_n^(mu),
+
+    whose forward substitution only adds positive terms; each further row is
+    the running sum of the one before.  No row carries cancellation.
+    """
+    mu = 2 * gamma
+    # Unknown 2n is L_n^(mu), unknown 2n + 1 is L_n^(mu+1); band row d holds
+    # the entries d places below the diagonal.  Row 0 sets L_0^(mu) = 1,
+    # whence row 1 gives L_0^(mu+1) = 1.  Fortran order spares the copy BLAS
+    # would otherwise take of the band.
+    n = np.arange(l + 1.0)
+    n[0] = 1.0
+    band = np.zeros((3, 2 * l + 2), order="F")
+    band[0, 0::2], band[0, 1::2] = n, 1.0
+    band[1, 0::2], band[1, 1::2] = -1.0, -t
+    band[2, 0:-2:2], band[2, 1:-2:2] = -(n[1:] + mu), -1.0
+    rhs = np.zeros(2 * l + 2)
+    rhs[0] = 1.0
+    pairs = dtbsv(2, band, rhs, lower=1)
+    rows = np.empty((count, l + 1))
+    rows[0], rows[1] = pairs[0::2], pairs[1::2]
+    for m in range(2, count):
+        rows[m] = np.cumsum(rows[m - 1])
+    return rows
+
+
 class BulkTables:
     """The Tricomi U ratios and Laguerre rows the bulk route reads for one
-    (gamma, l, t).
+    (gamma, l, t, size), all built at construction.
 
     Every U that kernel_matrix and border_column use is U(a, b, z) at
     z = t/2 with a an integer or a half-integer.  The half-integer values
-    lie on one ladder U(1/2 + i, b, z), built whole on first use, up to
-    i = gamma + l // 2, for the consecutive b from gamma - 1/2 up to
-    gamma + 3/2, extended down to h = 1/2 - gamma for the hatted set of
-    odd l, in one tricomi_u_chain call: one tridiagonal solve, and a
-    quadrature for each chain top.  The integer-a values map onto it
+    lie on one ladder U(1/2 + i, b, z), up to i = gamma + l // 2, for the
+    consecutive b from gamma - 1/2 up to gamma + 3/2, extended down to
+    h = 1/2 - gamma for the hatted set of odd l, in one tricomi_u_chain
+    call: one tridiagonal solve, and a quadrature for each chain top.  The integer-a values map onto it
     through Kummer's transformation (DLMF 13.2.40)
 
         U(a, b, z) = z^(1 - b) U(a - b + 1, 2 - b, z),
 
     which at the b = h and h + 1 the route reads lands on half-integer a
     and on b = gamma + 3/2 and gamma + 1/2.  The Laguerre rows
-    L_n^(2 gamma + m)(-t), and the skewed copy of them that the kernel
-    reads in strided blocks, are built once as well.  One table serves one
+    L_n^(2 gamma + m)(-t), m <= size, are laid out once in the skewed copy
+    that the kernel reads in strided blocks.  One table serves one
     evaluation point: it is made per call and shared by the kernel matrix
     and its border column.
 
     gamma is the weight power (0 for gap matrices, 1 for density ones), l
-    the number of polynomials paired (odd counts switch to the hatted set)
-    and t > 0 the shift; invalid values raise ValueError.
+    the number of polynomials paired (odd counts switch to the hatted set),
+    t > 0 the shift and size in 1..l-1 the order of the matrix and column
+    read; invalid values raise ValueError.
     """
 
-    def __init__(self, gamma: int, l: int, t: float) -> None:
+    def __init__(self, gamma: int, l: int, t: float, size: int) -> None:
         if gamma < 0:
             raise ValueError(f"gamma must be non-negative, got {gamma}")
         if l < 2:
@@ -97,10 +131,16 @@ class BulkTables:
             raise ValueError(
                 f"l * t = {l * t:.3g} exceeds the stable range {_RECURRENCE_ENVELOPE:.3g} "
                 "of the Laguerre forward recurrence")
-        self.gamma, self.l, self.t = gamma, l, t
-        self._chains: dict[float, tuple[np.ndarray, float]] = {}
-        self._rows = np.empty((0, l + 1))
-        self._skewed = np.empty((0, 0))
+        if not 1 <= size <= l - 1:
+            raise ValueError(f"size must lie in 1..l-1 = {l - 1}, got {size}")
+        self.gamma, self.l, self.t, self.size = gamma, l, t, size
+        low = min(gamma - 0.5, 0.5 - gamma) if l % 2 else gamma - 0.5
+        chains = tricomi_u_chain(0.5, low, t / 2.0, gamma + l // 2, int(gamma + 2.5 - low))
+        self._chains = {low + j: chain for j, chain in enumerate(chains)}
+        rows = _laguerre_rows(gamma, l, t, size + 1)
+        self._skewed = np.zeros((l + size + 3, size + 1))
+        for m, row in enumerate(rows):
+            self._skewed[m + 2:m + l + 3, m] = row
 
     def _segment(self, a: float, b: float,
                  count: int) -> tuple[np.ndarray, float, float]:
@@ -110,11 +150,6 @@ class BulkTables:
         if a % 1.0 == 0.0:
             w, log_scale, a_half = self._segment(a - b + 1.0, 2.0 - b, count)
             return w, log_scale + (1.0 - b) * math.log(z), a_half
-        if not self._chains:
-            gamma, l = self.gamma, self.l
-            low = min(gamma - 0.5, 0.5 - gamma) if l % 2 else gamma - 0.5
-            chains = tricomi_u_chain(0.5, low, z, gamma + l // 2, int(gamma + 2.5 - low))
-            self._chains = {low + j: chain for j, chain in enumerate(chains)}
         w, log_scale = self._chains[b]
         start = int(a)
         if start + count > len(w):
@@ -139,77 +174,29 @@ class BulkTables:
         a = self.gamma + (self.l - 1) / 2.0
         return float(self.quotient((a, self.gamma + 0.5), (a, self.gamma + 1.5), 1)[0])
 
-    def laguerre_rows(self, count: int) -> np.ndarray:
-        """Standard Laguerre values L_n^(2 gamma + m)(-t), m < count, n = 0..l.
-
-        Rows 0 and 1 come from one banded lower-triangular solve (BLAS
-        dtbsv) of the coupled recurrence (DLMF 18.9.13-14 at x = -t)
-
-            n L_n^(mu) = (n + mu) L_{n-1}^(mu) + t L_{n-1}^(mu+1),
-            L_n^(mu+1) = L_{n-1}^(mu+1) + L_n^(mu),
-
-        whose forward substitution only adds positive terms; each further
-        row is the running sum of the one before.  No row carries
-        cancellation.
-        """
-        if len(self._rows) < count:
-            l, mu, t = self.l, 2 * self.gamma, self.t
-            # Unknown 2n is L_n^(mu), unknown 2n + 1 is L_n^(mu+1); band
-            # row d holds the entries d places below the diagonal.  Row 0
-            # sets L_0^(mu) = 1, whence row 1 gives L_0^(mu+1) = 1.  Fortran
-            # order spares the copy BLAS would otherwise take of the band.
-            n = np.arange(l + 1.0)
-            n[0] = 1.0
-            band = np.zeros((3, 2 * l + 2), order="F")
-            band[0, 0::2], band[0, 1::2] = n, 1.0
-            band[1, 0::2], band[1, 1::2] = -1.0, -t
-            band[2, 0:-2:2], band[2, 1:-2:2] = -(n[1:] + mu), -1.0
-            rhs = np.zeros(2 * l + 2)
-            rhs[0] = 1.0
-            pairs = dtbsv(2, band, rhs, lower=1)
-            rows = np.empty((max(count, 2), l + 1))
-            rows[0], rows[1] = pairs[0::2], pairs[1::2]
-            for m in range(2, count):
-                rows[m] = np.cumsum(rows[m - 1])
-            self._rows = rows
-        return self._rows
-
-    def laguerre_block(self, c: int, d: int, count: int, size: int) -> np.ndarray:
+    def laguerre_block(self, c: int, d: int, count: int) -> np.ndarray:
         """L_(2j + c - a)^(2 gamma + a + d)(-t) at [j, a], j < count, a < size,
         zero where the degree is negative (c >= -2).
 
-        A strided view of one skewed copy of the Laguerre rows, built once
-        per table: entry [n + m + 2, m] holds L_n^(2 gamma + m)(-t), zeros
-        elsewhere, so the block is the slice [2 + c + d::2, d:d + size].
+        A strided view of the skewed copy of the Laguerre rows: entry
+        [n + m + 2, m] holds L_n^(2 gamma + m)(-t), zeros elsewhere, so the
+        block is the slice [2 + c + d::2, d:d + size].
         """
-        if self._skewed.shape[1] < size + 1:
-            rows = self.laguerre_rows(size + 1)
-            orders, width = rows.shape
-            self._skewed = np.zeros((width + orders + 1, orders))
-            for m in range(orders):
-                self._skewed[m + 2:m + 2 + width, m] = rows[m]
         start = 2 + c + d
-        return self._skewed[start:start + 2 * count:2, d:d + size]
+        return self._skewed[start:start + 2 * count:2, d:d + self.size]
 
 
-def _check_size(size: int, l: int) -> None:
-    if not 1 <= size <= l - 1:
-        raise ValueError(f"size must lie in 1..l-1 = {l - 1}, got {size}")
-
-
-def kernel_matrix(tables: BulkTables, size: int) -> np.ndarray:
+def kernel_matrix(tables: BulkTables) -> np.ndarray:
     """Power-stripped derivative kernel matrix M, antisymmetric size x size.
 
     The full entries factor as Xi_ab = t^(2 gamma + a + b + 1) * M_ab; the
     stripped matrix stays O(1) down to t -> 0, so callers can keep the exact
     power in a log-domain prefactor.  Entries are assembled from positive
     Laguerre values, with the scaled polynomial norms folded in through
-    rising factorials instead of raw factorials.  (gamma, l, t) are those
-    of `tables`.  A size-1 matrix is zero and builds nothing; a size
-    outside 1..l-1 raises ValueError.
+    rising factorials instead of raw factorials.  (gamma, l, t, size) are
+    those of `tables`; a size-1 matrix is zero.
     """
-    gamma, l, t = tables.gamma, tables.l, tables.t
-    _check_size(size, l)
+    gamma, l, t, size = tables.gamma, tables.l, tables.t, tables.size
     if size < 2:
         return np.zeros((size, size))
     hatted = l % 2 == 1
@@ -220,7 +207,7 @@ def kernel_matrix(tables: BulkTables, size: int) -> np.ndarray:
     half, h = gamma + 0.5, 0.5 - gamma
 
     def block(c: int, d: int) -> np.ndarray:
-        return tables.laguerre_block(c, d, count, size)
+        return tables.laguerre_block(c, d, count)
 
     # rho_j, sigma_j: b-shifts of U(j + gamma + 1/2, ., t/2); at j = 0 they
     # multiply Laguerre values of negative degree only.  The hatted set also
@@ -243,8 +230,8 @@ def kernel_matrix(tables: BulkTables, size: int) -> np.ndarray:
 
     if hatted:
         big_k = count
-        top_vals = tables.laguerre_block(2 * big_k, 0, 1, size)[0] \
-            + rho_all[big_k] * tables.laguerre_block(2 * big_k - 1, 1, 1, size)[0]
+        top_vals = tables.laguerre_block(2 * big_k, 0, 1)[0] \
+            + rho_all[big_k] * tables.laguerre_block(2 * big_k - 1, 1, 1)[0]
         # Even-polynomial moments up to a common factor: U(j + 1/2, h)/U(j, h)
         # times Gamma(j + 3/2)/Gamma(j + gamma + 3/2), for j = 0..big_k.
         moments = tables.quotient((0.5, h), (0.0, h), big_k + 1) \
@@ -260,15 +247,13 @@ def kernel_matrix(tables: BulkTables, size: int) -> np.ndarray:
     return matrix
 
 
-def border_column(tables: BulkTables, size: int) -> np.ndarray:
+def border_column(tables: BulkTables) -> np.ndarray:
     """Power-stripped border entries beta with xi_a = t^(2 gamma + a) beta_a.
 
     Each entry is a sum of two positive Laguerre values, so the column is
     strictly positive and cancellation-free at every admissible order.
-    (gamma, l, t) are those of `tables`; a size outside 1..l-1 raises
-    ValueError.
+    (gamma, l, t, size) are those of `tables`.
     """
     l = tables.l
-    _check_size(size, l)
-    return tables.laguerre_block(l - 2, 0, 1, size)[0] \
-        + tables.border_mix() * tables.laguerre_block(l - 3, 1, 1, size)[0]
+    return tables.laguerre_block(l - 2, 0, 1)[0] \
+        + tables.border_mix() * tables.laguerre_block(l - 3, 1, 1)[0]

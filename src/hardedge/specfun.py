@@ -137,8 +137,10 @@ _WINDOW_DROP = 60.0
 def _half_anchor(b: float, t: float) -> LogScaled | None:
     """U(1/2, b, t) in closed form where one exists without cancellation.
 
-    The chain bottoms a0 = 1/2 of the bulk route take b in {-1/2, 1/2,
-    3/2, 5/2}.  U(a, a + 1, t) = t^-a and U(1/2, 1/2, t) = sqrt(pi)
+    A bulk ladder evaluates only the bottom of its lowest chain: b = -1/2
+    at gamma = 0 and at gamma = 1 with odd l, b = 1/2 at gamma = 1 with even
+    l.  b = 3/2 serves the skew-orthogonal oracle; no caller takes 5/2.
+    U(a, a + 1, t) = t^-a and U(1/2, 1/2, t) = sqrt(pi)
     erfcx(sqrt(t)) (DLMF 13.6); the contiguous relation
 
         (b - a - 1) U(a, b - 1, t) + (1 - b - t) U(a, b, t) + t U(a, b + 1, t) = 0

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgttrf
 
 from hardedge import distributions, kernels, specfun
@@ -223,13 +224,14 @@ def test_tricomi_u_rejects_bad_arguments_under_optimization() -> None:
 # ------------------------------------------------------------ bulk route
 
 
-BAD_TABLES = ((0, 1, 0.5), (0, 12, -0.5), (-1, 12, 0.5))
+BAD_TABLES = ((0, 1, 0.5, 1), (0, 12, -0.5, 1), (-1, 12, 0.5, 1), (0, 12, 0.5, 0),
+              (0, 12, 0.5, 12))
 
 
 def test_tables_reject_bad_parameters() -> None:
-    for gamma, l, t in BAD_TABLES:
+    for args in BAD_TABLES:
         with pytest.raises(ValueError):
-            BulkTables(gamma, l, t)
+            BulkTables(*args)
 
 
 def test_tables_reject_bad_parameters_under_optimization() -> None:
@@ -255,7 +257,7 @@ def test_reading_past_the_chain_top_raises_under_optimization() -> None:
     script = (
         "from hardedge.kernels import BulkTables\n"
         "try:\n"
-        "    BulkTables(0, 12, 0.5).quotient((0.0, 0.5), (0.0, 0.5), 100)\n"
+        "    BulkTables(0, 12, 0.5, 1).quotient((0.0, 0.5), (0.0, 0.5), 100)\n"
         "except IndexError as exc:\n"
         "    print(exc)\n"
         "else:\n"
@@ -275,7 +277,7 @@ def test_integer_a_reads_match_mpmath(gamma: int, l: int, z: float) -> None:
     # The integer-a values come off the half-integer ladder through Kummer's
     # transformation.  test_assembly_matches_mpmath_ratios replaces quotient
     # wholesale, so only this test checks the values it reads.
-    tables = BulkTables(gamma, l, 2.0 * z)
+    tables = BulkTables(gamma, l, 2.0 * z, 1)
     h, odd = 0.5 - gamma, l % 2
     count = (l - 1) // 2 if odd else l // 2
     reads = [((1.0, h), (0.0, h), count), ((1.0, h + 1.0), (0.0, h), count)]
@@ -357,7 +359,9 @@ def test_random_argument_quadratures_settle_by_order_768(settling_orders,
 
 
 def test_finite_point_factors_one_tridiagonal_system_per_point(monkeypatch) -> None:
-    factorisations, chains = [], []
+    # One ladder and one banded Laguerre solve per point at k >= 1, none at
+    # k = 0: a table built twice would double either count.
+    factorisations, chains, solves = [], [], []
 
     def counted(*args):
         factorisations.append(args)
@@ -367,13 +371,23 @@ def test_finite_point_factors_one_tridiagonal_system_per_point(monkeypatch) -> N
         chains.append(args)
         return tricomi_u_chain(*args)
 
+    def solve(*args, **kwargs):
+        solves.append(args)
+        return dtbsv(*args, **kwargs)
+
     monkeypatch.setattr(specfun, "dgttrf", counted)
     monkeypatch.setattr(kernels, "tricomi_u_chain", chain)
-    for quantity, p, k in POINT_CALLS:
+    monkeypatch.setattr(kernels, "dtbsv", solve)
+    points = [*POINT_CALLS, (gap_finite, 500, 0), (smallest_finite, 1000, 0),
+              (gap_finite, 50, 1), (smallest_finite, 10, 2)]
+    for quantity, p, k in points:
         factorisations.clear()
         chains.clear()
+        solves.clear()
         quantity(FiniteSpec(p=p, k=k, t=50.0 / (4 * p)))
-        assert len(factorisations) == 1 and len(chains) == 1, (quantity.__name__, p, k)
+        want = 1 if k else 0
+        assert (len(factorisations), len(chains), len(solves)) == (want,) * 3, \
+            (quantity.__name__, p, k)
 
 
 def _laguerre_mp(n: int, mu: int, t: float):
@@ -390,7 +404,7 @@ def test_laguerre_rows_match_mpmath(l: int, gamma: int) -> None:
     for t in (1e-8, 1e-4, 0.0075, 0.1, 0.5, 1.9):
         if l * t > 7000.0:
             continue
-        rows = BulkTables(gamma, l, t).laguerre_rows(4)
+        rows = kernels._laguerre_rows(gamma, l, t, 4)
         assert rows.shape == (4, l + 1)
         for m in range(4):
             for n in degrees:
@@ -434,12 +448,12 @@ def test_assembly_matches_mpmath_ratios(p: int, k: int, t: float, mpmath_ratios)
     assert got == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
-def _rows_mp(self, count):
+def _rows_mp(gamma, l, t, count):
     # The three-term recurrence at 30 digits, which covers the digits it
     # loses to cancellation, and running sums for the higher orders.
-    l, mu = self.l, 2 * self.gamma
+    mu = 2 * gamma
     with mpmath.workdps(30):
-        t = mpmath.mpf(self.t)
+        t = mpmath.mpf(t)
         row = [mpmath.mpf(1), mu + 1 + t]
         for n in range(1, l):
             row.append(((2 * n + mu + 1 + t) * row[n] - (n + mu) * row[n - 1]) / (n + 1))
@@ -457,6 +471,6 @@ def test_assembly_matches_mpmath_rows(p: int, k: int, t: float, monkeypatch) -> 
     # rows to rounding; the three-term recurrence was off by up to 1e-11.
     spec = FiniteSpec(p=p, k=k, t=t)
     got = (gap_finite(spec), smallest_finite(spec))
-    monkeypatch.setattr(BulkTables, "laguerre_rows", _rows_mp)
+    monkeypatch.setattr(kernels, "_laguerre_rows", _rows_mp)
     want = (gap_finite(spec), smallest_finite(spec))
     assert got == pytest.approx(want, rel=1e-13, abs=0.0)
