@@ -1,24 +1,34 @@
-"""Hard-edge limits: limiting kernels, gap probability, and level density.
+"""Hard-edge limits: gap probability, smallest-eigenvalue density, level density.
 
-In the limit p -> infinity at fixed u = 4 p t the finite-p Pfaffian
-structures converge entry by entry: the border entries xi_a^(gamma, l)(t)
-tend to Bessel-I brackets and the derivative kernel entries Xi_ab tend to
-one-dimensional integrals of Bessel-I products, taken here for a whole
-k x k matrix in one array-valued quadrature, whose integrand evaluates the
-reduced Bessel functions at two orders and recurs down to the others.  That
-quadrature, and the one of the level density, is the order-doubling
-Gauss-Legendre loop that specfun.tricomi_u also runs, on the same ladder
-of orders from 48 to 3072, here with the tolerance 1e-11 * max(1, |value|).
-One assembly turns the entries into the limiting gap probability
-(gamma = 0) and smallest-eigenvalue density (gamma = 1); its last step,
-_pfaffian_value, is shared with the finite-p assembly.  The Bessel level
-density stands apart.  The entries one at a time (xi_small_lim,
-xi_big_lim) live in hardedge.reference.microscopic.
+The limiting gap probability at topology nu = 2k >= 2 is the beta = 1
+hard-edge Fredholm determinant E(u) = det(I - A_u), with
+A_u(x, y) = (sqrt(u)/2) J_nu(sqrt(u x y)) on L^2(0, 1), the hard-edge
+counterpart of Ferrari and Spohn's F_1 = det(I - B_s).  It is evaluated by
+Bornemann's Nystrom method on a few Gauss-Legendre nodes, their number
+taken from a measured rule in nu and u, and one Cholesky factor gives both
+E and the density -dE/du.  That route is accurate to ~1e-14 absolute, so it
+serves wherever E >= 1e-5; k = 0 keeps its closed form.
 
-All kernel entries are handled in a u-balanced normalization in which the
-matrix is O(1) down to u -> 0; the exact powers of u cancel analytically
-against the prefactors, so the assemblies stay finite at the origin where
-the raw entries vanish like u^(a+b+1).
+The tail E < 1e-5, and the points the node rule does not cover, take the
+paper's Pfaffian route.  In the limit p -> infinity at fixed u = 4 p t the
+finite-p Pfaffian structures converge entry by entry: the border entries
+xi_a^(gamma, l)(t) tend to Bessel-I brackets and the derivative kernel
+entries Xi_ab tend to one-dimensional integrals of Bessel-I products, taken
+here for a whole k x k matrix in one array-valued quadrature, whose
+integrand evaluates the reduced Bessel functions at two orders and recurs
+down to the others.  That quadrature, and the one of the level density, is
+the order-doubling Gauss-Legendre loop that specfun.tricomi_u also runs, on
+the same ladder of orders from 48 to 3072, here with the tolerance
+1e-11 * max(1, |value|).  One assembly turns the entries into the limiting
+gap probability (gamma = 0) and smallest-eigenvalue density (gamma = 1);
+its last step, _pfaffian_value, is shared with the finite-p assembly.  The
+Bessel level density stands apart.  The entries one at a time
+(xi_small_lim, xi_big_lim) live in hardedge.reference.microscopic.
+
+All Pfaffian kernel entries are handled in a u-balanced normalization in
+which the matrix is O(1) down to u -> 0; the exact powers of u cancel
+analytically against the prefactors, so the assemblies stay finite at the
+origin where the raw entries vanish like u^(a+b+1).
 """
 
 from __future__ import annotations
@@ -27,8 +37,10 @@ import logging
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import ive, jv
 
+from . import specfun
 from .pfaffian import AntisymmetricMatrix, pfaffian
 from .specfun import LogScaled, _settled_integral
 
@@ -184,11 +196,94 @@ def _count_factors(k: int) -> list[int]:
     return [i for l in range(k) for i in range(l + 1, 2 * l + 1)]
 
 
+# Node counts of the Nystrom matrix, each with the largest u it serves.  A
+# point takes the first count that serves its u and is at least
+# ceil(nu/4) + 7: near u = 0 the density's relative accuracy needs nodes
+# that grow with nu, as the kernel behaves like (xy)^(nu/2) there.  Measured
+# against twice the nodes and against 90 at nu = 0..48 and 228 values of u
+# in [1e-6, 1000], wherever E >= 1e-5: E agrees to 2.1e-14 absolute, P to
+# 1e-11 + 2e-14/E relative.  Past those nu and u the rule is unmeasured, and
+# the Pfaffian serves.
+_FREDHOLM_NODES = ((1.0, 6), (10.0, 8), (50.0, 10), (100.0, 12), (300.0, 16),
+                   (500.0, 18), (1000.0, 21))
+_FREDHOLM_MAX_NU = 48
+# The determinant is accurate to ~1e-14 absolute (measured above), so below
+# E = 1e-5 it could miss by more than ~1e-9 relative; the Pfaffian serves
+# that tail.  Where it serves, P carries ~2e-15/E relative (measured).
+_FREDHOLM_MIN_GAP = 1e-5
+
+_NYSTROM: dict[int, tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]] = {}
+
+
+def _nystrom(m: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """r = sqrt(x_i x_j) and sqrt(w_i w_j) on the upper triangle i <= j of
+    the m-point Gauss-Legendre rule on (0, 1), with its index arrays, cached."""
+    if m not in _NYSTROM:
+        nodes, weights = specfun._gauss_legendre(m)
+        upper = np.triu_indices(m)
+        x, w = 0.5 * (nodes + 1.0), 0.5 * weights
+        _NYSTROM[m] = (np.sqrt(x[upper[0]] * x[upper[1]]),
+                       np.sqrt(w[upper[0]] * w[upper[1]]), upper)
+    return _NYSTROM[m]
+
+
+def _node_count(nu: int, u: float) -> int:
+    """The first count of _FREDHOLM_NODES that serves u and is at least
+    ceil(nu/4) + 7."""
+    need = -(-nu // 4) + 7
+    return next(count for bound, count in _FREDHOLM_NODES if u <= bound and count >= need)
+
+
+class _Declined(Exception):
+    """The Fredholm route cannot serve a point to its bound; says why."""
+
+
+def _fredholm_value(gamma: int, nu: int, u: float) -> float:
+    """E = det(I - A_u) (gamma = 0) or -dE/du (gamma = 1), where
+    A_u(x, y) = (sqrt(u)/2) J_nu(sqrt(u x y)) acts on L^2(0, 1).
+
+    The Nystrom matrix is symmetrised with sqrt(w), so I - A is positive
+    definite and one Cholesky factor gives log E = 2 sum log diag and,
+    through one solve, -dE/du = E tr((I - A)^-1 dA/du), with
+    dA/du = J_nu(sqrt(u) r) / (4 sqrt(u)) + (r/4) J_nu'(sqrt(u) r) and
+    r = sqrt(xy).  J_nu' = (nu/z) J_nu - J_(nu+1) folds into
+    ((1 + nu) J_nu / sqrt(u) - r J_(nu+1)) / 4.  Only the upper triangle is
+    evaluated.  Raises _Declined where the point is not served.
+    """
+    if nu > _FREDHOLM_MAX_NU or u > _FREDHOLM_NODES[-1][0]:
+        raise _Declined(f"has no measured node rule past nu={_FREDHOLM_MAX_NU} "
+                        f"or u={_FREDHOLM_NODES[-1][0]:g}")
+    m = _node_count(nu, u)
+    r, root_w, upper = _nystrom(m)
+    root = math.sqrt(u)
+    bessel = jv(nu, root * r)
+    matrix = np.identity(m)
+    matrix[upper] -= 0.5 * root * bessel * root_w
+    factor, info = dpotrf(matrix, overwrite_a=True)
+    if info:
+        raise _Declined(f"has no Cholesky factor (dpotrf info {info})")
+    gap = math.exp(2.0 * np.sum(np.log(np.diagonal(factor))))
+    if gap < _FREDHOLM_MIN_GAP:
+        raise _Declined(f"E={gap:.3g} is below {_FREDHOLM_MIN_GAP:g}")
+    if gamma == 0:
+        return gap
+    derivative = np.empty((m, m))
+    derivative[upper] = ((1.0 + nu) / root * bessel - r * jv(nu + 1, root * r)) \
+        * (0.25 * root_w)
+    derivative.T[upper] = derivative[upper]
+    solved, _ = dpotrs(factor, derivative, overwrite_b=True)
+    return gap * np.trace(solved)
+
+
 def _micro_value(gamma: int, k: int, u: float) -> float:
     """Limiting gap probability (gamma = 0) or smallest-eigenvalue density
     (gamma = 1) at topology nu = 2k and u > 0, or u = 0 for the gap.
 
-    The balanced Pfaffian, bordered when k is odd, carries no powers of u.
+    At k >= 1 the Fredholm determinant serves where it can
+    (_fredholm_value); elsewhere, and at k = 0, the Pfaffian does, and a
+    failure there raises RuntimeError naming the route, k and u, and why the
+    determinant declined.  The balanced Pfaffian, bordered when k is odd,
+    carries no powers of u.
     Its log scale is sum_{i in F_k} ln i + k(k+1) ln 2 - u/8 - sqrt(u)/2,
     plus (2k - 1)/2 ln u + ln((sqrt(u) + 2)/8) for the density, which holds
     the unbalancing power of u, or -2 ln 2 for the gap at odd k.
@@ -197,6 +292,12 @@ def _micro_value(gamma: int, k: int, u: float) -> float:
         raise ValueError(f"k must be non-negative, got {k}")
     if u == 0.0:
         return 1.0
+    declined = ""
+    if k:
+        try:
+            return _fredholm_value(gamma, 2 * k, u)
+        except _Declined as why:
+            declined = f" (the Fredholm determinant {why})"
     root = math.sqrt(u)
     decay = -u / 8.0 - root / 2.0
     if decay < -740.0:
@@ -207,9 +308,12 @@ def _micro_value(gamma: int, k: int, u: float) -> float:
         ln_scale += (2 * k - 1) / 2.0 * math.log(u) + math.log((root + 2.0) / 8.0)
     elif k % 2:
         ln_scale -= 2.0 * math.log(2.0)
-    border = _border_balanced(gamma, k, u) if k % 2 else None
-    return _pfaffian_value(gamma, _matrix_balanced(gamma, k, u), border, ln_scale,
-                           "hard-edge limit", k=k, u=u)
+    try:
+        border = _border_balanced(gamma, k, u) if k % 2 else None
+        return _pfaffian_value(gamma, _matrix_balanced(gamma, k, u), border, ln_scale,
+                               "hard-edge limit", k=k, u=u)
+    except RuntimeError as error:
+        raise RuntimeError(f"Pfaffian route: {error}{declined}") from error
 
 
 def gap_micro(k: int, u: float) -> float:

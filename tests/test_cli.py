@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hardedge
-from hardedge import cli, specfun
+from hardedge import cli, microscopic, specfun
 from hardedge.cli import main
 from hardedge.distributions import FiniteSpec, gap_finite
 from hardedge.microscopic import gap_micro, micro_density
@@ -354,9 +354,10 @@ def test_converge_deviations_are_relative(
     found = dict(re.findall(r"max_rel_deviation p=(\d+): (\S+)", printed))
     assert float(found["10"]) == pytest.approx(2.556, rel=1e-3), printed
     assert float(found["20"]) == pytest.approx(1.012, rel=1e-3), printed
-    # At k = 11 the densities are 1e-36 to 1e-19 and the limit's last digits
-    # are rounding noise (its Pfaffian is ill-conditioned), so only the
-    # shape is pinned: p = 10 is ~2,000 times the limit, p = 20 ~100 times.
+    # At k = 11 the densities are 1e-36 to 1e-19 and the finite-p digits at
+    # this topology are not yet trusted (the limit is the Fredholm
+    # determinant's), so only the shape is pinned: p = 10 is ~2,000 times
+    # the limit, p = 20 ~100 times.
     assert main(["converge", "--k", "11", "--p", "10,20", "--points", "5"]) == 0
     printed = capsys.readouterr().out
     found = dict(re.findall(r"max_rel_deviation p=(\d+): (\S+)", printed))
@@ -373,8 +374,8 @@ def test_converge_rejects_an_underflowing_limit(
 
 def test_converge_rejects_impossible_densities(
         tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
-    # At k = 11 and u near 1000 the assembly loses every digit; the negative
-    # densities are a numerical failure, reported instead of written.
+    # At k = 11 and u near 1000 the finite-p assembly loses every digit; the
+    # negative densities are a numerical failure, reported instead of written.
     assert main(["converge", "--k", "11", "--p", "10,20", "--u-min", "900",
                  "--u-max", "1000", "--points", "2"]) == 3
     assert "numerical validation failed" in capsys.readouterr().err
@@ -383,14 +384,18 @@ def test_converge_rejects_impossible_densities(
 
 def test_unsettled_quadrature_fails_validation(
         monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]) -> None:
+    # The level density still climbs the quadrature ladder; the gap at
+    # u = 10 is a Fredholm determinant now, which takes no ladder rule.
     monkeypatch.setattr(specfun, "_gauss_legendre",
                         lambda n: (np.zeros(n), np.full(n, float(n))))
-    assert main(["micro", "--quantity", "gap", "--k", "3", "--u", "10"]) == 3
+    assert main(["micro", "--quantity", "density", "--nu", "4", "--u", "10"]) == 3
     assert "order 3072" in capsys.readouterr().err
 
 
 # Every quadrature starts at order 48 and doubles up to 3072.
 LADDER = {48 * 2 ** j for j in range(7)}
+# The limit's Fredholm determinant takes one of these fixed node counts.
+FREDHOLM_COUNTS = {count for _, count in microscopic._FREDHOLM_NODES}
 
 
 @pytest.mark.parametrize("argv", [
@@ -402,8 +407,9 @@ def test_cold_run_climbs_one_quadrature_ladder(
         argv: list[str], monkeypatch: pytest.MonkeyPatch,
         capsys: pytest.CaptureFixture[str]) -> None:
     # Tricomi U, the limiting kernel and the level density share one
-    # ladder of rules, so a cold run caches at most its seven rules
-    # instead of one rule per u.
+    # ladder of rules, and the Fredholm determinant takes fixed node counts,
+    # so a cold run caches at most those rules instead of one rule per u.
+    # A run whose limit points the determinant serves takes no ladder rule.
     asked, gauss_legendre = [], specfun._gauss_legendre
 
     def recorded(n):
@@ -411,10 +417,11 @@ def test_cold_run_climbs_one_quadrature_ladder(
         return gauss_legendre(n)
 
     monkeypatch.setattr(specfun, "_GL_CACHE", {})
+    monkeypatch.setattr(microscopic, "_NYSTROM", {})
     monkeypatch.setattr(specfun, "_gauss_legendre", recorded)
     assert main(argv) == 0
-    assert asked and set(asked) <= LADDER, sorted(set(asked))
-    assert len(specfun._GL_CACHE) <= 7
+    assert set(asked) <= LADDER | FREDHOLM_COUNTS, sorted(set(asked))
+    assert len(specfun._GL_CACHE) <= 7 + len(FREDHOLM_COUNTS)
 
 
 def test_selftest_passes(capsys: pytest.CaptureFixture[str]) -> None:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
-from hardedge import distributions
+from hardedge import distributions, microscopic
 from hardedge.distributions import (
     DistributionCurve,
     FiniteSpec,
@@ -384,16 +384,28 @@ def test_overflowing_pfaffian_raises(quantity: str) -> None:
         tabulate(quantity, 4, (4.1,), p=2000)
 
 
-@pytest.mark.parametrize("evaluate, point", [
-    (lambda: gap_micro(14, 0.01), "gamma=0, k=14, u=0.01"),
+def _negated_limit_pfaffian(monkeypatch) -> None:
+    # The determinant serves this point, so the Pfaffian route is forced.
+    # Negating its 14 x 14 block negates the value, 3.79 here (itself out of
+    # range by a rounding accident), so it is negative for certain.
+    balanced = microscopic._matrix_balanced
+    monkeypatch.setattr(microscopic, "_FREDHOLM_MIN_GAP", math.inf)
+    monkeypatch.setattr(microscopic, "_matrix_balanced",
+                        lambda gamma, k, u: -balanced(gamma, k, u))
+
+
+@pytest.mark.parametrize("evaluate, point, force", [
+    (lambda: gap_micro(14, 0.01), "gamma=0, k=14, u=0.01", _negated_limit_pfaffian),
     (lambda: gap_finite(FiniteSpec(p=1000, k=8, t=0.125)),
-     "gamma=0, p=1000, k=8, t=0.125"),
+     "gamma=0, p=1000, k=8, t=0.125", None),
 ], ids=["gap-limit-k14", "gap-finite-k8"])
-def test_impossible_values_raise(evaluate, point: str) -> None:
+def test_impossible_values_raise(monkeypatch, evaluate, point: str, force) -> None:
     # Where the assembly loses every digit it returns a probability outside
     # [0, 1] or a negative density; that must fail by name instead of
-    # leaving the library.  A negative limit Pfaffian is forced in
-    # test_microscopic.py, since which sign a lost value takes is chance.
+    # leaving the library.  The finite point does so by itself; in the
+    # limit the determinant now serves k = 14, and the guard is forced.
+    if force is not None:
+        force(monkeypatch)
     with pytest.raises(RuntimeError, match="impossible at " + re.escape(point)):
         evaluate()
 

@@ -200,16 +200,25 @@ def test_kernel_limit_rejects_bad_arguments() -> None:
         xi_big_lim(0, 1, 2, 1.0)
 
 
+_exact_rule = specfun._gauss_legendre
+
+
 def _never_settles(n):
     # Every node at the midpoint, with a total weight that grows with the
-    # order: successive values never agree.
+    # order: successive values never agree.  Only the ladder's orders (48
+    # and up) break, so the Fredholm determinant's few nodes stay exact.
+    if n < 48:
+        return _exact_rule(n)
     return np.zeros(n), np.full(n, float(n))
 
 
+# The guards below sit where E < 1e-5 (1.6e-7 at k = 2, u = 250; 2.3e-9 at
+# k = 2, u = 300; 3.9e-9 at k = 3, u = 400), so the Fredholm determinant
+# declines and the Pfaffian serves.
 def test_unsettled_kernel_quadrature_raises(monkeypatch) -> None:
     monkeypatch.setattr(specfun, "_gauss_legendre", _never_settles)
-    with pytest.raises(RuntimeError, match=r"gamma=0, k=3, u=10\.0.*order 3072"):
-        gap_micro(3, 10.0)
+    with pytest.raises(RuntimeError, match=r"gamma=0, k=3, u=400\.0.*order 3072"):
+        gap_micro(3, 400.0)
 
 
 @pytest.mark.parametrize("k", [2, 3], ids=["plain", "bordered"])
@@ -219,21 +228,120 @@ def test_non_finite_limit_pfaffian_raises(monkeypatch, k: int) -> None:
     monkeypatch.setattr(microscopic, "_matrix_balanced",
                         lambda gamma, k, u: np.full((k, k), np.nan))
     with pytest.raises(RuntimeError,
-                       match=rf"kernel Pfaffian is nan at gamma=0, k={k}, u=10\.0"):
-        gap_micro(k, 10.0)
+                       match=rf"kernel Pfaffian is nan at gamma=0, k={k}, u=400\.0"):
+        gap_micro(k, 400.0)
 
 
 @pytest.mark.parametrize("evaluate, gamma", [(gap_micro, 0), (smallest_micro, 1)],
                          ids=["gap", "density"])
 def test_negative_limit_pfaffian_raises(monkeypatch, evaluate, gamma: int) -> None:
     # A negated 2 x 2 block negates the Pfaffian, so the value leaves its
-    # range for certain; it must fail by name and not leave the library.
+    # range for certain (the density, 1.4e-8, by more than VALUE_TOL); it
+    # must fail by name and not leave the library.
     balanced = microscopic._matrix_balanced
     monkeypatch.setattr(microscopic, "_matrix_balanced",
                         lambda gamma, k, u: -balanced(gamma, k, u))
     with pytest.raises(RuntimeError, match=rf"hard-edge limit value -\S+ is "
-                                            rf"impossible at gamma={gamma}, k=2, u=10\.0"):
-        evaluate(2, 10.0)
+                                            rf"impossible at gamma={gamma}, k=2, u=250\.0"):
+        evaluate(2, 250.0)
+
+
+@pytest.mark.parametrize("k, u, why", [
+    (2, 300.0, r"E=2\.33e-09 is below 1e-05"),
+    (8, 1200.0, r"has no measured node rule past nu=48 or u=1000"),
+    (25, 1.0, r"has no measured node rule past nu=48 or u=1000"),
+], ids=["small-gap", "large-u", "large-nu"])
+def test_unserved_limit_point_names_both_routes(monkeypatch, k: int, u: float,
+                                                why: str) -> None:
+    # Where the determinant declines and the Pfaffian then fails, the error
+    # names the route that failed, the point, and why the other declined.
+    monkeypatch.setattr(microscopic, "_matrix_balanced",
+                        lambda gamma, k, u: np.full((k, k), np.nan))
+    for evaluate, gamma in ((gap_micro, 0), (smallest_micro, 1)):
+        with pytest.raises(RuntimeError, match=rf"^Pfaffian route: .* at gamma={gamma}, "
+                                                rf"k={k}, u={u}.*\(the Fredholm "
+                                                rf"determinant {why}\)$"):
+            evaluate(k, u)
+
+
+def _pfaffian_route(monkeypatch, evaluate, k: int, u: float) -> float:
+    with monkeypatch.context() as patch:
+        patch.setattr(microscopic, "_FREDHOLM_MIN_GAP", math.inf)
+        return evaluate(k, u)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_fredholm_meets_pfaffian_route(monkeypatch, k: int) -> None:
+    # The two routes share no formula; where the determinant serves (E >=
+    # 1e-5) the Pfaffian, accurate to ~1e-10 at k <= 4, must agree with it.
+    served = 0
+    for u in (1e-4, 0.5, 5.0, 20.0, 60.0, 100.0, 150.0, 200.0, 300.0, 380.0):
+        try:
+            gap = microscopic._fredholm_value(0, 2 * k, u)
+        except microscopic._Declined:
+            continue
+        served += 1
+        for evaluate in (gap_micro, smallest_micro):
+            fredholm = evaluate(k, u)
+            pfaffian = _pfaffian_route(monkeypatch, evaluate, k, u)
+            assert fredholm == pytest.approx(pfaffian, rel=1e-9), (evaluate.__name__, u, gap)
+    assert served >= 5, served
+
+
+def test_gap_at_high_topology_near_origin(monkeypatch) -> None:
+    # The Pfaffian route returned 3.79 here, which the range guard rejected
+    # (test_impossible_values_raise forces that guard now); the determinant
+    # serves the point and is settled in its nodes.
+    value = gap_micro(14, 0.01)
+    assert 0.0 <= value <= 1.0
+    count = microscopic._node_count
+    monkeypatch.setattr(microscopic, "_node_count", lambda nu, u: 2 * count(nu, u))
+    assert abs(gap_micro(14, 0.01) - value) <= 1e-14
+
+
+def test_fredholm_at_nu_one_is_exponential() -> None:
+    # At nu = 1 the gap is exp(-u/8) and the density exp(-u/8)/8.
+    for u in (0.01, 1.0, 10.0, 40.0, 80.0):
+        want = math.exp(-u / 8.0)
+        assert microscopic._fredholm_value(0, 1, u) == pytest.approx(want, rel=1e-11), u
+        assert microscopic._fredholm_value(1, 1, u) == pytest.approx(want / 8.0,
+                                                                     rel=1e-11), u
+
+
+FREDHOLM_GRID = (1e-6, 1e-3, 0.3, 1.0, 4.0, 10.0, 30.0, 50.0, 80.0, 100.0, 200.0, 300.0,
+                 400.0, 500.0, 700.0, 1000.0)
+
+
+def test_fredholm_node_rule_is_converged(monkeypatch) -> None:
+    # Twice the nodes of the rule must move E by at most 2e-14 absolute and
+    # P by at most 1e-11 + 2e-14/E relative, at every nu the rule serves.
+    count = microscopic._node_count
+    served = []
+    for nu in [1] + list(range(2, microscopic._FREDHOLM_MAX_NU + 1, 2)):
+        for u in FREDHOLM_GRID:
+            try:
+                values = [microscopic._fredholm_value(gamma, nu, u) for gamma in (0, 1)]
+            except microscopic._Declined:
+                continue
+            served.append((nu, u, values))
+    with monkeypatch.context() as patch:
+        patch.setattr(microscopic, "_node_count", lambda nu, u: 2 * count(nu, u))
+        for nu, u, (gap, density) in served:
+            assert abs(microscopic._fredholm_value(0, nu, u) - gap) <= 2e-14, (nu, u)
+            doubled = microscopic._fredholm_value(1, nu, u)
+            assert doubled == pytest.approx(density, rel=1e-11 + 2e-14 / gap, abs=0.0), (nu, u)
+    assert len(served) >= 250, len(served)
+
+
+@pytest.mark.parametrize("k", [6, 8, 10])
+def test_fredholm_density_is_derivative_of_gap(k: int) -> None:
+    # Where the Pfaffian missed P = -dE/du by up to O(1), the determinant
+    # meets it to the 5-point stencil's own error (step 1e-3 u).
+    for u in (200.0, 300.0, 500.0):
+        h = 1e-3 * u
+        e2m, e1m, e1p, e2p = (gap_micro(k, u + m * h) for m in (-2, -1, 1, 2))
+        slope = -(e2m - 8.0 * e1m + 8.0 * e1p - e2p) / (12.0 * h)
+        assert smallest_micro(k, u) == pytest.approx(slope, rel=1e-8), u
 
 
 def test_gap_topology_zero_matches_closed_form() -> None:
