@@ -282,8 +282,9 @@ def _micro_value(gamma: int, k: int, u: float) -> float:
     At k >= 1 the Fredholm determinant serves where it can
     (_fredholm_value); elsewhere, and at k = 0, the Pfaffian does, and a
     failure there raises RuntimeError naming the route, k and u, and why the
-    determinant declined.  The balanced Pfaffian, bordered when k is odd,
-    carries no powers of u.
+    determinant declined.
+
+    The balanced Pfaffian, bordered when k is odd, carries no powers of u.
     Its log scale is sum_{i in F_k} ln i + k(k+1) ln 2 - u/8 - sqrt(u)/2,
     plus (2k - 1)/2 ln u + ln((sqrt(u) + 2)/8) for the density, which holds
     the unbalancing power of u, or -2 ln 2 for the gap at odd k.
