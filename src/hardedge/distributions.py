@@ -69,11 +69,6 @@ class FiniteSpec:
         if self.p < 1 or self.k < 0 or not (math.isfinite(self.t) and self.t >= 0.0):
             raise ValueError(f"need p >= 1, k >= 0 and a finite t >= 0, got {self}")
 
-    @property
-    def nu(self) -> int:
-        """Topology index nu = 2k."""
-        return 2 * self.k
-
 
 @dataclass(frozen=True)
 class DistributionCurve:
@@ -124,11 +119,6 @@ class DistributionCurve:
         for x, v in zip(self.abscissae, self.values):
             if not _in_range(v, 1):
                 raise ValueError(f"density value {v} negative or not finite at t={x}")
-
-    @property
-    def nu(self) -> int:
-        """Topology index nu = 2k."""
-        return 2 * self.k
 
 
 def _ln_prefactor(gamma: int, spec: FiniteSpec) -> float:

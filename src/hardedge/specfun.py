@@ -6,9 +6,9 @@ hypergeometric function U(a, b, t), singly or as a whole chain in a.  U is
 a closed form at the chain bottoms a = 1/2 and otherwise a quadrature over
 a window found without a root finder: the peak in closed form, the
 edges by doubling out from the Laplace estimate.  Its order-doubling
-Gauss-Legendre loop is the only one in the package: the hard-edge
-quadratures in ``microscopic`` run through it as well, each caller with
-its own tolerance, all on one ladder of orders 48, 96, ..., 3072.  The
+Gauss-Legendre loop is the only one in the package: the limiting kernel
+quadrature in ``microscopic`` runs through it as well, with its own
+tolerance, both on one ladder of the five orders 48, 96, ..., 768.  The
 functions only the reference routes use (negation and signed sums of
 log-scaled values, log-gamma, monic Laguerre polynomials, Bessel
 functions) live in ``hardedge.reference.specfun``.
@@ -103,8 +103,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[n]
 
 
-# Highest Gauss-Legendre order tried: the ladder 48, 96, ..., 3072 of seven rules.
-_MAX_ORDER = 3072
+# Highest Gauss-Legendre order tried: the ladder 48, 96, ..., 768 of five rules.
+_MAX_ORDER = 768
 
 
 def _settled_integral(integrand, tol: float, floor: float, what: str):
@@ -113,8 +113,8 @@ def _settled_integral(integrand, tol: float, floor: float, what: str):
 
     The integrand may be array-valued, nodes on its last axis, as for a whole
     kernel matrix; the order doubles until every entry has settled.  Every
-    caller climbs the same ladder, so the rule cache holds at most seven
-    rules.  Raises RuntimeError naming ``what`` once the order would pass 3072.
+    caller climbs the same ladder, so the rule cache holds at most five
+    rules.  Raises RuntimeError naming ``what`` once the order would pass 768.
     """
     order, previous = 48, None
     while order <= _MAX_ORDER:
@@ -188,7 +188,7 @@ def tricomi_u(a: float, b: float, t: float) -> LogScaled:
     anchor of :func:`tricomi_u_chain`, so it is evaluated up to a ~ l/2 for
     l kernel polynomials; tested up to a = 2003 and t down to 1e-8, without
     overflow or underflow.  Raises ValueError for a non-finite argument,
-    a < 0 or t <= 0, and RuntimeError if not settled by order 3072.
+    a < 0 or t <= 0, and RuntimeError if not settled by order 768.
     """
     if not (a >= 0.0 and t > 0.0 and all(map(math.isfinite, (a, b, t)))):
         raise ValueError("tricomi_u requires finite a >= 0, b and t > 0, "

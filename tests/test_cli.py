@@ -17,6 +17,7 @@ from hardedge import cli, microscopic, specfun
 from hardedge.cli import main
 from hardedge.distributions import FiniteSpec, gap_finite
 from hardedge.microscopic import gap_micro, micro_density
+from test_microscopic import _never_settles
 
 
 @pytest.fixture(autouse=True)
@@ -54,6 +55,12 @@ def test_micro_point_matches_library(argv: list[str], want,
 
 def test_micro_point_rejects_negative_u(capsys: pytest.CaptureFixture[str]) -> None:
     assert main(["micro", "--quantity", "smallest", "--k", "0", "--u", "-1"]) == 2
+
+
+def test_micro_density_rejects_u_past_its_bound(capsys: pytest.CaptureFixture[str]) -> None:
+    # The density's series would take ~sqrt(u)/2 orders: 5e8 of them here.
+    assert main(["micro", "--quantity", "density", "--nu", "4", "--u", "1e18"]) == 2
+    assert "at most 1e8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("u", ["inf", "nan"])
@@ -384,16 +391,17 @@ def test_converge_rejects_impossible_densities(
 
 def test_unsettled_quadrature_fails_validation(
         monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]) -> None:
-    # The level density still climbs the quadrature ladder; the gap at
-    # u = 10 is a Fredholm determinant now, which takes no ladder rule.
-    monkeypatch.setattr(specfun, "_gauss_legendre",
-                        lambda n: (np.zeros(n), np.full(n, float(n))))
-    assert main(["micro", "--quantity", "density", "--nu", "4", "--u", "10"]) == 3
-    assert "order 3072" in capsys.readouterr().err
+    # At k = 3, u = 400 the gap is 3.9e-9, so the Fredholm determinant
+    # declines and the Pfaffian's kernel quadrature climbs the ladder.  The
+    # fake breaks only the ladder's orders, so the determinant's few nodes
+    # stay exact and the failure is the quadrature's.
+    monkeypatch.setattr(specfun, "_gauss_legendre", _never_settles)
+    assert main(["micro", "--quantity", "gap", "--k", "3", "--u", "400"]) == 3
+    assert "order 768" in capsys.readouterr().err
 
 
-# Every quadrature starts at order 48 and doubles up to 3072.
-LADDER = {48 * 2 ** j for j in range(7)}
+# Every quadrature starts at order 48 and doubles up to 768.
+LADDER = {48 * 2 ** j for j in range(5)}
 # The limit's Fredholm determinant takes one of these fixed node counts.
 FREDHOLM_COUNTS = {count for _, count in microscopic._FREDHOLM_NODES}
 
@@ -406,8 +414,8 @@ FREDHOLM_COUNTS = {count for _, count in microscopic._FREDHOLM_NODES}
 def test_cold_run_climbs_one_quadrature_ladder(
         argv: list[str], monkeypatch: pytest.MonkeyPatch,
         capsys: pytest.CaptureFixture[str]) -> None:
-    # Tricomi U, the limiting kernel and the level density share one
-    # ladder of rules, and the Fredholm determinant takes fixed node counts,
+    # Tricomi U and the limiting kernel share one ladder of rules, and the
+    # Fredholm determinant takes fixed node counts,
     # so a cold run caches at most those rules instead of one rule per u.
     # A run whose limit points the determinant serves takes no ladder rule.
     asked, gauss_legendre = [], specfun._gauss_legendre
@@ -421,7 +429,7 @@ def test_cold_run_climbs_one_quadrature_ladder(
     monkeypatch.setattr(specfun, "_gauss_legendre", recorded)
     assert main(argv) == 0
     assert set(asked) <= LADDER | FREDHOLM_COUNTS, sorted(set(asked))
-    assert len(specfun._GL_CACHE) <= 7 + len(FREDHOLM_COUNTS)
+    assert len(specfun._GL_CACHE) <= len(LADDER) + len(FREDHOLM_COUNTS)
 
 
 def test_selftest_passes(capsys: pytest.CaptureFixture[str]) -> None:

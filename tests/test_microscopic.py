@@ -217,7 +217,7 @@ def _never_settles(n):
 # declines and the Pfaffian serves.
 def test_unsettled_kernel_quadrature_raises(monkeypatch) -> None:
     monkeypatch.setattr(specfun, "_gauss_legendre", _never_settles)
-    with pytest.raises(RuntimeError, match=r"gamma=0, k=3, u=400\.0.*order 3072"):
+    with pytest.raises(RuntimeError, match=r"gamma=0, k=3, u=400\.0.*order 768"):
         gap_micro(3, 400.0)
 
 
@@ -459,17 +459,47 @@ def _bessel_j_integral(nu: int, x: mpmath.mpf) -> mpmath.mpf:
 @pytest.mark.parametrize("nu", [0, 3, 4, 9])
 def test_density_matches_closed_form_bessel_integral(nu: int) -> None:
     # Far out at the hard edge the partial integral of J_nu oscillates
-    # over ~sqrt(u) / pi periods; the quadrature must still settle on it.
+    # over ~sqrt(u) / pi periods; its series must still sum to it.
     # u = 361.9 and 392.04 (sqrt(u) = 19.0-19.8) sit where
     # scipy.special.itj0y0 errs by up to 1e-9 absolute, so a closed-form
-    # integral taken from it would fail here.
-    for u in (1.0, 1e2, 361.9, 392.04, 1e4, 1e6):
+    # integral taken from it would fail here.  At u = 2e7 and 5e7 no
+    # Gauss-Legendre order up to 768 settles on the integral.
+    for u in (1.0, 1e2, 361.9, 392.04, 1e4, 1e6, 2e7, 5e7):
         with mpmath.workdps(30):
             x = mpmath.sqrt(u)
             down, mid, up = (mpmath.besselj(n, x) for n in (nu - 1, nu, nu + 1))
             want = (mid * mid - down * up) / 4 \
                 + mid * (1 - _bessel_j_integral(nu, x)) / (4 * x)
         assert micro_density(nu, u) == pytest.approx(float(want), rel=1e-11), u
+
+
+def test_density_takes_no_quadrature(monkeypatch) -> None:
+    # The partial Bessel integral is a series, so no u asks the ladder for
+    # a rule, however many periods the integrand would oscillate over.
+    def no_rule(n):
+        raise AssertionError(f"asked for a rule of order {n}")
+
+    monkeypatch.setattr(specfun, "_gauss_legendre", no_rule)
+    for u in (1e-4, 25.0, 1e6, 5e7):
+        assert micro_density(4, u) > 0.0
+
+
+@pytest.mark.parametrize("k, u", [(2, 300.0), (8, 1100.0), (16, 3000.0), (24, 5000.0)])
+def test_limit_kernel_quadrature_settles_at_order_96(monkeypatch, k: int, u: float) -> None:
+    # Points the Pfaffian serves: E < 1e-5 at k = 2, 16 and 24, and u past
+    # the determinant's node rule at k = 8.  Its kernel quadrature settles
+    # at order 96, which leaves the ladder's cap of 768 three rungs spare.
+    asked = []
+
+    def recorded(n):
+        asked.append(n)
+        return _exact_rule(n)
+
+    monkeypatch.setattr(specfun, "_gauss_legendre", recorded)
+    for gamma in (0, 1):
+        asked.clear()
+        _matrix_balanced(gamma, k, u)
+        assert max(asked) == 96, (gamma, sorted(set(asked)))
 
 
 @pytest.mark.parametrize("evaluate", [gap_micro, smallest_micro, micro_density])
@@ -509,3 +539,8 @@ def test_limit_rejects_non_finite_u_under_optimization() -> None:
 def test_density_rejects_non_positive_argument() -> None:
     with pytest.raises(ValueError):
         micro_density(2, 0.0)
+    # Past the largest u measured against the oracle the series would take
+    # ever more orders, so the input is bounded there.
+    assert micro_density(2, 1e8) > 0.0
+    with pytest.raises(ValueError, match="at most 1e8"):
+        micro_density(2, 1.0000001e8)

@@ -154,7 +154,7 @@ def _never_settles(n):
 
 def test_tricomi_u_nonconvergence_raises(monkeypatch) -> None:
     monkeypatch.setattr(specfun, "_gauss_legendre", _never_settles)
-    with pytest.raises(RuntimeError, match=r"a=2\.5, b=0\.5, t=0\.25.*order 3072"):
+    with pytest.raises(RuntimeError, match=r"a=2\.5, b=0\.5, t=0\.25.*order 768"):
         tricomi_u(2.5, 0.5, 0.25)
 
 
@@ -176,7 +176,7 @@ def test_tricomi_u_nonconvergence_raises_under_optimization() -> None:
     done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                           text=True, timeout=120, env={"PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    assert "order 3072" in done.stdout
+    assert "order 768" in done.stdout
 
 
 NAN, INF = math.nan, math.inf
@@ -190,7 +190,7 @@ BAD_TRICOMI = ((-1.0, 0.5, 1.0), (2.5, 0.5, 0.0), (2.5, 0.5, -1.0),
 
 def test_tricomi_u_rejects_bad_arguments(monkeypatch) -> None:
     # Rejected before any quadrature: a NaN would otherwise climb the
-    # order-doubling loop to its 3072-node cap.
+    # order-doubling loop to its 768-node cap.
     def no_quadrature(*args):
         raise AssertionError("reached the quadrature")
 
@@ -348,11 +348,9 @@ def test_finite_point_quadratures_settle_at_order_96(settling_orders) -> None:
     assert settling_orders and set(settling_orders) == {96}
 
 
-def test_random_argument_quadratures_settle_by_order_768(settling_orders,
-                                                         monkeypatch) -> None:
+def test_random_argument_quadratures_settle_by_order_768(settling_orders) -> None:
     # Flat integrands (b = 1, tiny t) need the highest orders.  The cap
     # turns a window that needs more into a quick RuntimeError.
-    monkeypatch.setattr(specfun, "_MAX_ORDER", 768)
     for args in _random_arguments():
         specfun.tricomi_u(*args)
     assert max(settling_orders) <= 768
