@@ -148,10 +148,13 @@ def _finite_value(gamma: int, spec: FiniteSpec) -> float:
 
     Both are N U(a, 3/2 + gamma, t/2) times the Pfaffian of the t-balanced
     kernel block, bordered when k is odd, combined in the log domain; ln N
-    (_ln_prefactor) already holds the powers of t the block carries.
+    (_ln_prefactor) already holds the powers of t the block carries.  At
+    k >= 1 the U is read off the point's BulkTables ladder; k = 0 has no
+    ladder and evaluates it directly.
     """
     p, k, t = spec.p, spec.k, spec.t
     odd = k % 2
+    a = (p + k + 1 + gamma - odd) / 2
     matrix, border = np.zeros((0, 0)), None
     if k > 0:
         # Far in the tail the entries overflow; _pfaffian_value reports it.
@@ -160,8 +163,10 @@ def _finite_value(gamma: int, spec: FiniteSpec) -> float:
             matrix = kernel_matrix(tables)
             if odd:
                 border = border_column(tables)
-    a = (p + k + 1 + gamma - odd) / 2
-    ln_pre = _ln_prefactor(gamma, spec) + tricomi_u(a, 1.5 + gamma, 0.5 * t).log_magnitude
+        ln_u = tables.ln_u(a, 1.5 + gamma)
+    else:
+        ln_u = tricomi_u(a, 1.5 + gamma, 0.5 * t).log_magnitude
+    ln_pre = _ln_prefactor(gamma, spec) + ln_u
     return _pfaffian_value(gamma, matrix, border, ln_pre, "finite-p", p=p, k=k, t=t)
 
 

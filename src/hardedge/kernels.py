@@ -52,8 +52,11 @@ def _gamma_run(x: float, d: float, count: int) -> np.ndarray:
     """Gamma(x + i) / Gamma(x + i + d) for i = 0..count-1.
 
     A running product from i = 0: differences of log-gamma would lose
-    ~|ln Gamma| ulps at the top of a chain.
+    ~|ln Gamma| ulps at the top of a chain.  d = 0, as in the rho and sigma
+    quotients, gives ones exactly.
     """
+    if d == 0.0:
+        return np.ones(count)
     i = np.arange(count - 1)
     first = math.exp(math.lgamma(x) - math.lgamma(x + d))
     return first * np.concatenate(([1.0], np.cumprod((x + i) / (x + i + d))))
@@ -102,15 +105,18 @@ class BulkTables:
     lie on one ladder U(1/2 + i, b, z), up to i = gamma + l // 2, for the
     consecutive b from gamma - 1/2 up to gamma + 3/2, extended down to
     h = 1/2 - gamma for the hatted set of odd l, in one tricomi_u_chain
-    call: one tridiagonal solve, and a quadrature for each chain top.  The integer-a values map onto it
-    through Kummer's transformation (DLMF 13.2.40)
+    call: one tridiagonal solve, and one quadrature pass for the anchors of
+    all chains together.  The integer-a values map onto it through
+    Kummer's transformation (DLMF 13.2.40)
 
         U(a, b, z) = z^(1 - b) U(a - b + 1, 2 - b, z),
 
     which at the b = h and h + 1 the route reads lands on half-integer a
-    and on b = gamma + 3/2 and gamma + 1/2.  The Laguerre rows
-    L_n^(2 gamma + m)(-t), m <= size, are laid out once in the skewed copy
-    that the kernel reads in strided blocks.  One table serves one
+    and on b = gamma + 3/2 and gamma + 1/2.  The prefactor
+    U(a, gamma + 3/2, t/2) of the finite-p assembly lies on the ladder too
+    (ln_u): at even l directly, at odd l through the same map onto b = h.
+    The Laguerre rows L_n^(2 gamma + m)(-t), m <= size, are laid out once
+    in the skewed copy that the kernel reads in strided blocks.  One table serves one
     evaluation point: it is made per call and shared by the kernel matrix
     and its border column.
 
@@ -155,6 +161,11 @@ class BulkTables:
         if start + count > len(w):
             raise IndexError(f"U({a} + {count - 1}, {b}) is past the chain top")
         return w[start:start + count], log_scale, a
+
+    def ln_u(self, a: float, b: float) -> float:
+        """ln U(a, b, t/2) read off the ladder; a an integer or half-integer."""
+        w, log_scale, a_read = self._segment(a, b, 1)
+        return math.log(w[0]) + log_scale - math.lgamma(a_read + 1.0)
 
     def quotient(self, num: tuple[float, float], den: tuple[float, float],
                  count: int) -> np.ndarray:

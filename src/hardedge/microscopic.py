@@ -160,8 +160,9 @@ def _matrix_balanced(gamma: int, k: int, u: float) -> np.ndarray:
     Each entry is an integral over (0, sqrt(u)/2), transplanted to the unit
     interval with the Bessel power parts pulled out, of
     s^(2(a+b)+4 gamma+1) (beta_b alpha_a - beta_a alpha_b).  All entries
-    above the diagonal share one Gauss-Legendre rule with order doubling;
-    the lower triangle is their exact negative.
+    above the diagonal share one order-doubling Gauss-Legendre loop, each
+    kept at the order it settles at; the lower triangle is their exact
+    negative.
     """
     data = np.zeros((k, k))
     if k < 2:
@@ -170,15 +171,15 @@ def _matrix_balanced(gamma: int, k: int, u: float) -> np.ndarray:
     exponents = (2 * (upper + lower) + 4 * gamma + 1)[:, None]
     root_half = 0.5 * math.sqrt(u)
 
-    def integrand(s: np.ndarray) -> np.ndarray:
+    def integrand(s: np.ndarray, entries) -> np.ndarray:
         alpha, beta = _rows(gamma, k, root_half * s)
-        return s ** exponents \
-            * (beta[lower] * alpha[upper] - beta[upper] * alpha[lower])
+        up, low = upper[entries], lower[entries]
+        return s ** exponents[entries] * (beta[low] * alpha[up] - beta[up] * alpha[low])
 
     scale = 4.0 ** (-(2 * gamma + upper + lower + 2))
-    values = scale * _settled_integral(integrand, 1e-11, 1.0,
-                                       f"limiting kernel quadrature at gamma={gamma}, "
-                                       f"k={k}, u={u}")
+    values = scale * _settled_integral(
+        integrand, 1e-11, 1.0,
+        lambda unsettled: f"limiting kernel quadrature at gamma={gamma}, k={k}, u={u}")
     data[upper, lower] = values
     data[lower, upper] = -values
     return data

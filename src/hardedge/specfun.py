@@ -5,10 +5,13 @@ in this module: log-scaled arithmetic and Tricomi's confluent
 hypergeometric function U(a, b, t), singly or as a whole chain in a.  U is
 a closed form at the chain bottoms a = 1/2 and otherwise a quadrature over
 a window found without a root finder: the peak in closed form, the
-edges by doubling out from the Laplace estimate.  Its order-doubling
-Gauss-Legendre loop is the only one in the package: the limiting kernel
-quadrature in ``microscopic`` runs through it as well, with its own
-tolerance, both on one ladder of the five orders 48, 96, ..., 768.  The
+edges by doubling out from the Laplace estimate.  One pass evaluates any
+number of rows (a, b) at a shared t, each in its own window, through one
+order-doubling loop: a chain evaluates all its anchors in one pass, and
+the scalar :func:`tricomi_u` is the pass of one row.  That Gauss-Legendre
+loop is the only one in the package: the limiting kernel quadrature in
+``microscopic`` runs through it as well, with its own tolerance, both on
+one ladder of the five orders 48, 96, ..., 768.  The
 functions only the reference routes use (negation and signed sums of
 log-scaled values, log-gamma, monic Laguerre polynomials, Bessel
 functions) live in ``hardedge.reference.specfun``.
@@ -107,24 +110,33 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _MAX_ORDER = 768
 
 
-def _settled_integral(integrand, tol: float, floor: float, what: str):
+def _settled_integral(integrand, tol: float, floor: float, describe):
     """Integrate over [0, 1] by Gauss-Legendre, doubling the order from 48
     until two successive values agree to tol * max(floor, |value|).
 
     The integrand may be array-valued, nodes on its last axis, as for a whole
-    kernel matrix; the order doubles until every entry has settled.  Every
-    caller climbs the same ladder, so the rule cache holds at most five
-    rules.  Raises RuntimeError naming ``what`` once the order would pass 768.
+    kernel matrix or several Tricomi U rows.  It is called as
+    integrand(s, live) and returns the entries live selects: all of them
+    (live = slice(None)) until one has settled, then the indices of those
+    still unsettled.  Each entry keeps the first value that agrees with its
+    previous one, so it settles as it would alone.  Every caller climbs the
+    same ladder, so the rule cache holds at most five rules.  Once the order
+    would pass 768 it raises RuntimeError naming ``describe(live)``.
     """
-    order, previous = 48, None
+    order, live, previous = 48, slice(None), None
     while order <= _MAX_ORDER:
         nodes, weights = _gauss_legendre(order)
-        current = integrand(0.5 * (nodes + 1.0)) @ (0.5 * weights)
-        if previous is not None and np.all(
-                np.abs(current - previous) <= tol * np.maximum(floor, np.abs(current))):
-            return current
+        current = integrand(0.5 * (nodes + 1.0), live) @ (0.5 * weights)
+        if previous is None:
+            values = current
+        else:
+            late = np.abs(current - previous) > tol * np.maximum(floor, np.abs(current))
+            values[live] = current
+            if not late.any():
+                return values
+            live, current = np.arange(len(values))[live][late], current[late]
         previous, order = current, 2 * order
-    raise RuntimeError(f"{what} did not settle up to order {_MAX_ORDER}")
+    raise RuntimeError(f"{describe(live)} did not settle up to order {_MAX_ORDER}")
 
 
 # ----------------------------------------------------------------- Tricomi U
@@ -134,8 +146,8 @@ def _settled_integral(integrand, tol: float, floor: float, what: str):
 _WINDOW_DROP = 60.0
 
 
-def _half_anchor(b: float, t: float) -> LogScaled | None:
-    """U(1/2, b, t) in closed form where one exists without cancellation.
+def _half_anchor(b: float, t: float) -> float | None:
+    """ln U(1/2, b, t) in closed form where one exists without cancellation.
 
     A bulk ladder evaluates only the bottom of its lowest chain: b = -1/2
     at gamma = 0 and at gamma = 1 with odd l, b = 1/2 at gamma = 1 with even
@@ -151,14 +163,90 @@ def _half_anchor(b: float, t: float) -> LogScaled | None:
     """
     root = math.sqrt(t)
     if b == 1.5:
-        return LogScaled(-0.5 * math.log(t), 1)
+        return -0.5 * math.log(t)
     if b == 2.5:
-        return LogScaled(math.log(t + 0.5) - 1.5 * math.log(t), 1)
+        return math.log(t + 0.5) - 1.5 * math.log(t)
     if b == 0.5:
-        return LogScaled.from_value(math.sqrt(math.pi) * erfcx(root))
+        return math.log(math.sqrt(math.pi) * erfcx(root))
     if b == -0.5 and t <= 0.5:
-        return LogScaled.from_value((0.5 - t) * math.sqrt(math.pi) * erfcx(root) + root)
+        return math.log((0.5 - t) * math.sqrt(math.pi) * erfcx(root) + root)
     return None
+
+
+def _exponent(a, c, t: float, v):
+    """h(v) = a v + c log(1 + e^v) - t e^v, the log of the U integrand."""
+    # The cap keeps exp finite where the window walk steps far right.
+    x = np.exp(np.minimum(v, 700.0))
+    return a * v + c * np.log1p(x) - t * x
+
+
+def _window(a: float, b: float, t: float) -> tuple[float, float, float, float]:
+    """(h_peak, left, peak, right): the peak of h and the window edges of
+    one U(a, b, t) quadrature, as :func:`tricomi_u` describes them."""
+    c = b - a - 1.0
+    # The peak, x = e^v: the positive root of t x^2 - m x - a, cancellation-free.
+    m = b - 1.0 - t
+    disc = math.sqrt(m * m + 4.0 * a * t)
+    x = (m + disc) / (2.0 * t) if m >= 0.0 else 2.0 * a / (disc - m)
+    peak = math.log(x)
+    h_peak = a * peak + c * math.log1p(x) - t * x
+    curvature = t * x - c * x / (1.0 + x) ** 2
+
+    def window_edge(direction: float) -> float:
+        edge = peak + direction * math.sqrt(2.0 * _WINDOW_DROP / curvature)
+        while _exponent(a, c, t, edge) > h_peak - _WINDOW_DROP:
+            edge = peak + 2.0 * (edge - peak)
+        while _exponent(a, c, t, peak + 0.25 * (edge - peak)) <= h_peak - _WINDOW_DROP:
+            edge = peak + 0.25 * (edge - peak)
+        return edge
+
+    return h_peak, window_edge(-1.0), peak, window_edge(+1.0)
+
+
+def _ln_tricomi(rows: list[tuple[float, float]], t: float) -> list[float]:
+    """ln U(a, b, t) for every (a, b) of rows at one shared t, in one pass.
+
+    a = 0 and the closed-form chain bottoms (:func:`_half_anchor`) take no
+    quadrature; every other row finds its own window and all of them share
+    one order-doubling Gauss-Legendre loop, in which each row keeps the
+    first order at which it settles to 5e-13, as it would alone.  Raises
+    ValueError naming the first row with a
+    non-finite argument, a < 0 or t <= 0, before any quadrature, and
+    RuntimeError naming every row not settled by order 768.
+    """
+    logs = []
+    for a, b in rows:
+        if not (a >= 0.0 and t > 0.0 and all(map(math.isfinite, (a, b, t)))):
+            raise ValueError("Tricomi U requires finite a >= 0, b and t > 0, "
+                             f"got a={a}, b={b}, t={t}")
+        logs.append(0.0 if a == 0.0 else _half_anchor(b, t) if a == 0.5 else None)
+    pending = [i for i, ln in enumerate(logs) if ln is None]
+    if not pending:
+        return logs
+
+    a, b = np.array([rows[i] for i in pending]).T
+    c = b - a - 1.0
+    windows = np.array([_window(*rows[i], t) for i in pending])
+    h_peak = windows[:, 0]
+    # Per row, the two sides of the peak: starts and widths of shape (rows, 2, 1).
+    starts = windows[:, 1:3, None]
+    widths = np.diff(windows[:, 1:], axis=1)[:, :, None]
+    a, c = a[:, None, None], c[:, None, None]
+
+    def integrand(s: np.ndarray, live) -> np.ndarray:
+        # Both sides of each row's peak, mapped onto [0, 1] and summed.
+        values = np.exp(_exponent(a[live], c[live], t, starts[live] + widths[live] * s)
+                        - h_peak[live, None, None])
+        return (widths[live] * values).sum(axis=1)
+
+    def describe(unsettled: np.ndarray) -> str:
+        return "Tricomi U quadrature for " + "; ".join(
+            f"a={rows[pending[i]][0]}, b={rows[pending[i]][1]}, t={t}" for i in unsettled)
+
+    totals = _settled_integral(integrand, 5e-13, 0.0, describe)
+    for i, peak, total in zip(pending, h_peak, totals):
+        logs[i] = float(peak + math.log(total) - math.lgamma(rows[i][0]))
+    return logs
 
 
 def tricomi_u(a: float, b: float, t: float) -> LogScaled:
@@ -184,56 +272,13 @@ def tricomi_u(a: float, b: float, t: float) -> LogScaled:
 
     a = 0 returns 1 exactly (empty-product convention used by the
     skew-orthogonal norm at index 0), and the chain bottoms U(1/2, b, t)
-    come in closed form where :func:`_half_anchor` has one.  Serves as the
-    anchor of :func:`tricomi_u_chain`, so it is evaluated up to a ~ l/2 for
-    l kernel polynomials; tested up to a = 2003 and t down to 1e-8, without
-    overflow or underflow.  Raises ValueError for a non-finite argument,
-    a < 0 or t <= 0, and RuntimeError if not settled by order 768.
+    come in closed form where :func:`_half_anchor` has one.  This is the
+    one-row case of the pass :func:`tricomi_u_chain` evaluates its anchors
+    with, tested up to a = 2003 and t down to 1e-8, without overflow or
+    underflow.  Raises ValueError for a non-finite argument, a < 0 or
+    t <= 0, and RuntimeError if not settled by order 768.
     """
-    if not (a >= 0.0 and t > 0.0 and all(map(math.isfinite, (a, b, t)))):
-        raise ValueError("tricomi_u requires finite a >= 0, b and t > 0, "
-                         f"got a={a}, b={b}, t={t}")
-    if a == 0.0:
-        return LogScaled.from_value(1.0)
-    if a == 0.5:
-        anchor = _half_anchor(b, t)
-        if anchor is not None:
-            return anchor
-
-    c = b - a - 1.0
-
-    def h(v):
-        # The cap keeps exp finite where the window walk steps far right.
-        x = np.exp(np.minimum(v, 700.0))
-        return a * v + c * np.log1p(x) - t * x
-
-    # The peak, x = e^v: the positive root of t x^2 - m x - a, cancellation-free.
-    m = b - 1.0 - t
-    disc = math.sqrt(m * m + 4.0 * a * t)
-    x = (m + disc) / (2.0 * t) if m >= 0.0 else 2.0 * a / (disc - m)
-    peak = math.log(x)
-    h_peak = a * peak + c * math.log1p(x) - t * x
-    curvature = t * x - c * x / (1.0 + x) ** 2
-
-    def window_edge(direction: float) -> float:
-        edge = peak + direction * math.sqrt(2.0 * _WINDOW_DROP / curvature)
-        while h(edge) > h_peak - _WINDOW_DROP:
-            edge = peak + 2.0 * (edge - peak)
-        while h(peak + 0.25 * (edge - peak)) <= h_peak - _WINDOW_DROP:
-            edge = peak + 0.25 * (edge - peak)
-        return edge
-
-    left, right = window_edge(-1.0), window_edge(+1.0)
-    starts = np.array([[left], [peak]])
-    widths = np.array([peak - left, right - peak])
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        # The two sides of the peak, each mapped onto [0, 1], summed.
-        return widths @ np.exp(h(starts + widths[:, None] * s) - h_peak)
-
-    total = _settled_integral(integrand, 5e-13, 0.0,
-                              f"Tricomi U quadrature for a={a}, b={b}, t={t}")
-    return LogScaled(h_peak + math.log(total) - math.lgamma(a), 1)
+    return LogScaled(_ln_tricomi([(a, b)], t)[0], 1)
 
 
 def tricomi_u_chain(a0: float, b: float, t: float, n: int,
@@ -249,10 +294,11 @@ def tricomi_u_chain(a0: float, b: float, t: float, n: int,
     accurate where the log of U itself runs into the thousands.  All chains
     share the log_scale of the lowest one.
 
-    Only the anchors are evaluated, each by one :func:`tricomi_u` call:
-    both ends of the lowest chain and the top of each further one, count + 1
-    calls in all (count at n = 0).  The bottoms U(0, b, t) = 1 and the
-    closed-form U(1/2, b, t) cost no quadrature.  The interior of the
+    Only the anchors are evaluated, all in one pass of the quadrature that
+    :func:`tricomi_u` runs for one row: both ends of the lowest chain and
+    the top of each further one, count + 1 rows in all (count at n = 0),
+    one order-doubling loop for them together.  The bottoms U(0, b, t) = 1
+    and the closed-form U(1/2, b, t) take no quadrature.  The interior of the
     lowest chain solves the three-term recurrence in a (DLMF 13.3.7) as a
     boundary-value problem (Olver 1967; Gil, Segura and Temme 2007, ch. 4):
     with w_a = Gamma(a + 1) U(a, b, t) it reads
@@ -287,11 +333,16 @@ def tricomi_u_chain(a0: float, b: float, t: float, n: int,
         raise ValueError("tricomi_u_chain requires a0 >= 0, n >= 0 and count >= 1, "
                          f"got a0={a0}, n={n}, count={count}")
     top_a = a0 + n
-    w, log_scale = _solved_chain(a0, b, t, n)
+    # The lowest chain's bottom, then the top of every chain (the bottom is
+    # also the lowest top at n = 0), as ln w = ln U + ln Gamma(a + 1).
+    rows = [(a0, b)] + [(top_a, b + j) for j in range(0 if n else 1, count)]
+    ln_w = [ln_u + math.lgamma(a + 1.0)
+            for (a, _), ln_u in zip(rows, _ln_tricomi(rows, t))]
+    tops = ln_w[-count:]
+    w, log_scale = _solved_chain(a0, b, t, n, ln_w[0], tops[0])
     chains = [(w, log_scale)]
     a = a0 + np.arange(n + 1.0)
-    for j in range(1, count):
-        ln_top = tricomi_u(top_a, b + j, t).log_magnitude + math.lgamma(top_a + 1.0)
+    for j, ln_top in enumerate(tops[1:], 1):
         top = math.exp(ln_top - log_scale)
         # S_{a+1} for a = a0..a0+n-1, as a reverse cumulative sum (empty at n = 0).
         tail = np.cumsum((np.append(w[1:-1], top) / a[1:])[::-1])[::-1]
@@ -307,12 +358,12 @@ def _check_range(w: np.ndarray, a0: float, b: float, t: float, n: int) -> None:
             f"Tricomi U chain left the double range for a0={a0}, b={b}, t={t}, n={n}")
 
 
-def _solved_chain(a0: float, b: float, t: float, n: int) -> tuple[np.ndarray, float]:
-    """The lowest chain of :func:`tricomi_u_chain`: anchors and tridiagonal solve."""
-    ln_lo = tricomi_u(a0, b, t).log_magnitude + math.lgamma(a0 + 1.0)
+def _solved_chain(a0: float, b: float, t: float, n: int, ln_lo: float,
+                  ln_hi: float) -> tuple[np.ndarray, float]:
+    """The lowest chain of :func:`tricomi_u_chain` from the logs of its end
+    anchors w_a0 and w_(a0+n): the tridiagonal solve between them."""
     if n == 0:
         return np.ones(1), ln_lo
-    ln_hi = tricomi_u(a0 + n, b, t).log_magnitude + math.lgamma(a0 + n + 1.0)
     log_scale = max(ln_lo, ln_hi)
     w = np.empty(n + 1)
     w[0], w[-1] = math.exp(ln_lo - log_scale), math.exp(ln_hi - log_scale)

@@ -17,7 +17,7 @@ import pytest
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgttrf
 
-from hardedge import distributions, kernels, specfun
+from hardedge import kernels, specfun
 from hardedge.distributions import FiniteSpec, gap_finite, smallest_finite
 from hardedge.kernels import BulkTables
 from hardedge.specfun import tricomi_u, tricomi_u_chain
@@ -108,6 +108,23 @@ def test_tricomi_u_matches_mpmath_on_random_arguments() -> None:
     assert worst <= 2.7e-12
 
 
+def test_shared_pass_matches_tricomi_u_and_mpmath() -> None:
+    # Each random argument heads a pass of three rows at its t.  Every row
+    # settles as it would alone, so it meets tricomi_u to rounding.  Near
+    # ln U = -1.3e4 one ulp of the log is 1.8e-12 of U, and the row
+    # (1998.9, 3.5, 8.4) is off by two, 3.6e-12, in tricomi_u as well.
+    worst_scalar = worst = 0.0
+    for a, b, t in _random_arguments():
+        rows = [(a, b), (a, b + 1.0), (a + 0.5, b)]
+        for (ra, rb), got in zip(rows, specfun._ln_tricomi(rows, t)):
+            alone = tricomi_u(ra, rb, t).log_magnitude
+            worst_scalar = max(worst_scalar, abs(math.expm1(got - alone)))
+            want = mpmath.log(_hyperu(ra, rb, t))
+            worst = max(worst, abs(float(mpmath.expm1(got - want))))
+    assert worst_scalar <= 1e-15
+    assert worst <= 3.7e-12
+
+
 def _u_integral(a: float, b: float, z: float):
     # The integral representation, for arguments where hyperu's series
     # does not converge (such as b = -1/2, z = 1/2).
@@ -156,6 +173,18 @@ def test_tricomi_u_nonconvergence_raises(monkeypatch) -> None:
     monkeypatch.setattr(specfun, "_gauss_legendre", _never_settles)
     with pytest.raises(RuntimeError, match=r"a=2\.5, b=0\.5, t=0\.25.*order 768"):
         tricomi_u(2.5, 0.5, 0.25)
+
+
+def test_unsettled_pass_names_every_row(monkeypatch) -> None:
+    # The chain's three anchors share one pass; the closed-form bottom
+    # U(1/2, 1/2, t) takes none and is not named.
+    monkeypatch.setattr(specfun, "_gauss_legendre", _never_settles)
+    with pytest.raises(RuntimeError) as raised:
+        tricomi_u_chain(0.5, 0.5, 2.0, 4, 3)
+    message = str(raised.value)
+    for b in ("0.5", "1.5", "2.5"):
+        assert f"a=4.5, b={b}, t=2.0" in message
+    assert "a=0.5" not in message and "order 768" in message
 
 
 def test_tricomi_u_nonconvergence_raises_under_optimization() -> None:
@@ -293,56 +322,59 @@ def test_integer_a_reads_match_mpmath(gamma: int, l: int, z: float) -> None:
     assert tables.border_mix() == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 
-# tricomi_u calls per bulk point: the lowest chain of the ladder takes its
-# bottom (closed form) and top, each further b its top, and the prefactor
-# one more.
-POINT_CALLS = {(gap_finite, 500, 4): 5, (gap_finite, 1000, 3): 5,
-               (smallest_finite, 500, 4): 6, (smallest_finite, 1000, 3): 6}
+# The four finite_large cases, plain Pfaffian at k = 4 and bordered at k = 3.
+FINITE_LARGE = ((gap_finite, 500, 4), (gap_finite, 1000, 3),
+                (smallest_finite, 500, 4), (smallest_finite, 1000, 3))
 
 
 def test_finite_point_needs_few_quadratures(monkeypatch) -> None:
-    calls = []
+    # One order-doubling loop per point at k >= 1: the ladder's anchors
+    # share one pass and the prefactor is read off the ladder.  On the
+    # converge point (p = 40, k = 4, u = 375) the ladder bottom
+    # U(1/2, -1/2, t/2 > 1/2) has no closed form and joins the pass.
+    loops = []
+    settled = specfun._settled_integral
 
-    def counted(a, b, t):
-        calls.append(a)
-        return tricomi_u(a, b, t)
+    def counted(*args):
+        loops.append(args)
+        return settled(*args)
 
-    for module in (specfun, distributions):
-        monkeypatch.setattr(module, "tricomi_u", counted)
-    for (quantity, p, k), count in POINT_CALLS.items():
-        calls.clear()
-        quantity(FiniteSpec(p=p, k=k, t=50.0 / (4 * p)))
-        assert len(calls) == count, (quantity.__name__, p, k, calls)
+    monkeypatch.setattr(specfun, "_settled_integral", counted)
+    points = [(quantity, p, k, 50.0 / (4 * p)) for quantity, p, k in FINITE_LARGE]
+    points.append((smallest_finite, 40, 4, 375.0 / 160))
+    for quantity, p, k, t in points:
+        loops.clear()
+        quantity(FiniteSpec(p=p, k=k, t=t))
+        assert len(loops) == 1, (quantity.__name__, p, k)
 
 
 @pytest.fixture
 def settling_orders(monkeypatch) -> list[int]:
-    """The order at which each tricomi_u quadrature settles: the highest
-    Gauss-Legendre order one call asks for (closed forms ask for none)."""
+    """The order at which each Tricomi quadrature pass settles: the highest
+    Gauss-Legendre order one pass asks for (closed forms ask for none)."""
     settled, asked = [], []
-    gauss_legendre, plain = specfun._gauss_legendre, specfun.tricomi_u
+    gauss_legendre, plain = specfun._gauss_legendre, specfun._ln_tricomi
 
     def recorded(n):
         asked.append(n)
         return gauss_legendre(n)
 
-    def u(a, b, t):
+    def ln_u(rows, t):
         asked.clear()
-        value = plain(a, b, t)
+        value = plain(rows, t)
         if asked:
             settled.append(max(asked))
         return value
 
     monkeypatch.setattr(specfun, "_gauss_legendre", recorded)
-    for module in (specfun, distributions):
-        monkeypatch.setattr(module, "tricomi_u", u)
+    monkeypatch.setattr(specfun, "_ln_tricomi", ln_u)
     return settled
 
 
 def test_finite_point_quadratures_settle_at_order_96(settling_orders) -> None:
     # The bulk u = 4pt of the four finite_large cases: the window is tight
     # enough that orders 48 and 96 already agree.
-    for quantity, p, k in POINT_CALLS:
+    for quantity, p, k in FINITE_LARGE:
         for u in np.linspace(30.0, 350.0, 10):
             quantity(FiniteSpec(p=p, k=k, t=u / (4 * p)))
     assert settling_orders and set(settling_orders) == {96}
@@ -376,7 +408,7 @@ def test_finite_point_factors_one_tridiagonal_system_per_point(monkeypatch) -> N
     monkeypatch.setattr(specfun, "dgttrf", counted)
     monkeypatch.setattr(kernels, "tricomi_u_chain", chain)
     monkeypatch.setattr(kernels, "dtbsv", solve)
-    points = [*POINT_CALLS, (gap_finite, 500, 0), (smallest_finite, 1000, 0),
+    points = [*FINITE_LARGE, (gap_finite, 500, 0), (smallest_finite, 1000, 0),
               (gap_finite, 50, 1), (smallest_finite, 10, 2)]
     for quantity, p, k in points:
         factorisations.clear()
@@ -386,6 +418,32 @@ def test_finite_point_factors_one_tridiagonal_system_per_point(monkeypatch) -> N
         want = 1 if k else 0
         assert (len(factorisations), len(chains), len(solves)) == (want,) * 3, \
             (quantity.__name__, p, k)
+
+
+def test_prefactor_read_off_the_ladder_matches_mpmath(monkeypatch) -> None:
+    # At k >= 1 the assembly reads U(a, 3/2 + gamma, t/2) off the point's
+    # ladder, at odd l through Kummer's transformation.  Measured: at most
+    # 1.5e-12 (1.8e-13 at p <= 3), against 9.2e-13 for tricomi_u itself.
+    reads, ln_u = [], BulkTables.ln_u
+
+    def recorded(self, a, b):
+        value = ln_u(self, a, b)
+        reads.append((a, b, self.t / 2.0, value))
+        return value
+
+    monkeypatch.setattr(BulkTables, "ln_u", recorded)
+    for p in (1, 2, 3, 10, 500, 2000):
+        for k in range(1, 7):
+            for u in (0.5, 5.0, 50.0, 300.0):
+                gap_finite(FiniteSpec(p=p, k=k, t=u / (4 * p)))
+                if not (p == 1 and k % 2 == 0):
+                    smallest_finite(FiniteSpec(p=p, k=k, t=u / (4 * p)))
+    assert {b for _, b, _, _ in reads} == {1.5, 2.5}
+    worst = 0.0
+    for a, b, z, got in reads:
+        want = mpmath.log(_hyperu(a, b, z))
+        worst = max(worst, abs(float(mpmath.expm1(got - want))))
+    assert worst <= 2e-12
 
 
 def _laguerre_mp(n: int, mu: int, t: float):
