@@ -247,6 +247,7 @@ def _selftest_items() -> list[tuple[str, bool, str]]:
     # The oracles are loaded only here, so that no other command imports them.
     from .reference.distributions import closed_form_k0, closed_form_k1
     from .reference.sop import WeightParams, skew_product_oracle, sop_even, sop_norm, sop_odd
+    from .reference.specfun import tricomi_u
 
     results = []
 
@@ -266,7 +267,6 @@ def _selftest_items() -> list[tuple[str, bool, str]]:
     record("pfaffian-squared-equals-determinant", worst <= 1e-10,
            f"worst relative error {worst:.2e}")
 
-    from .specfun import tricomi_u
     p, t = 5, 1.2
     closed = tricomi_u(p / 2, 0.5, 0.5 * t).scaled(
         math.lgamma((p + 1) / 2) - 0.5 * math.log(math.pi) - 0.5 * p * t).value

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
 from .kernels import BulkTables, border_column, kernel_matrix
 from .microscopic import (VALUE_TOL, _count_factors, _in_range, _pfaffian_value,
                           gap_micro, micro_density, smallest_micro)
-from .specfun import tricomi_u
 
 __all__ = [
     "FiniteSpec",
@@ -150,7 +150,7 @@ def _finite_value(gamma: int, spec: FiniteSpec) -> float:
     kernel block, bordered when k is odd, combined in the log domain; ln N
     (_ln_prefactor) already holds the powers of t the block carries.  At
     k >= 1 the U is read off the point's BulkTables ladder; k = 0 has no
-    ladder and evaluates it directly.
+    ladder and takes it from a one-row Tricomi pass.
     """
     p, k, t = spec.p, spec.k, spec.t
     odd = k % 2
@@ -165,7 +165,7 @@ def _finite_value(gamma: int, spec: FiniteSpec) -> float:
                 border = border_column(tables)
         ln_u = tables.ln_u(a, 1.5 + gamma)
     else:
-        ln_u = tricomi_u(a, 1.5 + gamma, 0.5 * t).log_magnitude
+        ln_u = specfun._ln_tricomi([(a, 1.5 + gamma)], 0.5 * t)[0]
     ln_pre = _ln_prefactor(gamma, spec) + ln_u
     return _pfaffian_value(gamma, matrix, border, ln_pre, "finite-p", p=p, k=k, t=t)
 
@@ -235,6 +235,7 @@ def tabulate(quantity: str, k: int, grid: Sequence[float],
     order in the calling thread.  A failure at any single point is
     re-raised naming the quantity and the offending abscissa: as a
     ValueError when the point was out of range, else as a RuntimeError.
+    Values that break a curve invariant raise RuntimeError as well.
     """
     abscissae = tuple(float(x) for x in grid)
     _check_request(quantity, p, k, abscissae)
@@ -250,5 +251,8 @@ def tabulate(quantity: str, k: int, grid: Sequence[float],
 
     values = tuple(evaluate(x) for x in abscissae)
     logger.debug("tabulated %s at %d points", quantity, len(abscissae))
-    return DistributionCurve(quantity=quantity, p=p, k=k,
-                             abscissae=abscissae, values=values)
+    try:
+        return DistributionCurve(quantity=quantity, p=p, k=k,
+                                 abscissae=abscissae, values=values)
+    except ValueError as exc:
+        raise RuntimeError(f"computed {quantity} curve is invalid: {exc}") from exc

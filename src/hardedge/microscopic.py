@@ -17,14 +17,14 @@ entries Xi_ab tend to one-dimensional integrals of Bessel-I products, taken
 here for a whole k x k matrix in one array-valued quadrature, whose
 integrand evaluates the reduced Bessel functions at two orders and recurs
 down to the others.  That quadrature is the order-doubling Gauss-Legendre
-loop that specfun.tricomi_u also runs, on the same ladder of orders from 48
-to 768, here with the tolerance 1e-11 * max(1, |value|).  One assembly
-turns the entries into the limiting gap probability (gamma = 0) and
-smallest-eigenvalue density (gamma = 1); its last step, _pfaffian_value, is
-shared with the finite-p assembly.  The Bessel level density stands apart:
-its partial integral of J_nu is a Neumann series of Bessel functions, with
-no quadrature.  The entries one at a time (xi_small_lim, xi_big_lim) live
-in hardedge.reference.microscopic.
+loop that the Tricomi U anchors of specfun also run, on the same ladder of
+orders from 48 to 768, here with the tolerance 1e-11 * max(1, |value|).
+One assembly turns the entries into the limiting gap probability
+(gamma = 0) and smallest-eigenvalue density (gamma = 1); its last step,
+_pfaffian_value, is shared with the finite-p assembly.  The Bessel level
+density stands apart: its partial integral of J_nu is a Neumann series of
+Bessel functions, with no quadrature.  The entries one at a time
+(xi_small_lim, xi_big_lim) live in hardedge.reference.microscopic.
 
 All Pfaffian kernel entries are handled in a u-balanced normalization in
 which the matrix is O(1) down to u -> 0; the exact powers of u cancel
@@ -43,7 +43,7 @@ from scipy.special import ive, jv
 
 from . import specfun
 from .pfaffian import AntisymmetricMatrix, pfaffian
-from .specfun import LogScaled, _settled_integral
+from .specfun import _settled_integral
 
 __all__ = ["gap_micro", "smallest_micro", "micro_density"]
 
@@ -81,7 +81,11 @@ def _pfaffian_value(gamma: int, matrix: np.ndarray, border: np.ndarray | None,
         pf = pfaffian(AntisymmetricMatrix(data=matrix))
     if not math.isfinite(pf):
         raise RuntimeError(f"kernel Pfaffian is {pf} at gamma={gamma}, {where}")
-    value = LogScaled.from_value(pf).scaled(ln_scale).value
+    # pf exp(ln_scale) through the log, infinite past e^709.
+    value = 0.0
+    if pf:
+        ln_value = math.log(abs(pf)) + ln_scale
+        value = math.copysign(math.inf if ln_value > 709.0 else math.exp(ln_value), pf)
     if not _in_range(value, gamma):
         raise RuntimeError(f"{regime} value {value} is impossible at "
                            f"gamma={gamma}, {where}")

@@ -12,8 +12,7 @@ import math
 
 from scipy.special import eval_genlaguerre, gammaln
 
-from ..specfun import LogScaled, tricomi_u
-from .specfun import log_sum
+from .specfun import LogScaled, log_sum, tricomi_u
 
 __all__ = ["closed_form_k0", "closed_form_k1"]
 

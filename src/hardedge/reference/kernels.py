@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 from ..kernels import BulkTables, border_column
-from ..specfun import LogScaled, tricomi_u
 from .sop import (
     WeightParams,
     partition_z_t,
@@ -25,7 +24,7 @@ from .sop import (
     sop_norm,
     sop_odd,
 )
-from .specfun import laguerre_monic, log_sum, negated
+from .specfun import LogScaled, laguerre_monic, log_sum, negated, tricomi_u
 
 __all__ = [
     "KernelSpec",

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 
 from ..microscopic import _matrix_balanced
-from ..specfun import LogScaled
-from .specfun import bessel_i, bessel_k_half, log_sum
+from .specfun import LogScaled, bessel_i, bessel_k_half, log_sum
 
 __all__ = ["MicroSpec", "xi_small_lim", "xi_big_lim"]
 

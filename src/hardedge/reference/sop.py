@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammaln
 
-from ..specfun import LogScaled, tricomi_u
-from .specfun import laguerre_monic_deriv, log_sum, negated
+from .specfun import LogScaled, laguerre_monic_deriv, log_sum, negated, tricomi_u
 
 __all__ = [
     "WeightParams",

@@ -1,21 +1,25 @@
 """Log-scaled special functions that only the reference routes use.
 
-Negation and signed sums of LogScaled values, log-gamma, monic Laguerre
-polynomials and their derivatives (the building blocks of the
-skew-orthogonal polynomials in ``sop``), and the Bessel functions I_n, J_n
-and K_{m+1/2} (the limiting border entries).
+LogScaled numbers with their products, negation and signed sums; Tricomi U
+as a LogScaled value; log-gamma; monic Laguerre polynomials and their
+derivatives (the building blocks of the skew-orthogonal polynomials in
+``sop``); and the Bessel functions I_n, J_n and K_{m+1/2} (the limiting
+border entries).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable
 
 from scipy.special import ive, jv
 
-from ..specfun import LogScaled
+from .. import specfun
 
 __all__ = [
+    "LogScaled",
+    "tricomi_u",
     "negated",
     "log_sum",
     "ln_gamma",
@@ -25,6 +29,70 @@ __all__ = [
     "bessel_j",
     "bessel_k_half",
 ]
+
+
+@dataclass(frozen=True)
+class LogScaled:
+    """A real number stored as (log of magnitude, sign).
+
+    ``sign == 0`` represents an exact zero; ``log_magnitude`` is ignored in
+    that case.  Multiplication and division add or subtract logs and multiply
+    signs; negation and sums are :func:`negated` and :func:`log_sum`.
+    """
+
+    log_magnitude: float
+    sign: int
+
+    def __post_init__(self) -> None:
+        if self.sign not in (-1, 0, 1):
+            raise ValueError(f"invalid sign {self.sign}")
+
+    @classmethod
+    def from_value(cls, x: float) -> "LogScaled":
+        """Exact conversion of a finite float."""
+        if x == 0.0:
+            return cls(0.0, 0)
+        return cls(math.log(abs(x)), 1 if x > 0 else -1)
+
+    @classmethod
+    def zero(cls) -> "LogScaled":
+        return cls(0.0, 0)
+
+    @property
+    def value(self) -> float:
+        """The represented number as a plain float (may over/underflow)."""
+        if self.sign == 0:
+            return 0.0
+        if self.log_magnitude > 709.0:
+            return math.inf * self.sign
+        return self.sign * math.exp(self.log_magnitude)
+
+    def __mul__(self, other: "LogScaled") -> "LogScaled":
+        if self.sign == 0 or other.sign == 0:
+            return LogScaled.zero()
+        return LogScaled(self.log_magnitude + other.log_magnitude,
+                         self.sign * other.sign)
+
+    def __truediv__(self, other: "LogScaled") -> "LogScaled":
+        if other.sign == 0:
+            raise ZeroDivisionError("division by an exact LogScaled zero")
+        if self.sign == 0:
+            return LogScaled.zero()
+        return LogScaled(self.log_magnitude - other.log_magnitude,
+                         self.sign * other.sign)
+
+    def scaled(self, log_factor: float) -> "LogScaled":
+        """Multiply by exp(log_factor) without leaving the log domain."""
+        if self.sign == 0:
+            return self
+        return LogScaled(self.log_magnitude + log_factor, self.sign)
+
+
+def tricomi_u(a: float, b: float, t: float) -> LogScaled:
+    """U(a, b, t) as a LogScaled value: the one-row pass of ``hardedge.specfun``,
+    looked up at each call so that a patched quadrature is seen here too."""
+    return LogScaled(specfun._ln_tricomi([(a, b)], t)[0], 1)
+
 
 # Rescaling guards for recurrences that can leave the double range.
 _BIGNO = 1e250

@@ -1,99 +1,34 @@
-"""Log-scaled scalar special functions.
+"""Tricomi U in the log domain, and the package's one quadrature loop.
 
-The finite-size kernels and distributions are assembled from the functions
-in this module: log-scaled arithmetic and Tricomi's confluent
-hypergeometric function U(a, b, t), singly or as a whole chain in a.  U is
-a closed form at the chain bottoms a = 1/2 and otherwise a quadrature over
-a window found without a root finder: the peak in closed form, the
-edges by doubling out from the Laplace estimate.  One pass evaluates any
-number of rows (a, b) at a shared t, each in its own window, through one
+The finite-size kernels and distributions are assembled from Tricomi's
+confluent hypergeometric function U(a, b, t), as whole chains in a
+(:func:`tricomi_u_chain`) and as the logs of single values.  U is a closed
+form at the chain bottoms a = 1/2 and otherwise a quadrature over a window
+found without a root finder: the peak in closed form, the edges by
+doubling out from the Laplace estimate.  One pass evaluates any number of
+rows (a, b) at a shared t, each in its own window, through one
 order-doubling loop: a chain evaluates all its anchors in one pass, and
-the scalar :func:`tricomi_u` is the pass of one row.  That Gauss-Legendre
-loop is the only one in the package: the limiting kernel quadrature in
-``microscopic`` runs through it as well, with its own tolerance, both on
-one ladder of the five orders 48, 96, ..., 768.  The
-functions only the reference routes use (negation and signed sums of
-log-scaled values, log-gamma, monic Laguerre polynomials, Bessel
-functions) live in ``hardedge.reference.specfun``.
+the k = 0 prefactor of the finite-p assembly is the pass of one row.  That
+Gauss-Legendre loop is the only one in the package: the limiting kernel
+quadrature in ``microscopic`` runs through it as well, with its own
+tolerance, both on one ladder of the five orders 48, 96, ..., 768.  The
+oracles' own special functions live in ``hardedge.reference.specfun``.
 
 Quantities such as Gamma((p+1)/2) * U(...) pair enormous factors that cancel
-only at the very end of an assembly, so every function that can leave the
-floating-point range returns a :class:`LogScaled` value.  Conversion to a
-plain float happens at final assembly where ratios are O(1).
+only at the very end of an assembly, so U leaves this module as a plain
+log (:func:`_ln_tricomi`) or as chains sharing one log scale.  Conversion
+to a plain float happens at final assembly where ratios are O(1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import erfcx
 
-__all__ = [
-    "LogScaled",
-    "tricomi_u",
-    "tricomi_u_chain",
-]
-
-
-@dataclass(frozen=True)
-class LogScaled:
-    """A real number stored as (log of magnitude, sign).
-
-    ``sign == 0`` represents an exact zero; ``log_magnitude`` is ignored in
-    that case.  Multiplication and division add or subtract logs and multiply
-    signs; negation and sums, which only the reference routes need, are
-    ``hardedge.reference.specfun.negated`` and ``log_sum``.
-    """
-
-    log_magnitude: float
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"invalid sign {self.sign}")
-
-    @classmethod
-    def from_value(cls, x: float) -> "LogScaled":
-        """Exact conversion of a finite float."""
-        if x == 0.0:
-            return cls(0.0, 0)
-        return cls(math.log(abs(x)), 1 if x > 0 else -1)
-
-    @classmethod
-    def zero(cls) -> "LogScaled":
-        return cls(0.0, 0)
-
-    @property
-    def value(self) -> float:
-        """The represented number as a plain float (may over/underflow)."""
-        if self.sign == 0:
-            return 0.0
-        if self.log_magnitude > 709.0:
-            return math.inf * self.sign
-        return self.sign * math.exp(self.log_magnitude)
-
-    def __mul__(self, other: "LogScaled") -> "LogScaled":
-        if self.sign == 0 or other.sign == 0:
-            return LogScaled.zero()
-        return LogScaled(self.log_magnitude + other.log_magnitude,
-                         self.sign * other.sign)
-
-    def __truediv__(self, other: "LogScaled") -> "LogScaled":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by an exact LogScaled zero")
-        if self.sign == 0:
-            return LogScaled.zero()
-        return LogScaled(self.log_magnitude - other.log_magnitude,
-                         self.sign * other.sign)
-
-    def scaled(self, log_factor: float) -> "LogScaled":
-        """Multiply by exp(log_factor) without leaving the log domain."""
-        if self.sign == 0:
-            return self
-        return LogScaled(self.log_magnitude + log_factor, self.sign)
+__all__ = ["tricomi_u_chain"]
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -142,7 +77,7 @@ def _settled_integral(integrand, tol: float, floor: float, describe):
 # ----------------------------------------------------------------- Tricomi U
 
 
-# Nats the integrand of tricomi_u falls from its peak to either window edge.
+# Nats the integrand of a U quadrature falls from its peak to either window edge.
 _WINDOW_DROP = 60.0
 
 
@@ -182,7 +117,19 @@ def _exponent(a, c, t: float, v):
 
 def _window(a: float, b: float, t: float) -> tuple[float, float, float, float]:
     """(h_peak, left, peak, right): the peak of h and the window edges of
-    one U(a, b, t) quadrature, as :func:`tricomi_u` describes them."""
+    one U(a, b, t) quadrature (:func:`_ln_tricomi`), for a > 0.
+
+    h (:func:`_exponent`, with c = b - a - 1) has a single maximum for
+    every a > 0: h'(v) = 0 is a quadratic in x = e^v,
+    t x^2 - (b - 1 - t) x - a = 0, whose one positive root is the peak.
+    Each window edge starts at the Laplace estimate peak -+ sqrt(120 / |h''|),
+    with h'' = c sigma (1 - sigma) - t e^v and sigma the logistic function
+    of v.  Its distance from the peak doubles until h is 60 nats down
+    there, and quarters while a quarter is still that far down (the plateau
+    of h at b ~ 1 and small t).  h is monotone on each side of the peak, so
+    the window holds all mass above the drop; where neither step is taken
+    the edge is the Laplace estimate, smooth in a.
+    """
     c = b - a - 1.0
     # The peak, x = e^v: the positive root of t x^2 - m x - a, cancellation-free.
     m = b - 1.0 - t
@@ -206,13 +153,20 @@ def _window(a: float, b: float, t: float) -> tuple[float, float, float, float]:
 def _ln_tricomi(rows: list[tuple[float, float]], t: float) -> list[float]:
     """ln U(a, b, t) for every (a, b) of rows at one shared t, in one pass.
 
-    a = 0 and the closed-form chain bottoms (:func:`_half_anchor`) take no
-    quadrature; every other row finds its own window and all of them share
-    one order-doubling Gauss-Legendre loop, in which each row keeps the
-    first order at which it settles to 5e-13, as it would alone.  Raises
-    ValueError naming the first row with a
-    non-finite argument, a < 0 or t <= 0, before any quadrature, and
-    RuntimeError naming every row not settled by order 768.
+    Each row integrates
+
+        U(a, b, t) = 1/Gamma(a) * int_0^inf z^(a-1) (1+z)^(b-a-1) e^(-t z) dz
+
+    as exp(h(v)) in v = ln z over the window :func:`_window` finds, both
+    sides of its peak through one Gauss-Legendre rule.  a = 0 gives ln U = 0
+    exactly (the empty-product convention of the skew-orthogonal norm at
+    index 0), and the closed-form chain bottoms (:func:`_half_anchor`) take
+    no quadrature; all other rows share one order-doubling loop, in which
+    each row keeps the first order at which it settles to 5e-13, as it
+    would alone.  Tested up to a = 2003 and t down to 1e-8 without overflow
+    or underflow.  Raises ValueError naming the first row with a non-finite
+    argument, a < 0 or t <= 0, before any quadrature, and RuntimeError
+    naming every row not settled by order 768.
     """
     logs = []
     for a, b in rows:
@@ -249,38 +203,6 @@ def _ln_tricomi(rows: list[tuple[float, float]], t: float) -> list[float]:
     return logs
 
 
-def tricomi_u(a: float, b: float, t: float) -> LogScaled:
-    """Tricomi's confluent hypergeometric function U(a, b, t), log domain.
-
-    Evaluates the integral representation
-
-        U(a, b, t) = 1/Gamma(a) * int_0^inf z^(a-1) (1+z)^(b-a-1) e^(-t z) dz
-
-    after the substitution z = e^v, which turns the integrand into
-    exp(h(v)) with ``h(v) = a v + c log(1 + e^v) - t e^v``, c = b - a - 1.
-    h has a single maximum for every a > 0: h'(v) = 0 is a quadratic in
-    e^v, t x^2 - (b - 1 - t) x - a = 0, whose one positive root is the
-    peak.  Each window edge starts at the Laplace estimate
-    peak -+ sqrt(120 / |h''|), with h'' = c sigma (1 - sigma) - t e^v and
-    sigma the logistic function of v.  Its distance from the peak doubles
-    until h is 60 nats down there, and quarters while a quarter is still
-    that far down (the plateau of h at b ~ 1 and small t).  h is monotone
-    on each side of the peak, so the window holds all mass above the drop;
-    where neither step is taken the edge is the Laplace estimate, smooth in
-    a.  Both sides of the peak go through one Gauss-Legendre rule whose
-    order doubles from 48 until two successive values agree to 5e-13.
-
-    a = 0 returns 1 exactly (empty-product convention used by the
-    skew-orthogonal norm at index 0), and the chain bottoms U(1/2, b, t)
-    come in closed form where :func:`_half_anchor` has one.  This is the
-    one-row case of the pass :func:`tricomi_u_chain` evaluates its anchors
-    with, tested up to a = 2003 and t down to 1e-8, without overflow or
-    underflow.  Raises ValueError for a non-finite argument, a < 0 or
-    t <= 0, and RuntimeError if not settled by order 768.
-    """
-    return LogScaled(_ln_tricomi([(a, b)], t)[0], 1)
-
-
 def tricomi_u_chain(a0: float, b: float, t: float, n: int,
                     count: int) -> list[tuple[np.ndarray, float]]:
     """Tricomi U(a0 + i, b + j, t) for i = 0..n and j = 0..count-1 at once,
@@ -294,14 +216,14 @@ def tricomi_u_chain(a0: float, b: float, t: float, n: int,
     accurate where the log of U itself runs into the thousands.  All chains
     share the log_scale of the lowest one.
 
-    Only the anchors are evaluated, all in one pass of the quadrature that
-    :func:`tricomi_u` runs for one row: both ends of the lowest chain and
-    the top of each further one, count + 1 rows in all (count at n = 0),
-    one order-doubling loop for them together.  The bottoms U(0, b, t) = 1
-    and the closed-form U(1/2, b, t) take no quadrature.  The interior of the
-    lowest chain solves the three-term recurrence in a (DLMF 13.3.7) as a
-    boundary-value problem (Olver 1967; Gil, Segura and Temme 2007, ch. 4):
-    with w_a = Gamma(a + 1) U(a, b, t) it reads
+    Only the anchors are evaluated, all in one pass of :func:`_ln_tricomi`:
+    both ends of the lowest chain and the top of each further one, count + 1
+    rows in all (count at n = 0), one order-doubling loop for them together.
+    The bottoms U(0, b, t) = 1 and the closed-form U(1/2, b, t) take no
+    quadrature.  The interior of the lowest chain solves the three-term
+    recurrence in a (DLMF 13.3.7) as a boundary-value problem (Olver 1967;
+    Gil, Segura and Temme 2007, ch. 4): with w_a = Gamma(a + 1) U(a, b, t)
+    it reads
 
         a w_{a-1} + (b - 2a - t) w_a + a (a - b + 1) / (a + 1) w_{a+1} = 0,
 

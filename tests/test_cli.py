@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hardedge
-from hardedge import cli, microscopic, specfun
+from hardedge import cli, distributions, microscopic, specfun
 from hardedge.cli import main
 from hardedge.distributions import FiniteSpec, gap_finite
 from hardedge.microscopic import gap_micro, micro_density
@@ -151,6 +151,18 @@ def test_out_of_range_point_is_a_parameter_error(
     assert main(["gap", "--p", "10", "--k", "2", "--t-min", "1",
                  "--t-max", "20000", "--points", "2"]) == 2
     assert "abscissa 20000.0" in capsys.readouterr().err
+
+
+def test_computed_curve_breaking_an_invariant_fails_validation(
+        tmp_path: Path, monkeypatch: pytest.MonkeyPatch,
+        capsys: pytest.CaptureFixture[str]) -> None:
+    # Rising gap values are a failed validation (exit 3), not a parameter
+    # error: the request itself is valid.
+    monkeypatch.setitem(distributions._POINTS, "gap", lambda p, k, t: t)
+    assert main(["gap", "--p", "5", "--k", "1", "--t-min", "0.1",
+                 "--t-max", "0.2", "--points", "2"]) == 3
+    assert "gap values increase at t=0.2" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_overflowing_tail_prints_only_the_error_line(tmp_path: Path) -> None:

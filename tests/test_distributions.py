@@ -431,3 +431,14 @@ def test_tabulate_rejects_bad_grids() -> None:
         tabulate("gap_micro", 1, (0.5, 1.0), p=5)
     with pytest.raises(ValueError):
         tabulate("spacing", 1, (0.5, 1.0), p=5)
+
+
+def test_tabulated_values_breaking_the_curve_raise_runtime_error(monkeypatch) -> None:
+    # The request is valid and each point is in range; only the computed
+    # values, forced to rise, break the curve.  That is a numerical failure,
+    # where a curve built directly from bad values stays a ValueError
+    # (test_curve_validation).
+    monkeypatch.setitem(distributions._POINTS, "gap", lambda p, k, t: t)
+    with pytest.raises(RuntimeError, match=r"computed gap curve is invalid: "
+                                            r"gap values increase at t=0\.2"):
+        tabulate("gap", 1, (0.1, 0.2), p=5)

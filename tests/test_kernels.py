@@ -9,8 +9,7 @@ from scipy.integrate import dblquad
 from hardedge.kernels import BulkTables, border_column, kernel_matrix
 from hardedge.reference.kernels import KernelSpec, kernel_cd, kernel_sum, xi_big, xi_small
 from hardedge.reference.sop import WeightParams, partition_z_t, weight
-from hardedge.reference.specfun import laguerre_monic
-from hardedge.specfun import tricomi_u
+from hardedge.reference.specfun import laguerre_monic, tricomi_u
 
 
 def _border_mixing(gamma: int, l: int, t: float) -> float:

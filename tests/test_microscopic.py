@@ -14,7 +14,8 @@ from scipy.integrate import quad
 
 from hardedge import microscopic, specfun
 from hardedge.kernels import BulkTables, kernel_matrix
-from hardedge.microscopic import _matrix_balanced, gap_micro, micro_density, smallest_micro
+from hardedge.microscopic import (_matrix_balanced, _pfaffian_value, gap_micro, micro_density,
+                                  smallest_micro)
 from hardedge.reference.kernels import KernelSpec, xi_small
 from hardedge.reference.microscopic import MicroSpec, xi_big_lim, xi_small_lim
 
@@ -219,6 +220,31 @@ def test_unsettled_kernel_quadrature_raises(monkeypatch) -> None:
     monkeypatch.setattr(specfun, "_gauss_legendre", _never_settles)
     with pytest.raises(RuntimeError, match=r"gamma=0, k=3, u=400\.0.*order 768"):
         gap_micro(3, 400.0)
+
+
+def _pair(pf: float) -> np.ndarray:
+    return np.array([[0.0, pf], [-pf, 0.0]])
+
+
+def test_pfaffian_value_scales_through_the_log() -> None:
+    # A zero Pfaffian is an exact zero, whatever the scale.
+    zero = _pfaffian_value(0, np.zeros((2, 2)), None, 800.0, "test", u=1.0)
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+    # Past e^709 the value is infinite and fails the range check by name,
+    # also where exp itself would raise OverflowError.
+    for gamma in (0, 1):
+        for ln_scale in (709.5, 1e6):
+            with pytest.raises(RuntimeError, match=rf"test value inf is impossible "
+                                                    rf"at gamma={gamma}, u=1\.0"):
+                _pfaffian_value(gamma, _pair(1.0), None, ln_scale, "test", u=1.0)
+    # A negative Pfaffian keeps its sign and is rejected.
+    with pytest.raises(RuntimeError, match=rf"value {-math.exp(-1.0)} is impossible"):
+        _pfaffian_value(1, _pair(-1.0), None, -1.0, "test", u=1.0)
+    # In range: exp(ln|pf| + ln_scale), plain and bordered.
+    for gamma, matrix, border, pf in ((0, _pair(0.75), None, 0.75),
+                                      (1, np.zeros((1, 1)), np.array([0.25]), 0.25)):
+        got = _pfaffian_value(gamma, matrix, border, -0.5, "test", u=1.0)
+        assert got == math.exp(math.log(pf) - 0.5)
 
 
 @pytest.mark.parametrize("k", [2, 3], ids=["plain", "bordered"])

@@ -24,7 +24,7 @@ from hardedge.reference.sop import (
     weight,
     weight_moment,
 )
-from hardedge.specfun import tricomi_u
+from hardedge.reference.specfun import tricomi_u
 
 
 def _poly(n: int, params: WeightParams) -> LaguerreCombination:

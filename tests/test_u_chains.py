@@ -20,7 +20,8 @@ from scipy.linalg.lapack import dgttrf
 from hardedge import kernels, specfun
 from hardedge.distributions import FiniteSpec, gap_finite, smallest_finite
 from hardedge.kernels import BulkTables
-from hardedge.specfun import tricomi_u, tricomi_u_chain
+from hardedge.reference.specfun import tricomi_u
+from hardedge.specfun import tricomi_u_chain
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -193,9 +194,10 @@ def test_tricomi_u_nonconvergence_raises_under_optimization() -> None:
     script = (
         "import numpy as np\n"
         "import hardedge.specfun as s\n"
+        "from hardedge.reference.specfun import tricomi_u\n"
         "s._gauss_legendre = lambda n: (np.zeros(n), np.full(n, float(n)))\n"
         "try:\n"
-        "    s.tricomi_u(2.5, 0.5, 0.25)\n"
+        "    tricomi_u(2.5, 0.5, 0.25)\n"
         "except RuntimeError as exc:\n"
         "    print(exc)\n"
         "else:\n"
@@ -233,13 +235,14 @@ def test_tricomi_u_rejects_bad_arguments_under_optimization() -> None:
     # The checks must not depend on assertions being enabled.
     script = (
         "import hardedge.specfun as s\n"
+        "from hardedge.reference.specfun import tricomi_u\n"
         "nan, inf = float('nan'), float('inf')\n"
         "def no_quadrature(*args):\n"
         "    raise SystemExit('reached the quadrature')\n"
         "s._settled_integral = no_quadrature\n"
         f"for args in {BAD_TRICOMI!r}:\n"
         "    try:\n"
-        "        s.tricomi_u(*args)\n"
+        "        tricomi_u(*args)\n"
         "    except ValueError:\n"
         "        continue\n"
         "    raise SystemExit(f'accepted {args}')\n"
@@ -384,7 +387,7 @@ def test_random_argument_quadratures_settle_by_order_768(settling_orders) -> Non
     # Flat integrands (b = 1, tiny t) need the highest orders.  The cap
     # turns a window that needs more into a quick RuntimeError.
     for args in _random_arguments():
-        specfun.tricomi_u(*args)
+        tricomi_u(*args)
     assert max(settling_orders) <= 768
 
 
