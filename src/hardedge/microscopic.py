@@ -6,8 +6,12 @@ A_u(x, y) = (sqrt(u)/2) J_nu(sqrt(u x y)) on L^2(0, 1), the hard-edge
 counterpart of Ferrari and Spohn's F_1 = det(I - B_s).  It is evaluated by
 Bornemann's Nystrom method on a few Gauss-Legendre nodes, their number
 taken from a measured rule in nu and u, and one Cholesky factor gives both
-E and the density -dE/du.  That route is accurate to ~1e-14 absolute, so it
-serves wherever E >= 1e-5; k = 0 keeps its closed form.
+E and the density -dE/du.  The Bessel entries J_nu(sqrt(u) r), r = sqrt(xy),
+come from a barycentric Chebyshev interpolant in r through a few dozen jv
+values, its size another measured rule in nu and u, instead of one jv value
+per entry.  That route is accurate to ~1e-14 absolute, so it serves
+wherever E >= 1e-5; k = 0 keeps its closed form.  Its mpmath counterpart,
+the yardstick of both rules, lives in hardedge.reference.microscopic.
 
 The tail E < 1e-5, and the points the node rule does not cover, take the
 paper's Pfaffian route.  In the limit p -> infinity at fixed u = 4 p t the
@@ -217,8 +221,19 @@ _FREDHOLM_MAX_NU = 48
 # E = 1e-5 it could miss by more than ~1e-9 relative; the Pfaffian serves
 # that tail.  Where it serves, P carries ~2e-15/E relative (measured).
 _FREDHOLM_MIN_GAP = 1e-5
+# Chebyshev counts of the interpolant in r of J_nu(sqrt(u) r) and
+# J_(nu+1)(sqrt(u) r), one per rung of _FREDHOLM_NODES: the count that
+# nu <= 2 needs at the rung's top u.  A point takes the smooth maximum
+# ceil((c^4 + (6 sqrt(nu))^4)^(1/4)) of its rung's count c and 6 sqrt(nu),
+# about what the r^nu behaviour near u = 0 needs.  Measured with 30-digit
+# values at the points and long-double arithmetic, the counts at
+# nu = 1, 2, 4, ..., 48 and 15 values of u in [1e-6, 1000], the rule at 12 nu
+# and 39 u: the interpolant is within 2e-17 max|J| of J on [0, 1], below
+# jv's own error (1e-16 to 3e-14).
+_CHEBYSHEV_COUNTS = (13, 17, 23, 26, 33, 38, 45)
 
 _NYSTROM: dict[int, tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]] = {}
+_INTERPOLATION: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _nystrom(m: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -233,11 +248,34 @@ def _nystrom(m: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarr
     return _NYSTROM[m]
 
 
+def _interpolation(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The d Chebyshev points of the second kind on [0, 1], sin^2(pi j/(2(d-1))),
+    and the (m(m+1)/2, d) barycentric matrix that maps values there onto the
+    r of _nystrom(m) (Berrut and Trefethen, SIAM Rev. 46 (2004) 501), cached.
+    No r is a point at m <= 44 and d <= 129 (checked), so no 1/(r - point)
+    divides by zero."""
+    if (m, d) not in _INTERPOLATION:
+        points = np.sin(0.5 * np.pi / (d - 1) * np.arange(d)) ** 2
+        weights = np.where(np.arange(d) % 2, -1.0, 1.0)
+        weights[[0, -1]] *= 0.5
+        matrix = weights / (_nystrom(m)[0][:, None] - points)
+        matrix /= matrix.sum(axis=1, keepdims=True)
+        _INTERPOLATION[m, d] = (points, matrix)
+    return _INTERPOLATION[m, d]
+
+
 def _node_count(nu: int, u: float) -> int:
     """The first count of _FREDHOLM_NODES that serves u and is at least
     ceil(nu/4) + 7."""
     need = -(-nu // 4) + 7
     return next(count for bound, count in _FREDHOLM_NODES if u <= bound and count >= need)
+
+
+def _chebyshev_count(nu: int, u: float) -> int:
+    """ceil((c^4 + 1296 nu^2)^(1/4)), c the _CHEBYSHEV_COUNTS entry of the
+    first rung of _FREDHOLM_NODES that serves u."""
+    rung = next(c for (bound, _), c in zip(_FREDHOLM_NODES, _CHEBYSHEV_COUNTS) if u <= bound)
+    return math.ceil((rung ** 4 + 1296.0 * nu * nu) ** 0.25)
 
 
 class _Declined(Exception):
@@ -254,17 +292,21 @@ def _fredholm_value(gamma: int, nu: int, u: float) -> float:
     dA/du = J_nu(sqrt(u) r) / (4 sqrt(u)) + (r/4) J_nu'(sqrt(u) r) and
     r = sqrt(xy).  J_nu' = (nu/z) J_nu - J_(nu+1) folds into
     ((1 + nu) J_nu / sqrt(u) - r J_(nu+1)) / 4.  Only the upper triangle is
-    evaluated.  Raises _Declined where the point is not served.
+    evaluated: jv gives J_nu, and for the density J_(nu+1), at the
+    _chebyshev_count(nu, u) points of _interpolation in one call, and the
+    interpolation matrix carries them to every r.  Raises _Declined where
+    the point is not served.
     """
     if nu > _FREDHOLM_MAX_NU or u > _FREDHOLM_NODES[-1][0]:
         raise _Declined(f"has no measured node rule past nu={_FREDHOLM_MAX_NU} "
                         f"or u={_FREDHOLM_NODES[-1][0]:g}")
     m = _node_count(nu, u)
     r, root_w, upper = _nystrom(m)
+    points, interpolation = _interpolation(m, _chebyshev_count(nu, u))
     root = math.sqrt(u)
-    bessel = jv(nu, root * r)
+    bessel = jv(np.arange(nu, nu + gamma + 1)[:, None], root * points) @ interpolation.T
     matrix = np.identity(m)
-    matrix[upper] -= 0.5 * root * bessel * root_w
+    matrix[upper] -= 0.5 * root * bessel[0] * root_w
     factor, info = dpotrf(matrix, overwrite_a=True)
     if info:
         raise _Declined(f"has no Cholesky factor (dpotrf info {info})")
@@ -274,8 +316,7 @@ def _fredholm_value(gamma: int, nu: int, u: float) -> float:
     if gamma == 0:
         return gap
     derivative = np.empty((m, m))
-    derivative[upper] = ((1.0 + nu) / root * bessel - r * jv(nu + 1, root * r)) \
-        * (0.25 * root_w)
+    derivative[upper] = ((1.0 + nu) / root * bessel[0] - r * bessel[1]) * (0.25 * root_w)
     derivative.T[upper] = derivative[upper]
     solved, _ = dpotrs(factor, derivative, overwrite_b=True)
     return gap * np.trace(solved)

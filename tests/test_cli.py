@@ -430,18 +430,27 @@ def test_cold_run_climbs_one_quadrature_ladder(
     # Fredholm determinant takes fixed node counts,
     # so a cold run caches at most those rules instead of one rule per u.
     # A run whose limit points the determinant serves takes no ladder rule.
+    # Its Bessel interpolants are cached once per (nodes, points) pair used.
     asked, gauss_legendre = [], specfun._gauss_legendre
+    pairs, interpolation = [], microscopic._interpolation
 
     def recorded(n):
         asked.append(n)
         return gauss_legendre(n)
 
+    def recorded_pair(m, d):
+        pairs.append((m, d))
+        return interpolation(m, d)
+
     monkeypatch.setattr(specfun, "_GL_CACHE", {})
     monkeypatch.setattr(microscopic, "_NYSTROM", {})
+    monkeypatch.setattr(microscopic, "_INTERPOLATION", {})
     monkeypatch.setattr(specfun, "_gauss_legendre", recorded)
+    monkeypatch.setattr(microscopic, "_interpolation", recorded_pair)
     assert main(argv) == 0
     assert set(asked) <= LADDER | FREDHOLM_COUNTS, sorted(set(asked))
     assert len(specfun._GL_CACHE) <= len(LADDER) + len(FREDHOLM_COUNTS)
+    assert len(microscopic._INTERPOLATION) <= len(set(pairs)), sorted(set(pairs))
 
 
 def test_selftest_passes(capsys: pytest.CaptureFixture[str]) -> None:

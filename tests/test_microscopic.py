@@ -11,13 +11,15 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import jv
 
 from hardedge import microscopic, specfun
 from hardedge.kernels import BulkTables, kernel_matrix
 from hardedge.microscopic import (_matrix_balanced, _pfaffian_value, gap_micro, micro_density,
                                   smallest_micro)
 from hardedge.reference.kernels import KernelSpec, xi_small
-from hardedge.reference.microscopic import MicroSpec, xi_big_lim, xi_small_lim
+from hardedge.reference.microscopic import (MicroSpec, gap_fredholm_mp, smallest_fredholm_mp,
+                                           xi_big_lim, xi_small_lim)
 
 # Bessel-bracket values frozen from mpmath: besseli(0,2)+besseli(1,2) and
 # besseli(2,2)+besseli(3,2)/2.
@@ -338,10 +340,12 @@ FREDHOLM_GRID = (1e-6, 1e-3, 0.3, 1.0, 4.0, 10.0, 30.0, 50.0, 80.0, 100.0, 200.0
                  400.0, 500.0, 700.0, 1000.0)
 
 
-def test_fredholm_node_rule_is_converged(monkeypatch) -> None:
-    # Twice the nodes of the rule must move E by at most 2e-14 absolute and
-    # P by at most 1e-11 + 2e-14/E relative, at every nu the rule serves.
-    count = microscopic._node_count
+@pytest.mark.parametrize("rule", ["_node_count", "_chebyshev_count"])
+def test_fredholm_node_rule_is_converged(monkeypatch, rule: str) -> None:
+    # Twice the nodes of the rule, or twice the Chebyshev points of the Bessel
+    # interpolant, must move E by at most 2e-14 absolute and P by at most
+    # 1e-11 + 2e-14/E relative, at every nu the rule serves.
+    count = getattr(microscopic, rule)
     served = []
     for nu in [1] + list(range(2, microscopic._FREDHOLM_MAX_NU + 1, 2)):
         for u in FREDHOLM_GRID:
@@ -351,12 +355,65 @@ def test_fredholm_node_rule_is_converged(monkeypatch) -> None:
                 continue
             served.append((nu, u, values))
     with monkeypatch.context() as patch:
-        patch.setattr(microscopic, "_node_count", lambda nu, u: 2 * count(nu, u))
+        patch.setattr(microscopic, rule, lambda nu, u: 2 * count(nu, u))
         for nu, u, (gap, density) in served:
             assert abs(microscopic._fredholm_value(0, nu, u) - gap) <= 2e-14, (nu, u)
             doubled = microscopic._fredholm_value(1, nu, u)
             assert doubled == pytest.approx(density, rel=1e-11 + 2e-14 / gap, abs=0.0), (nu, u)
     assert len(served) >= 250, len(served)
+
+
+def test_nystrom_entries_match_mpmath() -> None:
+    # At the top u of each rung, J_nu and J_(nu+1) interpolated onto the
+    # Nystrom triangle are within twice jv's own error against 30 digits,
+    # both relative to max|J|.  jv's error is taken on the triangle and at
+    # the interpolation points, whose jv values the interpolant carries, and
+    # as at least one rounding of max|J| (2^-52): at u = 1 and nu <= 2 both
+    # sit at the format's floor, 1-2 units in the last place of max|J|.
+    for nu in (1, 2, 8, 24, 48):
+        for u, _ in microscopic._FREDHOLM_NODES:
+            m = microscopic._node_count(nu, u)
+            r = microscopic._nystrom(m)[0]
+            points, interpolation = microscopic._interpolation(
+                m, microscopic._chebyshev_count(nu, u))
+            orders, root = np.array([[nu], [nu + 1]]), math.sqrt(u)
+            with mpmath.workdps(30):
+                def exact(args):
+                    return np.array([[float(mpmath.besselj(n, mpmath.sqrt(u) * x))
+                                      for x in args] for n in (nu, nu + 1)])
+                on_triangle, on_points = exact(r), exact(points)
+            scale = np.abs(on_triangle).max(axis=1)
+            at_points = jv(orders, root * points)
+            jv_errors = [np.abs(jv(orders, root * r) - on_triangle).max(axis=1),
+                         np.abs(at_points - on_points).max(axis=1), np.finfo(float).eps * scale]
+            jv_error = np.max(jv_errors, axis=0) / scale
+            error = np.abs(at_points @ interpolation.T - on_triangle).max(axis=1) / scale
+            assert np.all(error <= 2.0 * jv_error), (nu, u, error, jv_error)
+
+
+# Production's limit against the mpmath determinant on twice-or-more its
+# nodes: (k, u), one of them at u = 1000 with nu = 24.
+ORACLE_POINTS = ((1, 5.0), (4, 150.0), (12, 1000.0), (24, 0.5))
+
+
+@pytest.mark.parametrize("k, u", ORACLE_POINTS)
+def test_fredholm_matches_mpmath_oracle(k: int, u: float) -> None:
+    # E to 2e-14 absolute and P to 1e-11 + 2e-14/E relative, the bounds of
+    # the node rule.
+    gap = float(gap_fredholm_mp(2 * k, u, 32, 30))
+    density = float(smallest_fredholm_mp(2 * k, u, 32, 30))
+    assert abs(gap_micro(k, u) - gap) <= 2e-14
+    assert smallest_micro(k, u) == pytest.approx(density, rel=1e-11 + 2e-14 / gap, abs=0.0)
+
+
+def test_fredholm_oracle_at_nu_one_is_exponential() -> None:
+    # At nu = 1 the gap is exp(-u/8) and the density exp(-u/8)/8.  At
+    # u = 400 the gap is 2e-22, far below any double route's reach; the
+    # determinant's cancellation there costs ~12 of the 50 digits.
+    with mpmath.workdps(50):
+        want = mpmath.exp(-mpmath.mpf(400) / 8)
+        assert abs(gap_fredholm_mp(1, 400.0, 30, 50) / want - 1) <= 1e-30
+        assert abs(smallest_fredholm_mp(1, 400.0, 30, 50) * 8 / want - 1) <= 1e-30
 
 
 @pytest.mark.parametrize("k", [6, 8, 10])
