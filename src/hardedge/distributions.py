@@ -19,7 +19,7 @@ of the prefactor, to the classical closed forms, which
 hardedge.reference.distributions provides verbatim (closed_form_k0,
 closed_form_k1) as independent cross-checks.
 
-`tabulate` evaluates any of the five supported quantities on a grid, one
+`tabulate` evaluates any of the four supported quantities on a grid, one
 point after another, and returns a validated DistributionCurve ready for
 serialization.
 """
@@ -36,7 +36,7 @@ import numpy as np
 from . import specfun
 from .kernels import BulkTables, border_column, kernel_matrix
 from .microscopic import (VALUE_TOL, _count_factors, _in_range, _pfaffian_value,
-                          gap_micro, micro_density, smallest_micro)
+                          gap_micro, smallest_micro)
 
 __all__ = [
     "FiniteSpec",
@@ -81,7 +81,7 @@ class DistributionCurve:
     """
 
     quantity: str
-    """One of gap, smallest, gap_micro, smallest_micro, density."""
+    """One of gap, smallest, gap_micro, smallest_micro."""
 
     p: int | None
     """Matrix size for finite-size quantities, None in the limit."""
@@ -196,7 +196,6 @@ _POINTS = {
     "smallest": lambda p, k, t: smallest_finite(FiniteSpec(p=p, k=k, t=t)),
     "gap_micro": lambda p, k, u: gap_micro(k, u),
     "smallest_micro": lambda p, k, u: smallest_micro(k, u),
-    "density": lambda p, k, u: micro_density(2 * k, u),
 }
 
 

@@ -4,16 +4,16 @@ The limiting gap probability at topology nu = 2k >= 2 is the beta = 1
 hard-edge Fredholm determinant E(u) = det(I - A_u), with
 A_u(x, y) = (sqrt(u)/2) J_nu(sqrt(u x y)) on L^2(0, 1), the hard-edge
 counterpart of Ferrari and Spohn's F_1 = det(I - B_s).  It is evaluated by
-Bornemann's Nystrom method on a few Gauss-Legendre nodes, their number
-taken from a measured rule in nu and u, and one Cholesky factor gives both
-E and the density -dE/du.  The Bessel entries J_nu(sqrt(u) r), r = sqrt(xy),
-come from a barycentric Chebyshev interpolant in r through a few dozen jv
-values, its size another measured rule in nu and u, instead of one jv value
-per entry.  That route is accurate to ~1e-14 absolute, so it serves
-wherever E >= 1e-5; k = 0 keeps its closed form.  Its mpmath counterpart,
-the yardstick of both rules, lives in hardedge.reference.microscopic.
+Bornemann's Nystrom method on a few Gauss-Legendre nodes, and one Cholesky
+factor gives both E and the density -dE/du.  The Bessel entries
+J_nu(sqrt(u) r), r = sqrt(xy), come from a barycentric Chebyshev
+interpolant in r through a few dozen jv values, not one jv value per entry.
+One measured rule in nu and u, read off one table of rungs, sets both counts.
+That route is accurate to ~1e-14 absolute, so it serves wherever
+E >= 1e-5; k = 0 keeps its closed form.  Its mpmath counterpart, the
+yardstick of the rule, lives in hardedge.reference.microscopic.
 
-The tail E < 1e-5, and the points the node rule does not cover, take the
+The tail E < 1e-5, and the points the rule does not cover, take the
 paper's Pfaffian route.  In the limit p -> infinity at fixed u = 4 p t the
 finite-p Pfaffian structures converge entry by entry: the border entries
 xi_a^(gamma, l)(t) tend to Bessel-I brackets and the derivative kernel
@@ -206,76 +206,62 @@ def _count_factors(k: int) -> list[int]:
     return [i for l in range(k) for i in range(l + 1, 2 * l + 1)]
 
 
-# Node counts of the Nystrom matrix, each with the largest u it serves.  A
-# point takes the first count that serves its u and is at least
-# ceil(nu/4) + 7: near u = 0 the density's relative accuracy needs nodes
-# that grow with nu, as the kernel behaves like (xy)^(nu/2) there.  Measured
-# against twice the nodes and against 90 at nu = 0..48 and 228 values of u
+# The rungs of the Fredholm rule: the largest u each serves, a node count of
+# the Nystrom matrix, and the Chebyshev count c of the interpolant in r of
+# J_nu(sqrt(u) r) and J_(nu+1)(sqrt(u) r) that nu <= 2 needs at its top u.
+# A point takes the first node count that serves its u and is at least
+# ceil(nu/4) + 7, as the kernel behaves like (xy)^(nu/2) near u = 0, and
+# ceil((c^4 + (6 sqrt(nu))^4)^(1/4)) points, the smooth maximum of the c of
+# the first rung that serves its u and what r^nu near u = 0 needs.  Nodes
+# measured against twice the nodes and against 90 at nu = 0..48 and 228 u
 # in [1e-6, 1000], wherever E >= 1e-5: E agrees to 2.1e-14 absolute, P to
-# 1e-11 + 2e-14/E relative.  Past those nu and u the rule is unmeasured, and
-# the Pfaffian serves.
-_FREDHOLM_NODES = ((1.0, 6), (10.0, 8), (50.0, 10), (100.0, 12), (300.0, 16),
-                   (500.0, 18), (1000.0, 21))
+# 1e-11 + 2e-14/E relative.  Points measured with 30-digit values and
+# long-double arithmetic, the counts at nu = 1, 2, 4, ..., 48 and 15 u, the
+# rule at 12 nu and 39 u: the interpolant is within 2e-17 max|J| of J on
+# [0, 1], below jv's own error (1e-16 to 3e-14).  Past those nu and u the
+# rule is unmeasured, and the Pfaffian serves.
+_FREDHOLM_RUNGS = ((1.0, 6, 13), (10.0, 8, 17), (50.0, 10, 23), (100.0, 12, 26),
+                   (300.0, 16, 33), (500.0, 18, 38), (1000.0, 21, 45))
 _FREDHOLM_MAX_NU = 48
 # The determinant is accurate to ~1e-14 absolute (measured above), so below
 # E = 1e-5 it could miss by more than ~1e-9 relative; the Pfaffian serves
 # that tail.  Where it serves, P carries ~2e-15/E relative (measured).
 _FREDHOLM_MIN_GAP = 1e-5
-# Chebyshev counts of the interpolant in r of J_nu(sqrt(u) r) and
-# J_(nu+1)(sqrt(u) r), one per rung of _FREDHOLM_NODES: the count that
-# nu <= 2 needs at the rung's top u.  A point takes the smooth maximum
-# ceil((c^4 + (6 sqrt(nu))^4)^(1/4)) of its rung's count c and 6 sqrt(nu),
-# about what the r^nu behaviour near u = 0 needs.  Measured with 30-digit
-# values at the points and long-double arithmetic, the counts at
-# nu = 1, 2, 4, ..., 48 and 15 values of u in [1e-6, 1000], the rule at 12 nu
-# and 39 u: the interpolant is within 2e-17 max|J| of J on [0, 1], below
-# jv's own error (1e-16 to 3e-14).
-_CHEBYSHEV_COUNTS = (13, 17, 23, 26, 33, 38, 45)
 
-_NYSTROM: dict[int, tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]] = {}
-_INTERPOLATION: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+_NYSTROM: dict[tuple[int, int], tuple] = {}
 
 
-def _nystrom(m: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """r = sqrt(x_i x_j) and sqrt(w_i w_j) on the upper triangle i <= j of
-    the m-point Gauss-Legendre rule on (0, 1), with its index arrays, cached."""
-    if m not in _NYSTROM:
+def _fredholm_rule(nu: int, u: float) -> tuple[int, int] | None:
+    """The node count m and Chebyshev count d of _FREDHOLM_RUNGS at (nu, u),
+    or None past nu = _FREDHOLM_MAX_NU or past the last rung."""
+    if nu > _FREDHOLM_MAX_NU or u > _FREDHOLM_RUNGS[-1][0]:
+        return None
+    rungs = [(count, c) for bound, count, c in _FREDHOLM_RUNGS if u <= bound]
+    need = -(-nu // 4) + 7
+    m = next(count for count, _ in rungs if count >= need)
+    return m, math.ceil((rungs[0][1] ** 4 + 1296.0 * nu * nu) ** 0.25)
+
+
+def _nystrom(m: int, d: int) -> tuple:
+    """The m-node Nystrom layout read through d Chebyshev points, cached:
+    r = sqrt(x_i x_j) and sqrt(w_i w_j) on the upper triangle i <= j of the
+    m-point Gauss-Legendre rule on (0, 1), its indices, the d points
+    sin^2(pi j/(2(d-1))) of the second kind on [0, 1], and the barycentric
+    matrix from them to r (Berrut and Trefethen, SIAM Rev. 46 (2004) 501).
+    No r is a point at the rule's (m, d), nor at twice its m or its d
+    (tested), so no 1/(r - point) divides by zero."""
+    if (m, d) not in _NYSTROM:
         nodes, weights = specfun._gauss_legendre(m)
         upper = np.triu_indices(m)
         x, w = 0.5 * (nodes + 1.0), 0.5 * weights
-        _NYSTROM[m] = (np.sqrt(x[upper[0]] * x[upper[1]]),
-                       np.sqrt(w[upper[0]] * w[upper[1]]), upper)
-    return _NYSTROM[m]
-
-
-def _interpolation(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The d Chebyshev points of the second kind on [0, 1], sin^2(pi j/(2(d-1))),
-    and the (m(m+1)/2, d) barycentric matrix that maps values there onto the
-    r of _nystrom(m) (Berrut and Trefethen, SIAM Rev. 46 (2004) 501), cached.
-    No r is a point at m <= 44 and d <= 129 (checked), so no 1/(r - point)
-    divides by zero."""
-    if (m, d) not in _INTERPOLATION:
+        r = np.sqrt(x[upper[0]] * x[upper[1]])
         points = np.sin(0.5 * np.pi / (d - 1) * np.arange(d)) ** 2
-        weights = np.where(np.arange(d) % 2, -1.0, 1.0)
-        weights[[0, -1]] *= 0.5
-        matrix = weights / (_nystrom(m)[0][:, None] - points)
+        signs = np.where(np.arange(d) % 2, -1.0, 1.0)
+        signs[[0, -1]] *= 0.5
+        matrix = signs / (r[:, None] - points)
         matrix /= matrix.sum(axis=1, keepdims=True)
-        _INTERPOLATION[m, d] = (points, matrix)
-    return _INTERPOLATION[m, d]
-
-
-def _node_count(nu: int, u: float) -> int:
-    """The first count of _FREDHOLM_NODES that serves u and is at least
-    ceil(nu/4) + 7."""
-    need = -(-nu // 4) + 7
-    return next(count for bound, count in _FREDHOLM_NODES if u <= bound and count >= need)
-
-
-def _chebyshev_count(nu: int, u: float) -> int:
-    """ceil((c^4 + 1296 nu^2)^(1/4)), c the _CHEBYSHEV_COUNTS entry of the
-    first rung of _FREDHOLM_NODES that serves u."""
-    rung = next(c for (bound, _), c in zip(_FREDHOLM_NODES, _CHEBYSHEV_COUNTS) if u <= bound)
-    return math.ceil((rung ** 4 + 1296.0 * nu * nu) ** 0.25)
+        _NYSTROM[m, d] = (r, np.sqrt(w[upper[0]] * w[upper[1]]), upper, points, matrix)
+    return _NYSTROM[m, d]
 
 
 class _Declined(Exception):
@@ -293,16 +279,16 @@ def _fredholm_value(gamma: int, nu: int, u: float) -> float:
     r = sqrt(xy).  J_nu' = (nu/z) J_nu - J_(nu+1) folds into
     ((1 + nu) J_nu / sqrt(u) - r J_(nu+1)) / 4.  Only the upper triangle is
     evaluated: jv gives J_nu, and for the density J_(nu+1), at the
-    _chebyshev_count(nu, u) points of _interpolation in one call, and the
-    interpolation matrix carries them to every r.  Raises _Declined where
-    the point is not served.
+    Chebyshev points of _nystrom(*_fredholm_rule(nu, u)) in one call, and
+    its interpolation matrix carries them to every r.  Raises _Declined
+    where the point is not served.
     """
-    if nu > _FREDHOLM_MAX_NU or u > _FREDHOLM_NODES[-1][0]:
+    rule = _fredholm_rule(nu, u)
+    if rule is None:
         raise _Declined(f"has no measured node rule past nu={_FREDHOLM_MAX_NU} "
-                        f"or u={_FREDHOLM_NODES[-1][0]:g}")
-    m = _node_count(nu, u)
-    r, root_w, upper = _nystrom(m)
-    points, interpolation = _interpolation(m, _chebyshev_count(nu, u))
+                        f"or u={_FREDHOLM_RUNGS[-1][0]:g}")
+    m, d = rule
+    r, root_w, upper, points, interpolation = _nystrom(m, d)
     root = math.sqrt(u)
     bessel = jv(np.arange(nu, nu + gamma + 1)[:, None], root * points) @ interpolation.T
     matrix = np.identity(m)

@@ -415,7 +415,7 @@ def test_unsettled_quadrature_fails_validation(
 # Every quadrature starts at order 48 and doubles up to 768.
 LADDER = {48 * 2 ** j for j in range(5)}
 # The limit's Fredholm determinant takes one of these fixed node counts.
-FREDHOLM_COUNTS = {count for _, count in microscopic._FREDHOLM_NODES}
+FREDHOLM_COUNTS = {count for _, count, _ in microscopic._FREDHOLM_RUNGS}
 
 
 @pytest.mark.parametrize("argv", [
@@ -430,9 +430,9 @@ def test_cold_run_climbs_one_quadrature_ladder(
     # Fredholm determinant takes fixed node counts,
     # so a cold run caches at most those rules instead of one rule per u.
     # A run whose limit points the determinant serves takes no ladder rule.
-    # Its Bessel interpolants are cached once per (nodes, points) pair used.
+    # Its Nystrom layouts are cached once per (nodes, points) pair used.
     asked, gauss_legendre = [], specfun._gauss_legendre
-    pairs, interpolation = [], microscopic._interpolation
+    pairs, nystrom = [], microscopic._nystrom
 
     def recorded(n):
         asked.append(n)
@@ -440,17 +440,16 @@ def test_cold_run_climbs_one_quadrature_ladder(
 
     def recorded_pair(m, d):
         pairs.append((m, d))
-        return interpolation(m, d)
+        return nystrom(m, d)
 
     monkeypatch.setattr(specfun, "_GL_CACHE", {})
     monkeypatch.setattr(microscopic, "_NYSTROM", {})
-    monkeypatch.setattr(microscopic, "_INTERPOLATION", {})
     monkeypatch.setattr(specfun, "_gauss_legendre", recorded)
-    monkeypatch.setattr(microscopic, "_interpolation", recorded_pair)
+    monkeypatch.setattr(microscopic, "_nystrom", recorded_pair)
     assert main(argv) == 0
     assert set(asked) <= LADDER | FREDHOLM_COUNTS, sorted(set(asked))
     assert len(specfun._GL_CACHE) <= len(LADDER) + len(FREDHOLM_COUNTS)
-    assert len(microscopic._INTERPOLATION) <= len(set(pairs)), sorted(set(pairs))
+    assert len(microscopic._NYSTROM) <= len(set(pairs)), sorted(set(pairs))
 
 
 def test_selftest_passes(capsys: pytest.CaptureFixture[str]) -> None:

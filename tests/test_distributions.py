@@ -293,7 +293,7 @@ def test_curve_validation() -> None:
                       values=(1.0, 0.6, 0.3))
     DistributionCurve(quantity="gap_micro", p=None, k=0,
                       abscissae=(0.0, 4.0), values=(1.0, 0.2))
-    DistributionCurve(quantity="density", p=None, k=1,
+    DistributionCurve(quantity="smallest_micro", p=None, k=1,
                       abscissae=(1.0, 2.0), values=(0.1, 0.2))
 
     with pytest.raises(ValueError):
@@ -362,8 +362,6 @@ def test_tabulate_limit_quantities() -> None:
     assert gap.values[0] == 1.0
     dens = tabulate("smallest_micro", 1, (0.5, 4.0, 12.0))
     assert all(v > 0.0 for v in dens.values)
-    rho = tabulate("density", 1, (0.5, 4.0, 12.0))
-    assert all(v > 0.0 for v in rho.values)
 
 
 def test_tabulate_names_failing_abscissa() -> None:

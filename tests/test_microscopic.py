@@ -316,14 +316,26 @@ def test_fredholm_meets_pfaffian_route(monkeypatch, k: int) -> None:
     assert served >= 5, served
 
 
+def _doubling(which: int):
+    """_fredholm_rule with its node count (which = 0) or its Chebyshev count
+    (which = 1) doubled, declining where the rule declines."""
+    rule = microscopic._fredholm_rule
+
+    def doubled(nu: int, u: float) -> tuple[int, int] | None:
+        counts = rule(nu, u)
+        if counts is None:
+            return None
+        return tuple(2 * n if i == which else n for i, n in enumerate(counts))
+    return doubled
+
+
 def test_gap_at_high_topology_near_origin(monkeypatch) -> None:
     # The Pfaffian route returned 3.79 here, which the range guard rejected
     # (test_impossible_values_raise forces that guard now); the determinant
     # serves the point and is settled in its nodes.
     value = gap_micro(14, 0.01)
     assert 0.0 <= value <= 1.0
-    count = microscopic._node_count
-    monkeypatch.setattr(microscopic, "_node_count", lambda nu, u: 2 * count(nu, u))
+    monkeypatch.setattr(microscopic, "_fredholm_rule", _doubling(0))
     assert abs(gap_micro(14, 0.01) - value) <= 1e-14
 
 
@@ -340,12 +352,11 @@ FREDHOLM_GRID = (1e-6, 1e-3, 0.3, 1.0, 4.0, 10.0, 30.0, 50.0, 80.0, 100.0, 200.0
                  400.0, 500.0, 700.0, 1000.0)
 
 
-@pytest.mark.parametrize("rule", ["_node_count", "_chebyshev_count"])
-def test_fredholm_node_rule_is_converged(monkeypatch, rule: str) -> None:
+@pytest.mark.parametrize("which", [0, 1], ids=["nodes", "chebyshev"])
+def test_fredholm_node_rule_is_converged(monkeypatch, which: int) -> None:
     # Twice the nodes of the rule, or twice the Chebyshev points of the Bessel
     # interpolant, must move E by at most 2e-14 absolute and P by at most
     # 1e-11 + 2e-14/E relative, at every nu the rule serves.
-    count = getattr(microscopic, rule)
     served = []
     for nu in [1] + list(range(2, microscopic._FREDHOLM_MAX_NU + 1, 2)):
         for u in FREDHOLM_GRID:
@@ -355,7 +366,7 @@ def test_fredholm_node_rule_is_converged(monkeypatch, rule: str) -> None:
                 continue
             served.append((nu, u, values))
     with monkeypatch.context() as patch:
-        patch.setattr(microscopic, rule, lambda nu, u: 2 * count(nu, u))
+        patch.setattr(microscopic, "_fredholm_rule", _doubling(which))
         for nu, u, (gap, density) in served:
             assert abs(microscopic._fredholm_value(0, nu, u) - gap) <= 2e-14, (nu, u)
             doubled = microscopic._fredholm_value(1, nu, u)
@@ -371,11 +382,9 @@ def test_nystrom_entries_match_mpmath() -> None:
     # as at least one rounding of max|J| (2^-52): at u = 1 and nu <= 2 both
     # sit at the format's floor, 1-2 units in the last place of max|J|.
     for nu in (1, 2, 8, 24, 48):
-        for u, _ in microscopic._FREDHOLM_NODES:
-            m = microscopic._node_count(nu, u)
-            r = microscopic._nystrom(m)[0]
-            points, interpolation = microscopic._interpolation(
-                m, microscopic._chebyshev_count(nu, u))
+        for u, _, _ in microscopic._FREDHOLM_RUNGS:
+            r, _, _, points, interpolation = microscopic._nystrom(
+                *microscopic._fredholm_rule(nu, u))
             orders, root = np.array([[nu], [nu + 1]]), math.sqrt(u)
             with mpmath.workdps(30):
                 def exact(args):
@@ -389,6 +398,25 @@ def test_nystrom_entries_match_mpmath() -> None:
             jv_error = np.max(jv_errors, axis=0) / scale
             error = np.abs(at_points @ interpolation.T - on_triangle).max(axis=1) / scale
             assert np.all(error <= 2.0 * jv_error), (nu, u, error, jv_error)
+
+
+def test_barycentric_matrix_has_no_pole(monkeypatch) -> None:
+    # The barycentric matrix divides by r - point, so no r of a layout may be
+    # a Chebyshev point: at every (m, d) the rule gives and at the doubled m
+    # and d that test_fredholm_node_rule_is_converged asks for.  The margin is
+    # one ulp: at odd m the middle node gives r = 0.5 exactly on the diagonal,
+    # and at odd d the middle point sin^2(pi/4) rounds to 0.5 +- 1.1e-16.
+    monkeypatch.setattr(microscopic, "_NYSTROM", {})
+    pairs = set()
+    for nu in range(microscopic._FREDHOLM_MAX_NU + 1):
+        for u, _, _ in microscopic._FREDHOLM_RUNGS:
+            m, d = microscopic._fredholm_rule(nu, u)
+            pairs |= {(m, d), (2 * m, d), (m, 2 * d)}
+    for m, d in sorted(pairs):
+        r, _, _, points, matrix = microscopic._nystrom(m, d)
+        assert np.all(np.isfinite(matrix)), (m, d)
+        assert np.abs(matrix.sum(axis=1) - 1.0).max() <= 1e-14, (m, d)
+        assert not np.isin(r, points).any(), (m, d)
 
 
 # Production's limit against the mpmath determinant on twice-or-more its
