@@ -22,7 +22,9 @@ thousands where factorial-laden expressions overflow.  Every Tricomi U
 ratio is read off whole chains U(1/2 + i, b, t/2), one call of
 specfun.tricomi_u_chain (one tridiagonal solve) per evaluation point; the
 integer-a values map onto that ladder through Kummer's transformation.
-The chains are built with the Laguerre rows in one BulkTables per point.
+The chains are built with the Laguerre rows in one BulkTables per point;
+what they share across points, everything without t, is one read-only
+layout per (gamma, l), cached (_layout).
 The independent routes the tests check these entries against (the
 polynomial pair sum and the closed Christoffel-Darboux form) live in
 hardedge.reference.kernels.
@@ -30,6 +32,7 @@ hardedge.reference.kernels.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 
@@ -37,7 +40,7 @@ import numpy as np
 from scipy.linalg.blas import dtbsv
 from scipy.special import poch
 
-from .specfun import tricomi_u_chain
+from .specfun import _frozen, tricomi_u_chain
 
 __all__ = ["BulkTables", "kernel_matrix", "border_column"]
 
@@ -49,17 +52,74 @@ _RECURRENCE_ENVELOPE = 1.2e5
 
 
 def _gamma_run(x: float, d: float, count: int) -> np.ndarray:
-    """Gamma(x + i) / Gamma(x + i + d) for i = 0..count-1.
+    """Gamma(x + i) / Gamma(x + i + d) for i = 0..count-1, d != 0.
 
     A running product from i = 0: differences of log-gamma would lose
-    ~|ln Gamma| ulps at the top of a chain.  d = 0, as in the rho and sigma
-    quotients, gives ones exactly.
+    ~|ln Gamma| ulps at the top of a chain.
     """
-    if d == 0.0:
-        return np.ones(count)
     i = np.arange(count - 1)
     first = math.exp(math.lgamma(x) - math.lgamma(x + d))
     return first * np.concatenate(([1.0], np.cumprod((x + i) / (x + i + d))))
+
+
+# Layouts kept at once.  A finite-p curve or CDF reuses one, a
+# `converge` call one per size, and a benchmark workload at most six.
+_LAYOUTS = 32
+
+
+class _Layout:
+    """The t-free arrays of the bulk route at one (gamma, l), all read-only,
+    for every t and size: the band of the Laguerre recurrence without its
+    t entries (:func:`_laguerre_rows`) and its right-hand side,
+    kernel_matrix's index coefficients and poch factors, and the
+    Gamma-ratio runs (:func:`_gamma_run`) that BulkTables.quotient
+    multiplies by, each made at its first read.  Each array is the
+    expression its reader would otherwise evaluate per point, so every
+    value is unchanged.
+    """
+
+    def __init__(self, gamma: int, l: int) -> None:
+        # Unknown 2n is L_n^(mu), unknown 2n + 1 is L_n^(mu+1); band row d
+        # holds the entries d places below the diagonal, and the entries
+        # [1, 1::2] hold -t.  Row 0 sets L_0^(mu) = 1, whence row 1 gives
+        # L_0^(mu+1) = 1.  Fortran order spares the copy BLAS would
+        # otherwise take of the band.
+        n = np.arange(l + 1.0)
+        n[0] = 1.0
+        self.band = np.zeros((3, 2 * l + 2), order="F")
+        self.band[0, 0::2], self.band[0, 1::2] = n, 1.0
+        self.band[1, 0::2] = -1.0
+        self.band[2, 0:-2:2], self.band[2, 1:-2:2] = -(n[1:] + 2 * gamma), -1.0
+        self.rhs = np.zeros(2 * l + 2)
+        self.rhs[0] = 1.0
+
+        # kernel_matrix pairs j < count; the hatted set of odd l adds its
+        # top polynomial, with moments up to j = count.
+        self.hatted, self.count = l % 2 == 1, l // 2
+        self.js = js = np.arange(self.count)
+        j = js[:, None]
+        self.two_j, self.two_j_next, self.odd = 2.0 * j, 2.0 * (j + 1), 2.0 * j + 1.0
+        self.coupling = 2.0 * (gamma + j)
+        self.coupling_over_odd = 2.0 * (gamma + j) / (2 * j + 1)
+        self.norm_poch = poch(2.0 * js + 2.0, 2 * gamma)
+        if self.hatted:
+            self.moment_poch = poch(np.arange(self.count + 1) + 1.5, gamma)
+            self.js_half = js + 0.5
+            self.top_poch = poch(2.0 * self.count + 2.0, 2 * gamma)
+        _frozen(*[x for x in vars(self).values() if isinstance(x, np.ndarray)])
+        self._runs: dict[tuple[float, float, int], np.ndarray] = {}
+
+    def run(self, x: float, d: float, count: int) -> np.ndarray:
+        """_gamma_run(x, d, count), made once per layout."""
+        key = (x, d, count)
+        if key not in self._runs:
+            self._runs[key], = _frozen(_gamma_run(x, d, count))
+        return self._runs[key]
+
+
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _layout(gamma: int, l: int) -> _Layout:
+    return _Layout(gamma, l)
 
 
 def _laguerre_rows(gamma: int, l: int, t: float, count: int) -> np.ndarray:
@@ -73,26 +133,17 @@ def _laguerre_rows(gamma: int, l: int, t: float, count: int) -> np.ndarray:
         L_n^(mu+1) = L_{n-1}^(mu+1) + L_n^(mu),
 
     whose forward substitution only adds positive terms; each further row is
-    the running sum of the one before.  No row carries cancellation.
+    the running sum of the one before.  No row carries cancellation.  The
+    band is the cached one of :class:`_Layout` with t filled in.
     """
-    mu = 2 * gamma
-    # Unknown 2n is L_n^(mu), unknown 2n + 1 is L_n^(mu+1); band row d holds
-    # the entries d places below the diagonal.  Row 0 sets L_0^(mu) = 1,
-    # whence row 1 gives L_0^(mu+1) = 1.  Fortran order spares the copy BLAS
-    # would otherwise take of the band.
-    n = np.arange(l + 1.0)
-    n[0] = 1.0
-    band = np.zeros((3, 2 * l + 2), order="F")
-    band[0, 0::2], band[0, 1::2] = n, 1.0
-    band[1, 0::2], band[1, 1::2] = -1.0, -t
-    band[2, 0:-2:2], band[2, 1:-2:2] = -(n[1:] + mu), -1.0
-    rhs = np.zeros(2 * l + 2)
-    rhs[0] = 1.0
-    pairs = dtbsv(2, band, rhs, lower=1)
+    layout = _layout(gamma, l)
+    band = layout.band.copy(order="F")
+    band[1, 1::2] = -t
+    pairs = dtbsv(2, band, layout.rhs, lower=1)
     rows = np.empty((count, l + 1))
     rows[0], rows[1] = pairs[0::2], pairs[1::2]
     for m in range(2, count):
-        rows[m] = np.cumsum(rows[m - 1])
+        np.cumsum(rows[m - 1], out=rows[m])
     return rows
 
 
@@ -140,6 +191,7 @@ class BulkTables:
         if not 1 <= size <= l - 1:
             raise ValueError(f"size must lie in 1..l-1 = {l - 1}, got {size}")
         self.gamma, self.l, self.t, self.size = gamma, l, t, size
+        self._layout = _layout(gamma, l)
         low = min(gamma - 0.5, 0.5 - gamma) if l % 2 else gamma - 0.5
         chains = tricomi_u_chain(0.5, low, t / 2.0, gamma + l // 2, int(gamma + 2.5 - low))
         self._chains = {low + j: chain for j, chain in enumerate(chains)}
@@ -176,8 +228,10 @@ class BulkTables:
         """
         w_num, s_num, a_num = self._segment(*num, count)
         w_den, s_den, a_den = self._segment(*den, count)
-        return w_num / w_den * math.exp(s_num - s_den) \
-            * _gamma_run(a_den + 1.0, a_num - a_den, count)
+        ratio = w_num / w_den * math.exp(s_num - s_den)
+        if a_num == a_den:
+            return ratio
+        return ratio * self._layout.run(a_den + 1.0, a_num - a_den, count)
 
     def border_mix(self) -> float:
         """U(a, gamma + 1/2, t/2) / U(a, gamma + 3/2, t/2) at a = gamma + (l-1)/2,
@@ -207,14 +261,12 @@ def kernel_matrix(tables: BulkTables) -> np.ndarray:
     rising factorials instead of raw factorials.  (gamma, l, t, size) are
     those of `tables`; a size-1 matrix is zero.
     """
-    gamma, l, t, size = tables.gamma, tables.l, tables.t, tables.size
+    gamma, t, size = tables.gamma, tables.t, tables.size
     if size < 2:
         return np.zeros((size, size))
-    hatted = l % 2 == 1
-    j_max = (l - 3) // 2 if hatted else (l - 2) // 2
-    count = j_max + 1
-    js = np.arange(count)
-    j = js[:, None]
+    layout = tables._layout
+    hatted, count, js = layout.hatted, layout.count, layout.js
+    two_j, odd = layout.two_j, layout.odd
     half, h = gamma + 0.5, 0.5 - gamma
 
     def block(c: int, d: int) -> np.ndarray:
@@ -227,15 +279,15 @@ def kernel_matrix(tables: BulkTables) -> np.ndarray:
     rho = rho_all[:count, None]
     sig = tables.quotient((half, half - 1.0), (half, half + 1.0), count)[:, None]
     even_vals = block(0, 0) + rho * block(-1, 1)
-    mid = (rho + 2 * j * rho ** 2 - 2 * (j + 1) * sig) / (2 * j + 1)
+    mid = (rho + two_j * rho ** 2 - layout.two_j_next * sig) / odd
     odd_vals = (block(1, 0)
-                - 2.0 * (gamma + j) / (2 * j + 1) * block(-1, 0)
+                - layout.coupling_over_odd * block(-1, 0)
                 + mid * block(-1, 1)
-                + 2.0 * j * rho / (2 * j + 1) * block(0, 1)
-                - 2.0 * (gamma + j) * rho / (2 * j + 1) * block(-2, 1))
+                + two_j * rho / odd * block(0, 1)
+                - layout.coupling * rho / odd * block(-2, 1))
 
     u = tables.quotient((1.0, h), (0.0, h), count)
-    norm_w = 0.5 / (u * poch(2.0 * js + 2.0, 2 * gamma))
+    norm_w = 0.5 / (u * layout.norm_poch)
     matrix = odd_vals.T @ (norm_w[:, None] * even_vals)
     matrix = matrix.T - matrix
 
@@ -245,13 +297,11 @@ def kernel_matrix(tables: BulkTables) -> np.ndarray:
             + rho_all[big_k] * tables.laguerre_block(2 * big_k - 1, 1, 1)[0]
         # Even-polynomial moments up to a common factor: U(j + 1/2, h)/U(j, h)
         # times Gamma(j + 3/2)/Gamma(j + gamma + 3/2), for j = 0..big_k.
-        moments = tables.quotient((0.5, h), (0.0, h), big_k + 1) \
-            / poch(np.arange(big_k + 1) + 1.5, gamma)
-        even_w = moments[:count] / (moments[big_k] * poch(2.0 * big_k + 2.0, 2 * gamma)
-                                    * 2.0 * u)
-        odd_over_even = t * ((js + 0.5) * tables.quotient((1.5, h + 1.0), (0.5, h), count)
+        moments = tables.quotient((0.5, h), (0.0, h), big_k + 1) / layout.moment_poch
+        even_w = moments[:count] / (moments[big_k] * layout.top_poch * 2.0 * u)
+        odd_over_even = t * (layout.js_half * tables.quotient((1.5, h + 1.0), (0.5, h), count)
                              - js * tables.quotient((1.0, h + 1.0), (0.0, h), count))
-        odd_w = even_w * odd_over_even / (2 * js + 1)
+        odd_w = even_w * odd_over_even / odd[:, 0]
         mixed = odd_vals.T @ even_w + even_vals.T @ odd_w
         matrix += np.outer(mixed, top_vals) - np.outer(top_vals, mixed)
 

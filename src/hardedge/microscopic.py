@@ -72,7 +72,10 @@ def _pfaffian_value(gamma: int, matrix: np.ndarray, border: np.ndarray | None,
     bordered as [[matrix, border], [-border^T, 0]] when `border` is given.
     A non-finite Pfaffian, or a value _in_range rejects, raises RuntimeError
     naming the regime, gamma and the point."""
-    where = ", ".join(f"{name}={x}" for name, x in point.items())
+
+    def where() -> str:
+        return ", ".join(f"{name}={x}" for name, x in point.items())
+
     if border is not None:
         k = border.shape[0]
         bordered = np.zeros((k + 1, k + 1))
@@ -84,7 +87,7 @@ def _pfaffian_value(gamma: int, matrix: np.ndarray, border: np.ndarray | None,
     with np.errstate(over="ignore", invalid="ignore"):
         pf = pfaffian(AntisymmetricMatrix(data=matrix))
     if not math.isfinite(pf):
-        raise RuntimeError(f"kernel Pfaffian is {pf} at gamma={gamma}, {where}")
+        raise RuntimeError(f"kernel Pfaffian is {pf} at gamma={gamma}, {where()}")
     # pf exp(ln_scale) through the log, infinite past e^709.
     value = 0.0
     if pf:
@@ -92,7 +95,7 @@ def _pfaffian_value(gamma: int, matrix: np.ndarray, border: np.ndarray | None,
         value = math.copysign(math.inf if ln_value > 709.0 else math.exp(ln_value), pf)
     if not _in_range(value, gamma):
         raise RuntimeError(f"{regime} value {value} is impossible at "
-                           f"gamma={gamma}, {where}")
+                           f"gamma={gamma}, {where()}")
     return value
 
 
@@ -247,9 +250,9 @@ def _nystrom(m: int, d: int) -> tuple:
     r = sqrt(x_i x_j) and sqrt(w_i w_j) on the upper triangle i <= j of the
     m-point Gauss-Legendre rule on (0, 1), its indices, the d points
     sin^2(pi j/(2(d-1))) of the second kind on [0, 1], and the barycentric
-    matrix from them to r (Berrut and Trefethen, SIAM Rev. 46 (2004) 501).
-    No r is a point at the rule's (m, d), nor at twice its m or its d
-    (tested), so no 1/(r - point) divides by zero."""
+    matrix from them to r (Berrut and Trefethen, SIAM Rev. 46 (2004) 501),
+    all read-only.  No r is a point at the rule's (m, d), nor at twice its
+    m or its d (tested), so no 1/(r - point) divides by zero."""
     if (m, d) not in _NYSTROM:
         nodes, weights = specfun._gauss_legendre(m)
         upper = np.triu_indices(m)
@@ -260,7 +263,9 @@ def _nystrom(m: int, d: int) -> tuple:
         signs[[0, -1]] *= 0.5
         matrix = signs / (r[:, None] - points)
         matrix /= matrix.sum(axis=1, keepdims=True)
-        _NYSTROM[m, d] = (r, np.sqrt(w[upper[0]] * w[upper[1]]), upper, points, matrix)
+        r, root_w, points, matrix = specfun._frozen(
+            r, np.sqrt(w[upper[0]] * w[upper[1]]), points, matrix)
+        _NYSTROM[m, d] = (r, root_w, specfun._frozen(*upper), points, matrix)
     return _NYSTROM[m, d]
 
 

@@ -11,8 +11,10 @@ order-doubling loop: a chain evaluates all its anchors in one pass, and
 the k = 0 prefactor of the finite-p assembly is the pass of one row.  That
 Gauss-Legendre loop is the only one in the package: the limiting kernel
 quadrature in ``microscopic`` runs through it as well, with its own
-tolerance, both on one ladder of the five orders 48, 96, ..., 768.  The
-oracles' own special functions live in ``hardedge.reference.specfun``.
+tolerance, both on one ladder of the five orders 48, 96, ..., 768.  A
+chain's arrays without t are one read-only layout per (a0, b, n), cached
+(:func:`_chain_layout`).  The oracles' own special functions live in
+``hardedge.reference.specfun``.
 
 Quantities such as Gamma((p+1)/2) * U(...) pair enormous factors that cancel
 only at the very end of an assembly, so U leaves this module as a plain
@@ -22,6 +24,7 @@ to a plain float happens at final assembly where ratios are O(1).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -34,10 +37,18 @@ __all__ = ["tricomi_u_chain"]
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only.  Every module cache holds its arrays so:
+    an in-place edit by a caller raises instead of corrupting later points."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [-1, 1], cached."""
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], cached read-only."""
     if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
+        _GL_CACHE[n] = _frozen(*np.polynomial.legendre.leggauss(n))
     return _GL_CACHE[n]
 
 
@@ -109,8 +120,9 @@ def _half_anchor(b: float, t: float) -> float | None:
 
 
 def _exponent(a, c, t: float, v):
-    """h(v) = a v + c log(1 + e^v) - t e^v, the log of the U integrand."""
-    # The cap keeps exp finite where the window walk steps far right.
+    """h(v) = a v + c log(1 + e^v) - t e^v, the log of the U integrand, on
+    the quadrature nodes; :func:`_window` walks the same h on floats."""
+    # The cap keeps exp finite where a window reaches far right.
     x = np.exp(np.minimum(v, 700.0))
     return a * v + c * np.log1p(x) - t * x
 
@@ -128,7 +140,8 @@ def _window(a: float, b: float, t: float) -> tuple[float, float, float, float]:
     there, and quarters while a quarter is still that far down (the plateau
     of h at b ~ 1 and small t).  h is monotone on each side of the peak, so
     the window holds all mass above the drop; where neither step is taken
-    the edge is the Laplace estimate, smooth in a.
+    the edge is the Laplace estimate, smooth in a.  The walk evaluates h
+    with ``math`` on floats, the same operations as :func:`_exponent`.
     """
     c = b - a - 1.0
     # The peak, x = e^v: the positive root of t x^2 - m x - a, cancellation-free.
@@ -138,12 +151,19 @@ def _window(a: float, b: float, t: float) -> tuple[float, float, float, float]:
     peak = math.log(x)
     h_peak = a * peak + c * math.log1p(x) - t * x
     curvature = t * x - c * x / (1.0 + x) ** 2
+    floor = h_peak - _WINDOW_DROP
+
+    def h(v: float) -> float:
+        # The cap keeps exp finite far right; t e^v may still overflow to
+        # inf there, which a float product returns without raising.
+        x = math.exp(min(v, 700.0))
+        return a * v + c * math.log1p(x) - t * x
 
     def window_edge(direction: float) -> float:
         edge = peak + direction * math.sqrt(2.0 * _WINDOW_DROP / curvature)
-        while _exponent(a, c, t, edge) > h_peak - _WINDOW_DROP:
+        while h(edge) > floor:
             edge = peak + 2.0 * (edge - peak)
-        while _exponent(a, c, t, peak + 0.25 * (edge - peak)) <= h_peak - _WINDOW_DROP:
+        while h(peak + 0.25 * (edge - peak)) <= floor:
             edge = peak + 0.25 * (edge - peak)
         return edge
 
@@ -184,7 +204,7 @@ def _ln_tricomi(rows: list[tuple[float, float]], t: float) -> list[float]:
     h_peak = windows[:, 0]
     # Per row, the two sides of the peak: starts and widths of shape (rows, 2, 1).
     starts = windows[:, 1:3, None]
-    widths = np.diff(windows[:, 1:], axis=1)[:, :, None]
+    widths = (windows[:, 2:] - windows[:, 1:3])[:, :, None]
     a, c = a[:, None, None], c[:, None, None]
 
     def integrand(s: np.ndarray, live) -> np.ndarray:
@@ -261,17 +281,25 @@ def tricomi_u_chain(a0: float, b: float, t: float, n: int,
     ln_w = [ln_u + math.lgamma(a + 1.0)
             for (a, _), ln_u in zip(rows, _ln_tricomi(rows, t))]
     tops = ln_w[-count:]
-    w, log_scale = _solved_chain(a0, b, t, n, ln_w[0], tops[0])
-    chains = [(w, log_scale)]
-    a = a0 + np.arange(n + 1.0)
-    for j, ln_top in enumerate(tops[1:], 1):
-        top = math.exp(ln_top - log_scale)
+    layout = _chain_layout(a0, b, n)
+    w, log_scale = _solved_chain(layout, a0, b, t, n, ln_w[0], tops[0])
+    a = layout.a
+    # The further chains, each built in place from the one below it.
+    derived = np.empty((count - 1, n + 1))
+    below = w
+    for row, ln_top in zip(derived, tops[1:]):
+        row[-1] = math.exp(ln_top - log_scale)
+        row[1:-1] = below[1:-1]
         # S_{a+1} for a = a0..a0+n-1, as a reverse cumulative sum (empty at n = 0).
-        tail = np.cumsum((np.append(w[1:-1], top) / a[1:])[::-1])[::-1]
-        w = np.append(w[:-1] + a[:-1] * tail, top)
-        _check_range(w, a0, b + j, t, n)
-        chains.append((w, log_scale))
-    return chains
+        tail = row[1:] / a[1:]
+        np.cumsum(tail[::-1], out=tail[::-1])
+        tail *= a[:-1]
+        np.add(below[:-1], tail, out=row[:-1])
+        below = row
+    if not np.all(derived > 0.0):
+        for j, row in enumerate(derived, 1):
+            _check_range(row, a0, b + j, t, n)
+    return [(w, log_scale)] + [(row, log_scale) for row in derived]
 
 
 def _check_range(w: np.ndarray, a0: float, b: float, t: float, n: int) -> None:
@@ -280,10 +308,50 @@ def _check_range(w: np.ndarray, a0: float, b: float, t: float, n: int) -> None:
             f"Tricomi U chain left the double range for a0={a0}, b={b}, t={t}, n={n}")
 
 
-def _solved_chain(a0: float, b: float, t: float, n: int, ln_lo: float,
-                  ln_hi: float) -> tuple[np.ndarray, float]:
+# Chain layouts kept at once.  A finite-p curve or CDF reuses one, a
+# `converge` call one per size, and a benchmark workload at most six.
+_LAYOUTS = 32
+
+
+class _ChainLayout:
+    """The t-free arrays of the chains U(a0 + i, b + j, t), i = 0..n, all
+    read-only: a = a0 + i, and at n >= 2 the lowest chain's interior rows.
+
+    Those are the recurrence's superdiagonal a (a - b + 1) / (a + 1), the
+    rows of its tridiagonal system without t (the diagonal b - 2a, from
+    which a point subtracts t, and the off-diagonals, padded with identity
+    rows to the three that LAPACK's wrappers need at least), and the
+    long-double coefficients of the refinement residual: wide = a,
+    wide b / (wide + 1) and b / (wide + 1).
+    """
+
+    def __init__(self, a0: float, b: float, n: int) -> None:
+        self.a = a0 + np.arange(n + 1.0)
+        if n >= 2:
+            a = self.a[1:-1]
+            self.upper = a * (a - b + 1.0) / (a + 1.0)
+            self.diagonal = b - 2.0 * a
+            size = max(n - 1, 3)
+            self.below, self.above = np.zeros(size - 1), np.zeros(size - 1)
+            self.below[:n - 2] = a[1:]
+            self.above[:n - 2] = self.upper[:-1]
+            self.wide = a.astype(np.longdouble)
+            above_wide = self.wide + 1.0
+            self.wide_b = self.wide * b / above_wide
+            self.b_over = b / above_wide
+        _frozen(*vars(self).values())
+
+
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _chain_layout(a0: float, b: float, n: int) -> _ChainLayout:
+    return _ChainLayout(a0, b, n)
+
+
+def _solved_chain(layout: _ChainLayout, a0: float, b: float, t: float, n: int,
+                  ln_lo: float, ln_hi: float) -> tuple[np.ndarray, float]:
     """The lowest chain of :func:`tricomi_u_chain` from the logs of its end
-    anchors w_a0 and w_(a0+n): the tridiagonal solve between them."""
+    anchors w_a0 and w_(a0+n): the tridiagonal solve between them, on the
+    rows of `layout`, the cached :class:`_ChainLayout` of (a0, b, n)."""
     if n == 0:
         return np.ones(1), ln_lo
     log_scale = max(ln_lo, ln_hi)
@@ -291,30 +359,23 @@ def _solved_chain(a0: float, b: float, t: float, n: int, ln_lo: float,
     w[0], w[-1] = math.exp(ln_lo - log_scale), math.exp(ln_hi - log_scale)
     if n <= 1:
         return w, log_scale
-    # The interior rows, padded with identity rows to the three that
-    # LAPACK's tridiagonal wrappers need at least.
-    a = a0 + np.arange(1.0, n)
-    upper = a * (a - b + 1.0) / (a + 1.0)
     size = max(n - 1, 3)
-    diagonal, below, above = np.ones(size), np.zeros(size - 1), np.zeros(size - 1)
-    diagonal[:n - 1] = b - 2.0 * a - t
-    above[:n - 2] = upper[:-1]
-    below[:n - 2] = a[1:]
-    factors = dgttrf(below, diagonal, above)
+    diagonal = np.ones(size)
+    np.subtract(layout.diagonal, t, out=diagonal[:n - 1])
+    factors = dgttrf(layout.below, diagonal, layout.above)
     if factors[-1] != 0:
         raise RuntimeError(
             f"Tricomi U chain recurrence is singular for a0={a0}, b={b}, t={t}, n={n}")
     rhs = np.zeros(size)
-    rhs[0] -= a[0] * w[0]
-    rhs[n - 2] -= upper[-1] * w[-1]
+    rhs[0] -= layout.a[1] * w[0]
+    rhs[n - 2] -= layout.upper[-1] * w[-1]
     w[1:-1] = dgttrs(*factors[:-1], rhs)[0][:n - 1]
 
-    wide = a.astype(np.longdouble)
-    above_wide = wide + 1.0
-    step = np.diff(w.astype(np.longdouble))
+    wide_w = w.astype(np.longdouble)
+    step = wide_w[1:] - wide_w[:-1]
     residual = np.zeros(size)
-    residual[:n - 1] = wide * np.diff(step) - wide * b / above_wide * step[1:] \
-        + (b / above_wide - t) * w[1:-1]
+    residual[:n - 1] = layout.wide * (step[1:] - step[:-1]) - layout.wide_b * step[1:] \
+        + (layout.b_over - t) * w[1:-1]
     w[1:-1] -= dgttrs(*factors[:-1], residual)[0][:n - 1]
     _check_range(w, a0, b, t, n)
     return w, log_scale

@@ -164,6 +164,21 @@ def test_chain_rejects_bad_arguments() -> None:
         _chains(0.5, 0.5, 1.0, 4, 0)
 
 
+def test_chain_leaving_the_double_range_names_its_b(monkeypatch) -> None:
+    # The further chains share one range check, which names the first b
+    # whose chain left the double range: here the top chain, whose top
+    # anchor underflows to 0.
+    ln_tricomi = specfun._ln_tricomi
+
+    def underflowing_top(rows, t):
+        logs = ln_tricomi(rows, t)
+        return logs[:-1] + [logs[-1] - 800.0]
+
+    monkeypatch.setattr(specfun, "_ln_tricomi", underflowing_top)
+    with pytest.raises(RuntimeError, match=r"double range for a0=0\.5, b=1\.5, t=0\.3, n=20$"):
+        _chains(0.5, -0.5, 0.3, 20, 3)
+
+
 def _never_settles(n):
     # Every node at the midpoint, with a total weight that grows with the
     # order: successive values never agree.
