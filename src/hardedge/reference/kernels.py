@@ -134,7 +134,7 @@ def kernel_sum(xa: float, xb: float, spec: KernelSpec) -> float:
 def xi_small(a: int, spec: KernelSpec) -> float:
     """Border entry xi_a^(gamma, l)(t), strictly positive."""
     assert 0 <= a <= spec.l - 2, f"order a={a} outside 0..{spec.l - 2}"
-    beta = border_column(BulkTables(spec.gamma, spec.l, spec.t, a + 1))[a]
+    beta = border_column(BulkTables(spec.gamma, spec.l, [spec.t], a + 1))[0, a]
     return spec.t ** (2 * spec.gamma + a) * beta
 
 

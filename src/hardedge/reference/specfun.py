@@ -91,7 +91,7 @@ class LogScaled:
 def tricomi_u(a: float, b: float, t: float) -> LogScaled:
     """U(a, b, t) as a LogScaled value: the one-row pass of ``hardedge.specfun``,
     looked up at each call so that a patched quadrature is seen here too."""
-    return LogScaled(specfun._ln_tricomi([(a, b)], t)[0], 1)
+    return LogScaled(specfun._ln_tricomi([(a, b, t)])[0], 1)
 
 
 # Rescaling guards for recurrences that can leave the double range.

@@ -6,15 +6,17 @@ confluent hypergeometric function U(a, b, t), as whole chains in a
 form at the chain bottoms a = 1/2 and otherwise a quadrature over a window
 found without a root finder: the peak in closed form, the edges by
 doubling out from the Laplace estimate.  One pass evaluates any number of
-rows (a, b) at a shared t, each in its own window, through one
-order-doubling loop: a chain evaluates all its anchors in one pass, and
-the k = 0 prefactor of the finite-p assembly is the pass of one row.  That
-Gauss-Legendre loop is the only one in the package: the limiting kernel
-quadrature in ``microscopic`` runs through it as well, with its own
-tolerance, both on one ladder of the five orders 48, 96, ..., 768.  A
-chain's arrays without t are one read-only layout per (a0, b, n), cached
-(:func:`_chain_layout`).  The oracles' own special functions live in
-``hardedge.reference.specfun``.
+rows (a, b, t), each in its own window, through one order-doubling loop:
+the chains of a batch of points evaluate all their anchors in one pass,
+and so does the k = 0 prefactor of the finite-p assembly.  Each row
+settles and is contracted on its own, so its value does not depend on the
+rows beside it.  The lowest chains of a batch are one block-diagonal
+tridiagonal solve.  That Gauss-Legendre loop is the only one in the
+package: the limiting kernel quadrature in ``microscopic`` runs through it
+as well, with its own tolerance, both on one ladder of the five orders 48,
+96, ..., 768.  A chain's arrays without t are one read-only layout per
+(a0, b, n), cached (:func:`_chain_layout`).  The oracles' own special
+functions live in ``hardedge.reference.specfun``.
 
 Quantities such as Gamma((p+1)/2) * U(...) pair enormous factors that cancel
 only at the very end of an assembly, so U leaves this module as a plain
@@ -64,15 +66,17 @@ def _settled_integral(integrand, tol: float, floor: float, describe):
     kernel matrix or several Tricomi U rows.  It is called as
     integrand(s, live) and returns the entries live selects: all of them
     (live = slice(None)) until one has settled, then the indices of those
-    still unsettled.  Each entry keeps the first value that agrees with its
-    previous one, so it settles as it would alone.  Every caller climbs the
-    same ladder, so the rule cache holds at most five rules.  Once the order
-    would pass 768 it raises RuntimeError naming ``describe(live)``.
+    still unsettled.  Each entry is summed over the nodes on its own (a
+    matrix-vector product would round a row by how many rows share it) and
+    keeps the first value that agrees with its previous one, so it settles
+    to the bit as it would alone.  Every caller climbs the same ladder, so
+    the rule cache holds at most five rules.  Once the order would pass 768
+    it raises RuntimeError naming ``describe(live)``.
     """
     order, live, previous = 48, slice(None), None
     while order <= _MAX_ORDER:
         nodes, weights = _gauss_legendre(order)
-        current = integrand(0.5 * (nodes + 1.0), live) @ (0.5 * weights)
+        current = (integrand(0.5 * (nodes + 1.0), live) * (0.5 * weights)).sum(axis=-1)
         if previous is None:
             values = current
         else:
@@ -119,7 +123,7 @@ def _half_anchor(b: float, t: float) -> float | None:
     return None
 
 
-def _exponent(a, c, t: float, v):
+def _exponent(a, c, t, v):
     """h(v) = a v + c log(1 + e^v) - t e^v, the log of the U integrand, on
     the quadrature nodes; :func:`_window` walks the same h on floats."""
     # The cap keeps exp finite where a window reaches far right.
@@ -170,8 +174,8 @@ def _window(a: float, b: float, t: float) -> tuple[float, float, float, float]:
     return h_peak, window_edge(-1.0), peak, window_edge(+1.0)
 
 
-def _ln_tricomi(rows: list[tuple[float, float]], t: float) -> list[float]:
-    """ln U(a, b, t) for every (a, b) of rows at one shared t, in one pass.
+def _ln_tricomi(rows: list[tuple[float, float, float]]) -> list[float]:
+    """ln U(a, b, t) for every (a, b, t) of rows, in one pass.
 
     Each row integrates
 
@@ -189,7 +193,7 @@ def _ln_tricomi(rows: list[tuple[float, float]], t: float) -> list[float]:
     naming every row not settled by order 768.
     """
     logs = []
-    for a, b in rows:
+    for a, b, t in rows:
         if not (a >= 0.0 and t > 0.0 and all(map(math.isfinite, (a, b, t)))):
             raise ValueError("Tricomi U requires finite a >= 0, b and t > 0, "
                              f"got a={a}, b={b}, t={t}")
@@ -198,24 +202,24 @@ def _ln_tricomi(rows: list[tuple[float, float]], t: float) -> list[float]:
     if not pending:
         return logs
 
-    a, b = np.array([rows[i] for i in pending]).T
+    a, b, t = np.array([rows[i] for i in pending]).T
     c = b - a - 1.0
-    windows = np.array([_window(*rows[i], t) for i in pending])
+    windows = np.array([_window(*rows[i]) for i in pending])
     h_peak = windows[:, 0]
     # Per row, the two sides of the peak: starts and widths of shape (rows, 2, 1).
     starts = windows[:, 1:3, None]
     widths = (windows[:, 2:] - windows[:, 1:3])[:, :, None]
-    a, c = a[:, None, None], c[:, None, None]
+    a, c, t = a[:, None, None], c[:, None, None], t[:, None, None]
 
     def integrand(s: np.ndarray, live) -> np.ndarray:
         # Both sides of each row's peak, mapped onto [0, 1] and summed.
-        values = np.exp(_exponent(a[live], c[live], t, starts[live] + widths[live] * s)
+        values = np.exp(_exponent(a[live], c[live], t[live], starts[live] + widths[live] * s)
                         - h_peak[live, None, None])
         return (widths[live] * values).sum(axis=1)
 
     def describe(unsettled: np.ndarray) -> str:
         return "Tricomi U quadrature for " + "; ".join(
-            f"a={rows[pending[i]][0]}, b={rows[pending[i]][1]}, t={t}" for i in unsettled)
+            "a={}, b={}, t={}".format(*rows[pending[i]]) for i in unsettled)
 
     totals = _settled_integral(integrand, 5e-13, 0.0, describe)
     for i, peak, total in zip(pending, h_peak, totals):
@@ -223,33 +227,35 @@ def _ln_tricomi(rows: list[tuple[float, float]], t: float) -> list[float]:
     return logs
 
 
-def tricomi_u_chain(a0: float, b: float, t: float, n: int,
-                    count: int) -> list[tuple[np.ndarray, float]]:
+def tricomi_u_chain(a0: float, b: float, t: np.ndarray, n: int,
+                    count: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Tricomi U(a0 + i, b + j, t) for i = 0..n and j = 0..count-1 at once,
-    in scaled form.
+    at every point of the 1-D array t, in scaled form.
 
     Returns one (w, log_scale) per b + j, lowest first, with
 
-        U(a0 + i, b + j, t) = w[i] * exp(log_scale) / Gamma(a0 + i + 1),
+        U(a0 + i, b + j, t[q]) = w[q, i] * exp(log_scale[q]) / Gamma(a0 + i + 1),
 
     so ratios along the chain and between chains of equal length stay
     accurate where the log of U itself runs into the thousands.  All chains
-    share the log_scale of the lowest one.
+    of a point share the log_scale of its lowest one.
 
-    Only the anchors are evaluated, all in one pass of :func:`_ln_tricomi`:
-    both ends of the lowest chain and the top of each further one, count + 1
-    rows in all (count at n = 0), one order-doubling loop for them together.
-    The bottoms U(0, b, t) = 1 and the closed-form U(1/2, b, t) take no
-    quadrature.  The interior of the lowest chain solves the three-term
-    recurrence in a (DLMF 13.3.7) as a boundary-value problem (Olver 1967;
-    Gil, Segura and Temme 2007, ch. 4): with w_a = Gamma(a + 1) U(a, b, t)
-    it reads
+    Only the anchors are evaluated, every point's in one pass of
+    :func:`_ln_tricomi`: both ends of the lowest chain and the top of each
+    further one, count + 1 rows a point (count at n = 0), one
+    order-doubling loop for them all.  The bottoms U(0, b, t) = 1 and the
+    closed-form U(1/2, b, t) take no quadrature.  The interior of the
+    lowest chain solves the three-term recurrence in a (DLMF 13.3.7) as a
+    boundary-value problem (Olver 1967; Gil, Segura and Temme 2007, ch. 4):
+    with w_a = Gamma(a + 1) U(a, b, t) it reads
 
         a w_{a-1} + (b - 2a - t) w_a + a (a - b + 1) / (a + 1) w_{a+1} = 0,
 
     whose coefficients are O(a) and whose solutions vary at most like
-    exp(+-2 sqrt(a t)) times powers of a, so nothing overflows.  The system
-    is tridiagonal and is factored once (LAPACK's dgttrf) for both solves.
+    exp(+-2 sqrt(a t)) times powers of a, so nothing overflows.  Each
+    point's system is tridiagonal; the points' systems are the blocks of
+    one block-diagonal system (:func:`_solved_chain`), factored once
+    (LAPACK's dgttrf) for both solves.
     Its condition grows like n^2 as t -> 0, where both solutions of the
     recurrence become polynomial in a; one step of iterative refinement
     wins the lost digits back.  The residual for it is taken in extended
@@ -268,44 +274,56 @@ def tricomi_u_chain(a0: float, b: float, t: float, n: int,
         w_a(b) = w_a(b - 1) + a S_{a+1},
         S_i = sum_{j=i}^{a0+n-1} w_j(b - 1) / j + w_{a0+n}(b) / (a0 + n),
 
-    one reverse cumulative sum of positive terms, with no solve.  Raises
-    RuntimeError if a chain leaves the double range.
+    one reverse cumulative sum of positive terms, with no solve.  Every
+    value of a point is the one it has in a batch of its own.  Raises
+    RuntimeError, naming the first chain and point, if a chain leaves the
+    double range; in a batch that point may be an innocent neighbour of
+    the one that left it (see :func:`_solved_chain`).
     """
-    if a0 < 0.0 or n < 0 or count < 1:
-        raise ValueError("tricomi_u_chain requires a0 >= 0, n >= 0 and count >= 1, "
-                         f"got a0={a0}, n={n}, count={count}")
+    t = np.asarray(t, dtype=float)
+    if a0 < 0.0 or n < 0 or count < 1 or t.ndim != 1 or not len(t):
+        raise ValueError("tricomi_u_chain requires a0 >= 0, n >= 0, count >= 1 and "
+                         f"a non-empty 1-D t, got a0={a0}, n={n}, count={count}, "
+                         f"t of shape {t.shape}")
     top_a = a0 + n
-    # The lowest chain's bottom, then the top of every chain (the bottom is
-    # also the lowest top at n = 0), as ln w = ln U + ln Gamma(a + 1).
-    rows = [(a0, b)] + [(top_a, b + j) for j in range(0 if n else 1, count)]
-    ln_w = [ln_u + math.lgamma(a + 1.0)
-            for (a, _), ln_u in zip(rows, _ln_tricomi(rows, t))]
-    tops = ln_w[-count:]
+    # Per point, the lowest chain's bottom, then the top of every chain (the
+    # bottom is also the lowest top at n = 0), as ln w = ln U + ln Gamma(a + 1).
+    anchors = [(a0, b)] + [(top_a, b + j) for j in range(0 if n else 1, count)]
+    rows = [(a, b_row, x) for x in t.tolist() for a, b_row in anchors]
+    ln_w = [ln_u + math.lgamma(a + 1.0) for (a, _, _), ln_u in zip(rows, _ln_tricomi(rows))]
+    # Per point, the logs of its bottom and of its chains' tops.
+    ends = [ln_w[i:i + len(anchors)] for i in range(0, len(ln_w), len(anchors))]
+    tops = [point_ends[-count:] for point_ends in ends]
     layout = _chain_layout(a0, b, n)
-    w, log_scale = _solved_chain(layout, a0, b, t, n, ln_w[0], tops[0])
+    w, log_scale = _solved_chain(layout, a0, b, t, n, [point_ends[0] for point_ends in ends],
+                                 [point_tops[0] for point_tops in tops])
     a = layout.a
     # The further chains, each built in place from the one below it.
-    derived = np.empty((count - 1, n + 1))
+    derived = np.empty((count - 1, len(t), n + 1))
     below = w
-    for row, ln_top in zip(derived, tops[1:]):
-        row[-1] = math.exp(ln_top - log_scale)
-        row[1:-1] = below[1:-1]
+    for j, chain in enumerate(derived, 1):
+        for row, point_tops, scale in zip(chain, tops, log_scale):
+            row[-1] = math.exp(point_tops[j] - scale)
+        chain[:, 1:-1] = below[:, 1:-1]
         # S_{a+1} for a = a0..a0+n-1, as a reverse cumulative sum (empty at n = 0).
-        tail = row[1:] / a[1:]
-        np.cumsum(tail[::-1], out=tail[::-1])
+        tail = chain[:, 1:] / a[1:]
+        np.add.accumulate(tail[:, ::-1], axis=1, out=tail[:, ::-1])
         tail *= a[:-1]
-        np.add(below[:-1], tail, out=row[:-1])
-        below = row
-    if not np.all(derived > 0.0):
-        for j, row in enumerate(derived, 1):
-            _check_range(row, a0, b + j, t, n)
-    return [(w, log_scale)] + [(row, log_scale) for row in derived]
+        np.add(below[:, :-1], tail, out=chain[:, :-1])
+        below = chain
+    if not (derived > 0.0).all():
+        for j, chain in enumerate(derived, 1):
+            _check_range(chain, a0, b + j, t, n)
+    log_scale = np.array(log_scale)
+    return [(w, log_scale)] + [(chain, log_scale) for chain in derived]
 
 
-def _check_range(w: np.ndarray, a0: float, b: float, t: float, n: int) -> None:
-    if not np.all(w > 0.0):
-        raise RuntimeError(
-            f"Tricomi U chain left the double range for a0={a0}, b={b}, t={t}, n={n}")
+def _check_range(w: np.ndarray, a0: float, b: float, t: np.ndarray, n: int) -> None:
+    """Raise naming the first point whose row of w is not all positive."""
+    if not (w > 0.0).all():
+        outside = ~(w > 0.0).all(axis=1)
+        raise RuntimeError("Tricomi U chain left the double range for "
+                           f"a0={a0}, b={b}, t={float(t[outside.argmax()])}, n={n}")
 
 
 # Chain layouts kept at once.  A finite-p curve or CDF reuses one, a
@@ -318,11 +336,11 @@ class _ChainLayout:
     read-only: a = a0 + i, and at n >= 2 the lowest chain's interior rows.
 
     Those are the recurrence's superdiagonal a (a - b + 1) / (a + 1), the
-    rows of its tridiagonal system without t (the diagonal b - 2a, from
-    which a point subtracts t, and the off-diagonals, padded with identity
-    rows to the three that LAPACK's wrappers need at least), and the
-    long-double coefficients of the refinement residual: wide = a,
-    wide b / (wide + 1) and b / (wide + 1).
+    n - 1 rows of one point's block of the tridiagonal system without t
+    (the diagonal b - 2a, from which a point subtracts its t, and the
+    off-diagonals, each closed by the zero that couples the block to the
+    next point's), and the long-double coefficients of the refinement
+    residual: wide = a, wide b / (wide + 1) and b / (wide + 1).
     """
 
     def __init__(self, a0: float, b: float, n: int) -> None:
@@ -331,10 +349,9 @@ class _ChainLayout:
             a = self.a[1:-1]
             self.upper = a * (a - b + 1.0) / (a + 1.0)
             self.diagonal = b - 2.0 * a
-            size = max(n - 1, 3)
-            self.below, self.above = np.zeros(size - 1), np.zeros(size - 1)
-            self.below[:n - 2] = a[1:]
-            self.above[:n - 2] = self.upper[:-1]
+            self.below, self.above = np.zeros(n - 1), np.zeros(n - 1)
+            self.below[:-1] = a[1:]
+            self.above[:-1] = self.upper[:-1]
             self.wide = a.astype(np.longdouble)
             above_wide = self.wide + 1.0
             self.wide_b = self.wide * b / above_wide
@@ -347,35 +364,54 @@ def _chain_layout(a0: float, b: float, n: int) -> _ChainLayout:
     return _ChainLayout(a0, b, n)
 
 
-def _solved_chain(layout: _ChainLayout, a0: float, b: float, t: float, n: int,
-                  ln_lo: float, ln_hi: float) -> tuple[np.ndarray, float]:
-    """The lowest chain of :func:`tricomi_u_chain` from the logs of its end
-    anchors w_a0 and w_(a0+n): the tridiagonal solve between them, on the
-    rows of `layout`, the cached :class:`_ChainLayout` of (a0, b, n)."""
+def _solved_chain(layout: _ChainLayout, a0: float, b: float, t: np.ndarray, n: int,
+                  ln_lo: list[float], ln_hi: list[float]) -> tuple[np.ndarray, list[float]]:
+    """The lowest chains of :func:`tricomi_u_chain`, one row a point, and
+    their log scales, from the logs of their end anchors w_a0 and
+    w_(a0+n): the tridiagonal solves between them, on the rows of
+    `layout`, the cached :class:`_ChainLayout` of (a0, b, n).
+
+    The points' systems are the blocks of one block-diagonal system, padded
+    with identity rows to the three that LAPACK's wrappers need at least.
+    Every coupling between blocks is zero, so elimination and both
+    substitutions give each block the values it has alone, as long as its
+    neighbours are finite: a non-finite block spills NaN into the others
+    (0 * inf), the earlier ones through the back substitution.
+    """
+    points = len(t)
     if n == 0:
-        return np.ones(1), ln_lo
-    log_scale = max(ln_lo, ln_hi)
-    w = np.empty(n + 1)
-    w[0], w[-1] = math.exp(ln_lo - log_scale), math.exp(ln_hi - log_scale)
+        return np.ones((points, 1)), ln_lo
+    log_scale = [max(lo, hi) for lo, hi in zip(ln_lo, ln_hi)]
+    w = np.empty((points, n + 1))
+    for w_q, lo, hi, scale in zip(w, ln_lo, ln_hi, log_scale):
+        w_q[0], w_q[-1] = math.exp(lo - scale), math.exp(hi - scale)
     if n <= 1:
         return w, log_scale
-    size = max(n - 1, 3)
-    diagonal = np.ones(size)
-    np.subtract(layout.diagonal, t, out=diagonal[:n - 1])
-    factors = dgttrf(layout.below, diagonal, layout.above)
+    rows = points * (n - 1)
+    size = max(rows, 3)
+    below, diagonal, above = np.zeros((3, size))
+    diagonal[rows:] = 1.0
+    below[:rows].reshape(points, n - 1)[...] = layout.below
+    above[:rows].reshape(points, n - 1)[...] = layout.above
+    np.subtract(layout.diagonal, t[:, None], out=diagonal[:rows].reshape(points, n - 1))
+    factors = dgttrf(below[:-1], diagonal, above[:-1],
+                     overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if factors[-1] != 0:
         raise RuntimeError(
-            f"Tricomi U chain recurrence is singular for a0={a0}, b={b}, t={t}, n={n}")
+            "Tricomi U chain recurrence is singular for "
+            f"a0={a0}, b={b}, t={float(t[(factors[-1] - 1) // (n - 1)])}, n={n}")
     rhs = np.zeros(size)
-    rhs[0] -= layout.a[1] * w[0]
-    rhs[n - 2] -= layout.upper[-1] * w[-1]
-    w[1:-1] = dgttrs(*factors[:-1], rhs)[0][:n - 1]
+    a_low, upper_top = float(layout.a[1]), float(layout.upper[-1])
+    for first, lo, hi in zip(range(0, rows, n - 1), w[:, 0].tolist(), w[:, -1].tolist()):
+        rhs[first] -= a_low * lo
+        rhs[first + n - 2] -= upper_top * hi
+    w[:, 1:-1] = dgttrs(*factors[:-1], rhs)[0][:rows].reshape(points, n - 1)
 
     wide_w = w.astype(np.longdouble)
-    step = wide_w[1:] - wide_w[:-1]
+    step = wide_w[:, 1:] - wide_w[:, :-1]
     residual = np.zeros(size)
-    residual[:n - 1] = layout.wide * (step[1:] - step[:-1]) - layout.wide_b * step[1:] \
-        + (layout.b_over - t) * w[1:-1]
-    w[1:-1] -= dgttrs(*factors[:-1], residual)[0][:n - 1]
+    residual[:rows] = (layout.wide * (step[:, 1:] - step[:, :-1]) - layout.wide_b * step[:, 1:]
+                       + (layout.b_over - t[:, None]) * w[:, 1:-1]).ravel()
+    w[:, 1:-1] -= dgttrs(*factors[:-1], residual)[0][:rows].reshape(points, n - 1)
     _check_range(w, a0, b, t, n)
     return w, log_scale

@@ -123,7 +123,7 @@ def test_cold_and_warm_values_are_bit_identical(builds: dict[str, list[tuple]]) 
 def test_layout_caches_stay_bounded(builds: dict[str, list[tuple]]) -> None:
     # A chain is keyed by n = l // 2 here, so twice as many l.
     for l in range(2, 2 * max(kernels._LAYOUTS, specfun._LAYOUTS) + 4):
-        BulkTables(0, l, 0.3, 1)
+        BulkTables(0, l, [0.3], 1)
     assert len(set(builds["kernel"])) > kernels._LAYOUTS
     assert len(set(builds["chain"])) > specfun._LAYOUTS
     for cached, maxsize in ((kernels._layout, kernels._LAYOUTS),

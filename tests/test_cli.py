@@ -158,7 +158,7 @@ def test_computed_curve_breaking_an_invariant_fails_validation(
         capsys: pytest.CaptureFixture[str]) -> None:
     # Rising gap values are a failed validation (exit 3), not a parameter
     # error: the request itself is valid.
-    monkeypatch.setitem(distributions._POINTS, "gap", lambda p, k, t: t)
+    monkeypatch.setitem(distributions._CURVES, "gap", lambda p, k, ts: list(ts))
     assert main(["gap", "--p", "5", "--k", "1", "--t-min", "0.1",
                  "--t-max", "0.2", "--points", "2"]) == 3
     assert "gap values increase at t=0.2" in capsys.readouterr().err

@@ -436,7 +436,7 @@ def test_tabulated_values_breaking_the_curve_raise_runtime_error(monkeypatch) ->
     # values, forced to rise, break the curve.  That is a numerical failure,
     # where a curve built directly from bad values stays a ValueError
     # (test_curve_validation).
-    monkeypatch.setitem(distributions._POINTS, "gap", lambda p, k, t: t)
+    monkeypatch.setitem(distributions._CURVES, "gap", lambda p, k, ts: list(ts))
     with pytest.raises(RuntimeError, match=r"computed gap curve is invalid: "
                                             r"gap values increase at t=0\.2"):
         tabulate("gap", 1, (0.1, 0.2), p=5)

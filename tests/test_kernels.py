@@ -105,7 +105,7 @@ def test_xi_big_antisymmetry_and_zero_diagonal() -> None:
     assert xi_big(0, 1, spec) == -xi_big(1, 0, spec)
     for a in range(3):
         assert xi_big(a, a, spec) == 0.0
-    matrix = kernel_matrix(BulkTables(0, 6, 1.0, 4))
+    matrix = kernel_matrix(BulkTables(0, 6, [1.0], 4))[0]
     assert np.array_equal(matrix, -matrix.T)
     assert np.all(np.diag(matrix) == 0.0)
 
@@ -115,7 +115,7 @@ def test_matrix_matches_reference_route() -> None:
         for l in (4, 5, 6, 7, 12, 13):
             for t in (0.5, 2.0, 10.0):
                 size = min(4, l - 1)
-                matrix = kernel_matrix(BulkTables(gamma, l, t, size))
+                matrix = kernel_matrix(BulkTables(gamma, l, [t], size))[0]
                 spec = KernelSpec(gamma=gamma, l=l, t=t)
                 for a in range(size):
                     for b in range(a + 1, size):
@@ -129,7 +129,7 @@ def test_border_column_matches_xi_small() -> None:
         for l in (5, 8, 13):
             t = 0.7
             spec = KernelSpec(gamma=gamma, l=l, t=t)
-            column = border_column(BulkTables(gamma, l, t, 4))
+            column = border_column(BulkTables(gamma, l, [t], 4))[0]
             assert np.all(column > 0.0)
             for a in range(4):
                 assert column[a] * t ** (2 * gamma + a) \
@@ -191,8 +191,8 @@ def test_matrix_and_border_stay_finite_across_scales() -> None:
     for gamma in (0, 1):
         for l in (6, 13, 40):
             for t in (1e-4, 0.1, 5.0, 50.0):
-                matrix = kernel_matrix(BulkTables(gamma, l, t, 3))
-                column = border_column(BulkTables(gamma, l, t, 3))
+                matrix = kernel_matrix(BulkTables(gamma, l, [t], 3))[0]
+                column = border_column(BulkTables(gamma, l, [t], 3))[0]
                 assert np.all(np.isfinite(matrix)), (gamma, l, t)
                 assert np.all(np.isfinite(column)), (gamma, l, t)
                 assert np.all(column > 0.0), (gamma, l, t)
@@ -200,9 +200,9 @@ def test_matrix_and_border_stay_finite_across_scales() -> None:
 
 def test_recurrence_envelope_guard() -> None:
     with pytest.raises(ValueError):
-        BulkTables(0, 4000, 100.0, 2)
+        BulkTables(0, 4000, [100.0], 2)
     with pytest.raises(ValueError):
-        BulkTables(0, 4, 1.0, 4)
+        BulkTables(0, 4, [1.0], 4)
 
 
 def test_size_one_matrix_is_zero() -> None:
@@ -210,5 +210,5 @@ def test_size_one_matrix_is_zero() -> None:
     # only the border.
     for gamma in (0, 1):
         for l in (4, 5, 1001):
-            matrix = kernel_matrix(BulkTables(gamma, l, 0.3, 1))
+            matrix = kernel_matrix(BulkTables(gamma, l, [0.3], 1))[0]
             assert matrix.shape == (1, 1) and matrix[0, 0] == 0.0, (gamma, l)

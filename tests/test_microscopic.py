@@ -34,7 +34,7 @@ DENSITY_NU0_U1 = 0.21014853050709881693858209620535
 def finite_kernel_entry(a: int, b: int, gamma: int, u: float, big_l: int) -> float:
     """Finite-size derivative kernel entry at the microscopic scale point."""
     t = u / (8.0 * big_l)
-    stripped = kernel_matrix(BulkTables(gamma, 2 * big_l, t, max(a, b) + 1))
+    stripped = kernel_matrix(BulkTables(gamma, 2 * big_l, [t], max(a, b) + 1))[0]
     return stripped[a, b] * t ** (2 * gamma + a + b + 1)
 
 

@@ -35,7 +35,8 @@ def _hyperu(a: float, b: float, z: float):
 
 
 def _chains(a0: float, b: float, z: float, n: int, count: int = 1):
-    return tricomi_u_chain(a0, b, z, n, count)
+    # The chains of the one point z, as (w, log_scale) rows.
+    return [(w[0], log_scale[0]) for w, log_scale in tricomi_u_chain(a0, b, [z], n, count)]
 
 
 @pytest.mark.parametrize("a0", [0.0, 0.5])
@@ -110,19 +111,20 @@ def test_tricomi_u_matches_mpmath_on_random_arguments() -> None:
 
 
 def test_shared_pass_matches_tricomi_u_and_mpmath() -> None:
-    # Each random argument heads a pass of three rows at its t.  Every row
-    # settles as it would alone, so it meets tricomi_u to rounding.  Near
-    # ln U = -1.3e4 one ulp of the log is 1.8e-12 of U, and the row
-    # (1998.9, 3.5, 8.4) is off by two, 3.6e-12, in tricomi_u as well.
-    worst_scalar = worst = 0.0
+    # Each random argument heads a pass of three rows at its t and two at
+    # 2t.  Every row settles and is summed on its own, so it equals
+    # tricomi_u, its pass of one, to the bit.  Near ln U = -1.3e4 one ulp of
+    # the log is 1.8e-12 of U, and the row (1998.9, 3.5, 8.4) is off by
+    # two, 3.6e-12, in tricomi_u as well.
+    worst = 0.0
     for a, b, t in _random_arguments():
-        rows = [(a, b), (a, b + 1.0), (a + 0.5, b)]
-        for (ra, rb), got in zip(rows, specfun._ln_tricomi(rows, t)):
-            alone = tricomi_u(ra, rb, t).log_magnitude
-            worst_scalar = max(worst_scalar, abs(math.expm1(got - alone)))
-            want = mpmath.log(_hyperu(ra, rb, t))
-            worst = max(worst, abs(float(mpmath.expm1(got - want))))
-    assert worst_scalar <= 1e-15
+        rows = [(a, b, t), (a, b + 1.0, t), (a + 0.5, b, t), (a, b, 2.0 * t),
+                (a + 0.5, b + 1.0, 2.0 * t)]
+        for (ra, rb, rt), got in zip(rows, specfun._ln_tricomi(rows)):
+            assert got == tricomi_u(ra, rb, rt).log_magnitude, (ra, rb, rt)
+            if rt == t:
+                want = mpmath.log(_hyperu(ra, rb, rt))
+                worst = max(worst, abs(float(mpmath.expm1(got - want))))
     assert worst <= 3.7e-12
 
 
@@ -170,8 +172,8 @@ def test_chain_leaving_the_double_range_names_its_b(monkeypatch) -> None:
     # anchor underflows to 0.
     ln_tricomi = specfun._ln_tricomi
 
-    def underflowing_top(rows, t):
-        logs = ln_tricomi(rows, t)
+    def underflowing_top(rows):
+        logs = ln_tricomi(rows)
         return logs[:-1] + [logs[-1] - 800.0]
 
     monkeypatch.setattr(specfun, "_ln_tricomi", underflowing_top)
@@ -196,7 +198,7 @@ def test_unsettled_pass_names_every_row(monkeypatch) -> None:
     # U(1/2, 1/2, t) takes none and is not named.
     monkeypatch.setattr(specfun, "_gauss_legendre", _never_settles)
     with pytest.raises(RuntimeError) as raised:
-        tricomi_u_chain(0.5, 0.5, 2.0, 4, 3)
+        tricomi_u_chain(0.5, 0.5, [2.0], 4, 3)
     message = str(raised.value)
     for b in ("0.5", "1.5", "2.5"):
         assert f"a=4.5, b={b}, t=2.0" in message
@@ -271,8 +273,8 @@ def test_tricomi_u_rejects_bad_arguments_under_optimization() -> None:
 # ------------------------------------------------------------ bulk route
 
 
-BAD_TABLES = ((0, 1, 0.5, 1), (0, 12, -0.5, 1), (-1, 12, 0.5, 1), (0, 12, 0.5, 0),
-              (0, 12, 0.5, 12))
+BAD_TABLES = ((0, 1, [0.5], 1), (0, 12, [-0.5], 1), (-1, 12, [0.5], 1), (0, 12, [0.5], 0),
+              (0, 12, [0.5], 12))
 
 
 def test_tables_reject_bad_parameters() -> None:
@@ -304,7 +306,7 @@ def test_reading_past_the_chain_top_raises_under_optimization() -> None:
     script = (
         "from hardedge.kernels import BulkTables\n"
         "try:\n"
-        "    BulkTables(0, 12, 0.5, 1).quotient((0.0, 0.5), (0.0, 0.5), 100)\n"
+        "    BulkTables(0, 12, [0.5], 1).quotient((0.0, 0.5), (0.0, 0.5), 100)\n"
         "except IndexError as exc:\n"
         "    print(exc)\n"
         "else:\n"
@@ -324,20 +326,20 @@ def test_integer_a_reads_match_mpmath(gamma: int, l: int, z: float) -> None:
     # The integer-a values come off the half-integer ladder through Kummer's
     # transformation.  test_assembly_matches_mpmath_ratios replaces quotient
     # wholesale, so only this test checks the values it reads.
-    tables = BulkTables(gamma, l, 2.0 * z, 1)
+    tables = BulkTables(gamma, l, [2.0 * z], 1)
     h, odd = 0.5 - gamma, l % 2
     count = (l - 1) // 2 if odd else l // 2
     reads = [((1.0, h), (0.0, h), count), ((1.0, h + 1.0), (0.0, h), count)]
     if odd:
         reads.append(((0.5, h), (0.0, h), count + 1))
     for num, den, n in reads:
-        got = tables.quotient(num, den, n)
+        got = tables.quotient(num, den, n)[0]
         for i in sorted({0, 1, n // 2, n - 1}):
             want = _hyperu(num[0] + i, num[1], z) / _hyperu(den[0] + i, den[1], z)
             assert got[i] == pytest.approx(float(want), rel=1e-12, abs=0.0), (num, den, i)
     a = gamma + (l - 1) / 2.0
     want = _hyperu(a, gamma + 0.5, z) / _hyperu(a, gamma + 1.5, z)
-    assert tables.border_mix() == pytest.approx(float(want), rel=1e-12, abs=0.0)
+    assert tables.border_mix()[0] == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 
 # The four finite_large cases, plain Pfaffian at k = 4 and bordered at k = 3.
@@ -377,9 +379,9 @@ def settling_orders(monkeypatch) -> list[int]:
         asked.append(n)
         return gauss_legendre(n)
 
-    def ln_u(rows, t):
+    def ln_u(rows):
         asked.clear()
-        value = plain(rows, t)
+        value = plain(rows)
         if asked:
             settled.append(max(asked))
         return value
@@ -411,9 +413,9 @@ def test_finite_point_factors_one_tridiagonal_system_per_point(monkeypatch) -> N
     # k = 0: a table built twice would double either count.
     factorisations, chains, solves = [], [], []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         factorisations.append(args)
-        return dgttrf(*args)
+        return dgttrf(*args, **kwargs)
 
     def chain(*args):
         chains.append(args)
@@ -446,7 +448,7 @@ def test_prefactor_read_off_the_ladder_matches_mpmath(monkeypatch) -> None:
 
     def recorded(self, a, b):
         value = ln_u(self, a, b)
-        reads.append((a, b, self.t / 2.0, value))
+        reads.extend((a, b, z, got) for z, got in zip((self.t / 2.0).tolist(), value.tolist()))
         return value
 
     monkeypatch.setattr(BulkTables, "ln_u", recorded)
@@ -478,7 +480,7 @@ def test_laguerre_rows_match_mpmath(l: int, gamma: int) -> None:
     for t in (1e-8, 1e-4, 0.0075, 0.1, 0.5, 1.9):
         if l * t > 7000.0:
             continue
-        rows = kernels._laguerre_rows(gamma, l, t, 4)
+        rows = kernels._laguerre_rows(gamma, l, np.array([t]), 4)[0]
         assert rows.shape == (4, l + 1)
         for m in range(4):
             for n in degrees:
@@ -497,13 +499,13 @@ def mpmath_ratios(monkeypatch):
         return cache[a, b, z]
 
     def quotient(self, num, den, count):
-        z = self.t / 2.0
-        return np.array([float(u(num[0] + i, num[1], z) / u(den[0] + i, den[1], z))
-                         for i in range(count)])
+        return np.array([[float(u(num[0] + i, num[1], z) / u(den[0] + i, den[1], z))
+                          for i in range(count)] for z in (self.t / 2.0).tolist()])
 
     def border_mix(self):
-        a, z = self.gamma + (self.l - 1) / 2.0, self.t / 2.0
-        return float(u(a, self.gamma + 0.5, z) / u(a, self.gamma + 1.5, z))
+        a = self.gamma + (self.l - 1) / 2.0
+        return np.array([float(u(a, self.gamma + 0.5, z) / u(a, self.gamma + 1.5, z))
+                         for z in (self.t / 2.0).tolist()])
 
     def install() -> None:
         monkeypatch.setattr(BulkTables, "quotient", quotient)
@@ -522,19 +524,22 @@ def test_assembly_matches_mpmath_ratios(p: int, k: int, t: float, mpmath_ratios)
     assert got == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
-def _rows_mp(gamma, l, t, count):
+def _rows_mp(gamma, l, ts, count):
     # The three-term recurrence at 30 digits, which covers the digits it
     # loses to cancellation, and running sums for the higher orders.
     mu = 2 * gamma
+    points = []
     with mpmath.workdps(30):
-        t = mpmath.mpf(t)
-        row = [mpmath.mpf(1), mu + 1 + t]
-        for n in range(1, l):
-            row.append(((2 * n + mu + 1 + t) * row[n] - (n + mu) * row[n - 1]) / (n + 1))
-        rows = [row[:l + 1]]
-        for _ in range(1, count):
-            rows.append(list(np.cumsum(rows[-1])))
-        return np.array([[float(x) for x in r] for r in rows])
+        for t in ts.tolist():
+            t = mpmath.mpf(t)
+            row = [mpmath.mpf(1), mu + 1 + t]
+            for n in range(1, l):
+                row.append(((2 * n + mu + 1 + t) * row[n] - (n + mu) * row[n - 1]) / (n + 1))
+            rows = [row[:l + 1]]
+            for _ in range(1, count):
+                rows.append(list(np.cumsum(rows[-1])))
+            points.append([[float(x) for x in r] for r in rows])
+    return np.array(points)
 
 
 @pytest.mark.parametrize("p, k, t", [(2000, 2, 0.0075), (2000, 2, 0.04), (2000, 1, 0.02),
