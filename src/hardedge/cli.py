@@ -5,7 +5,7 @@ Monte-Carlo comparisons against them (mc), study the approach to the
 hard-edge limit (converge), and run a built-in identity suite (selftest).
 All tabular output is CSV with 17 significant digits so values round-trip
 exactly, and every output file gets a plain-text manifest sidecar that
-records the command, parameters, seeds, version, and wall-clock time.
+records the command, parameters, seeds, version, and elapsed time.
 
 Exit codes: 0 success, 2 parameter error, 3 numerical-validation failure,
 4 I/O error.
@@ -65,7 +65,7 @@ def _emit(args: argparse.Namespace, default_name: str, header: tuple[str, ...],
     lines += [f"parameter {key}: {parameters[key]}" for key in sorted(parameters)]
     lines += [f"seeds: {','.join(str(s) for s in seeds) or 'none'}",
               f"version: {__version__}",
-              f"duration_seconds: {time.time() - args.start:.3f}",
+              f"duration_seconds: {time.perf_counter() - args.start:.3f}",
               f"output: {out}"]
     lines += [f"note: {note}" for note in notes]
     with open(out + ".manifest", "w", encoding="utf-8") as handle:
@@ -122,8 +122,9 @@ CDF_TAIL = 1e-7
 CDF_MAX_NODES = 257
 
 
-def _interpolated_cdf(evaluate, top: float, label: str):
-    """Chebyshev interpolant of 1 - evaluate(x) on [0, top].
+def _interpolated_cdf(curve, top: float, label: str):
+    """Chebyshev interpolant of 1 - E(x) on [0, top], where curve maps an
+    increasing list of abscissae to their gap values E.
 
     The CDF rises like sqrt(x) at nu = 0, so the curve is interpolated in
     s = sqrt(x), where it is smooth, at second-kind Chebyshev points.  The
@@ -131,17 +132,20 @@ def _interpolated_cdf(evaluate, top: float, label: str):
     error (Battles & Trefethen, SIAM J. Sci. Comput. 25 (2004) 1743); the
     node count goes 33, 65, 129, 257 until that tail is at most CDF_TAIL.
     These point sets nest, so each doubling evaluates only the new points.
+    Each set is sampled with one call of curve: the first holds x = 0, and
+    each doubling passes the new odd-indexed points, increasing too.
     Returns the CDF, which takes a point or an array of them, its node
     count and its tail.
     """
     half = 0.5 * math.sqrt(top)
 
     def sample(points):
-        return [1.0 - evaluate((half * (z + 1.0)) ** 2) for z in points]
+        # Squared one by one: an array square rounds some x apart by a bit.
+        return 1.0 - np.array(curve([(half * (z + 1.0)) ** 2 for z in points]))
 
     nodes = 33
     points = chebpts2(nodes)
-    values = np.array(sample(points))
+    values = sample(points)
     while True:
         coef = chebfit(points, values, nodes - 1)
         tail = float(np.max(np.abs(coef[-3:])))
@@ -179,17 +183,17 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     k = args.nu // 2
 
     if args.compare == "finite":
-        def evaluate(t: float) -> float:
-            return gap_finite(FiniteSpec(p=args.p, k=k, t=t))
+        quantity, p = "gap", args.p
         scale_note = "lambda scale (finite-size comparison)"
     else:
         batch = microscopic_rescale(batch)
-        evaluate = functools.partial(gap_micro, k)
+        quantity, p = "gap_micro", None
         scale_note = "u = 4 p lambda scale (hard-edge comparison)"
     values = batch.smallest_eigenvalues
     top = float(values.max()) * 1.01
     cdf, nodes, tail = _interpolated_cdf(
-        evaluate, top, f"--compare {args.compare} (k={k}, p={args.p})")
+        lambda xs: tabulate(quantity, k, xs, p=p).values, top,
+        f"--compare {args.compare} (k={k}, p={args.p})")
 
     distance = ks_distance(batch, cdf)
     estimate, error = empirical_gap(batch, float(np.median(values)))
@@ -303,8 +307,7 @@ def _selftest_items() -> list[tuple[str, bool, str]]:
            f"relative error {rel:.2e}")
 
     h = 1e-3
-    stencil = [gap_finite(FiniteSpec(p=6, k=1, t=1.0 + m * h))
-               for m in (-2, -1, 1, 2)]
+    stencil = tabulate("gap", 1, [1.0 + m * h for m in (-2, -1, 1, 2)], p=6).values
     slope = -(stencil[0] - 8 * stencil[1] + 8 * stencil[2] - stencil[3]) / (12 * h)
     rel = abs(smallest_finite(FiniteSpec(p=6, k=1, t=1.0)) / slope - 1.0)
     record("density-is-minus-gap-derivative", rel <= 1e-6,
@@ -403,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    args.start = time.time()
+    args.start = time.perf_counter()
     logger.debug("dispatching %s", args.command)
     try:
         return args.handler(args)

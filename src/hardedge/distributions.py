@@ -21,16 +21,17 @@ closed_form_k1) as independent cross-checks.
 
 `tabulate` evaluates any of the four supported quantities on a grid and
 returns a validated DistributionCurve ready for serialization.  It takes
-the grid in batches of up to _BATCH points.  A finite-p batch is one
-Tricomi pass, one stacked chain solve, one Laguerre solve and one kernel
-assembly (kernels.BulkTables), with only the prefactor and the Pfaffian
-taken per point; a single point is the batch of one, and a point's value
-is the same bit for bit alone and inside any curve.  A limit batch is
-evaluated point by point.
+the grid in batches of up to _BATCH plain floats.  A finite-p batch is
+one Tricomi pass, one stacked chain solve, one Laguerre solve and one
+kernel assembly (kernels.BulkTables), with only the prefactor and the
+Pfaffian taken per point; a single FiniteSpec point is the batch of one,
+and a point's value is the same bit for bit alone and inside any curve.
+A limit batch is evaluated point by point.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections.abc import Sequence
@@ -126,7 +127,7 @@ class DistributionCurve:
                 raise ValueError(f"density value {v} negative or not finite at t={x}")
 
 
-def _ln_prefactor(gamma: int, spec: FiniteSpec) -> float:
+def _ln_prefactor(gamma: int, p: int, k: int, t: float) -> float:
     """Log of the normalisation N of U(a, 3/2 + gamma, t/2) times the
     Pfaffian, with o = k mod 2, a = (p + k + 1 + gamma - o)/2 and F_k from
     microscopic._count_factors:
@@ -137,7 +138,6 @@ def _ln_prefactor(gamma: int, spec: FiniteSpec) -> float:
 
     plus ln(a - 1) = ln((p + k)/2) when gamma = 1 and o = 0.
     """
-    p, k, t = spec.p, spec.k, spec.t
     odd = k % 2
     terms = [math.lgamma((p + 1) / 2), -0.5 * math.log(math.pi), -0.5 * p * t,
              (0.5 + gamma * (k + 0.5)) * math.log(t),
@@ -148,70 +148,65 @@ def _ln_prefactor(gamma: int, spec: FiniteSpec) -> float:
     return math.fsum(terms)
 
 
-def _finite_values(gamma: int, specs: Sequence[FiniteSpec]) -> list[float]:
+def _finite_curve(gamma: int, p: int, k: int, ts: Sequence[float]) -> list[float]:
     """Gap probabilities (gamma = 0) or smallest-eigenvalue densities
-    (gamma = 1) at a batch of points t > 0 of one (p, k).
+    (gamma = 1) at a batch of points ts of one (p, k), p >= 1 and k >= 0.
 
-    Each is N U(a, 3/2 + gamma, t/2) times the Pfaffian of the t-balanced
-    kernel block, bordered when k is odd, combined in the log domain; ln N
+    Each t must be finite and non-negative, and positive for the density,
+    else ValueError; the gap is 1 at t = 0.  At t > 0 each value is
+    N U(a, 3/2 + gamma, t/2) times the Pfaffian of the t-balanced kernel
+    block, bordered when k is odd, combined in the log domain; ln N
     (_ln_prefactor) already holds the powers of t the block carries.  At
     k >= 1 the blocks, borders and U come from one BulkTables for the
     batch; k = 0 has no ladder and takes U from one Tricomi pass with a row
     a point.  The prefactor and the Pfaffian are taken point by point.
     """
-    p, k = specs[0].p, specs[0].k
-    t = np.array([spec.t for spec in specs])
+    for x in ts:
+        if not (math.isfinite(x) and x >= 0.0):
+            raise ValueError(f"need a finite t >= 0, got t={x}")
+        if gamma == 1 and x <= 0.0:
+            raise ValueError(f"the density needs t > 0, got {x}")
+    if gamma == 1 and p == 1 and k >= 2 and k % 2 == 0:
+        # The kernel draws on polynomial orders up to k, which a single
+        # eigenvalue supplies only for k <= 1 or for the bordered odd path.
+        raise ValueError(f"the density at p=1 needs k odd or k <= 1, got k={k}")
+    inner = [x for x in ts if x > 0.0]
+    if not inner:
+        return [1.0] * len(ts)
     odd = k % 2
     a = (p + k + 1 + gamma - odd) / 2
-    matrices, borders = np.zeros((len(specs), 0, 0)), [None] * len(specs)
+    matrices, borders = np.zeros((len(inner), 0, 0)), [None] * len(inner)
     if k > 0:
         # Far in the tail the entries overflow; _pfaffian_value reports it.
         with np.errstate(over="ignore", invalid="ignore"):
-            tables = BulkTables(gamma, p + k - gamma + odd, t, k)
+            tables = BulkTables(gamma, p + k - gamma + odd, inner, k)
             matrices = kernel_matrix(tables)
             if odd:
                 borders = border_column(tables)
         ln_u = tables.ln_u(a, 1.5 + gamma).tolist()
     else:
-        ln_u = specfun._ln_tricomi([(a, 1.5 + gamma, 0.5 * x) for x in t.tolist()])
-    return [_pfaffian_value(gamma, matrix, border, _ln_prefactor(gamma, spec) + ln,
-                            "finite-p", p=p, k=k, t=spec.t)
-            for spec, matrix, border, ln in zip(specs, matrices, borders, ln_u)]
-
-
-def _finite_curve(gamma: int, specs: Sequence[FiniteSpec]) -> list[float]:
-    """The gap (gamma = 0) or the density (gamma = 1) at every point of
-    specs, all of one (p, k), as one batch: the gap is 1 at t = 0, and the
-    density raises ValueError outside its domain."""
-    p, k = specs[0].p, specs[0].k
-    if gamma == 1:
-        for spec in specs:
-            if spec.t <= 0.0:
-                raise ValueError(f"the density needs t > 0, got {spec.t}")
-        if p == 1 and k >= 2 and k % 2 == 0:
-            # The kernel draws on polynomial orders up to k, which a single
-            # eigenvalue supplies only for k <= 1 or for the bordered odd path.
-            raise ValueError(f"the density at p=1 needs k odd or k <= 1, got k={k}")
-    inner = [spec for spec in specs if spec.t > 0.0]
-    values = iter(_finite_values(gamma, inner) if inner else ())
-    return [next(values) if spec.t > 0.0 else 1.0 for spec in specs]
+        ln_u = specfun._ln_tricomi([(a, 1.5 + gamma, 0.5 * x) for x in inner])
+    values = iter([_pfaffian_value(gamma, matrix, border, _ln_prefactor(gamma, p, k, x) + ln,
+                                   "finite-p", p=p, k=k, t=x)
+                   for x, matrix, border, ln in zip(inner, matrices, borders, ln_u)])
+    return [next(values) if x > 0.0 else 1.0 for x in ts]
 
 
 def gap_finite(spec: FiniteSpec) -> float:
     """Probability that (0, t) holds no eigenvalue at size p, topology 2k."""
-    return _finite_curve(0, [spec])[0]
+    return _finite_curve(0, spec.p, spec.k, [spec.t])[0]
 
 
 def smallest_finite(spec: FiniteSpec) -> float:
     """Density of the smallest eigenvalue in t, at size p and topology 2k."""
-    return _finite_curve(1, [spec])[0]
+    return _finite_curve(1, spec.p, spec.k, [spec.t])[0]
 
 
 # Curve functions by quantity, all called as (p, k, xs) on a batch of
 # abscissae xs; the limit quantities take no p and go point by point.
 _CURVES = {
-    "gap": lambda p, k, ts: _finite_curve(0, [FiniteSpec(p=p, k=k, t=t) for t in ts]),
-    "smallest": lambda p, k, ts: _finite_curve(1, [FiniteSpec(p=p, k=k, t=t) for t in ts]),
+    "gap": functools.partial(_finite_curve, 0),
+    "smallest": functools.partial(_finite_curve, 1),
     "gap_micro": lambda p, k, us: [gap_micro(k, u) for u in us],
     "smallest_micro": lambda p, k, us: [smallest_micro(k, u) for u in us],
 }
@@ -253,15 +248,16 @@ def _check_request(quantity: str, p: int | None, k: int,
 
 def tabulate(quantity: str, k: int, grid: Sequence[float],
              p: int | None = None) -> DistributionCurve:
-    """Evaluate one quantity over a grid into a validated curve.
+    """Evaluate one quantity over a grid into a validated curve, the one
+    way the package evaluates a grid (mc's CDF and selftest's stencil too).
 
     The grid must be strictly increasing, non-negative for gap quantities
     and strictly positive for densities.  Points are evaluated in grid
-    order in the calling thread, in batches of up to _BATCH points.  A
-    failure at any single point is re-raised naming the quantity and the
-    first offending abscissa: as a ValueError when the point was out of
-    range, else as a RuntimeError.  Values that break a curve invariant
-    raise RuntimeError as well.
+    order in the calling thread, in batches of up to _BATCH plain floats.
+    A failure at any single point, a non-finite one included, is re-raised
+    naming the quantity and the first offending abscissa: as a ValueError
+    when the point was out of range, else as a RuntimeError.  Values that
+    break a curve invariant raise RuntimeError as well.
     """
     abscissae = tuple(float(x) for x in grid)
     _check_request(quantity, p, k, abscissae)

@@ -26,8 +26,8 @@ Kummer's transformation.  The chains are built with the Laguerre rows,
 one banded solve for the batch, in one BulkTables per batch, and every
 table, matrix and column carries a leading point axis; each point's
 values are the ones it has in a batch of its own.  What the points share,
-everything without t, is one read-only layout per (gamma, l), cached
-(_layout).
+everything without t, the ladder's chain layout included, is one
+read-only layout per (gamma, l), cached (_layout).
 The independent routes the tests check these entries against (the
 polynomial pair sum and the closed Christoffel-Darboux form) live in
 hardedge.reference.kernels.
@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg.blas import dtbsv
 from scipy.special import poch
 
-from .specfun import _frozen, tricomi_u_chain
+from .specfun import _ChainLayout, _frozen, tricomi_u_chain
 
 __all__ = ["BulkTables", "kernel_matrix", "border_column"]
 
@@ -74,8 +74,9 @@ class _Layout:
     """The t-free arrays of the bulk route at one (gamma, l), all read-only,
     for every t and size: the band of the Laguerre recurrence without its
     t entries (:func:`_laguerre_rows`), kernel_matrix's index coefficients
-    and poch factors, and the Gamma-ratio runs (:func:`_gamma_run`) that
-    BulkTables.quotient multiplies by, each made at its first read.  Each array is the
+    and poch factors, the Gamma-ratio runs (:func:`_gamma_run`) that
+    BulkTables.quotient multiplies by, each made at its first read, and
+    the layout of BulkTables' ladder (`chain`).  Each array is the
     expression its reader would otherwise evaluate per point, so every
     value is unchanged.
     """
@@ -106,6 +107,8 @@ class _Layout:
             self.js_half = js + 0.5
             self.top_poch = poch(2.0 * self.count + 2.0, 2 * gamma)
         _frozen(*[x for x in vars(self).values() if isinstance(x, np.ndarray)])
+        low = min(gamma - 0.5, 0.5 - gamma) if self.hatted else gamma - 0.5
+        self.chain = _ChainLayout(0.5, low, gamma + l // 2)
         self._runs: dict[tuple[float, float, int], np.ndarray] = {}
 
     def run(self, x: float, d: float, count: int) -> np.ndarray:
@@ -205,13 +208,13 @@ class BulkTables:
             raise ValueError(f"size must lie in 1..l-1 = {l - 1}, got {size}")
         self.gamma, self.l, self.t, self.size = gamma, l, t, size
         self._layout = _layout(gamma, l)
-        low = min(gamma - 0.5, 0.5 - gamma) if l % 2 else gamma - 0.5
-        chains = tricomi_u_chain(0.5, low, t / 2.0, gamma + l // 2, int(gamma + 2.5 - low))
-        self._chains = {low + j: w for j, (w, _) in enumerate(chains)}
-        # Per point, the log scale all chains share, and the one a Kummer
-        # read at b shifts it to by (1 - b) ln z, made at its first read:
-        # floats, in math's rounding.
-        self._log_scale = chains[0][1].tolist()
+        low = self._layout.chain.b
+        chains, self._log_scale = tricomi_u_chain(self._layout.chain, t / 2.0,
+                                                  int(gamma + 2.5 - low))
+        self._chains = {low + j: w for j, w in enumerate(chains)}
+        # Per point, the log scale all chains share (_log_scale), and the
+        # one a Kummer read at b shifts it to by (1 - b) ln z, made at its
+        # first read: floats, in math's rounding.
         self._ln_z = [math.log(x / 2.0) for x in t.tolist()]
         self._kummer_scales: dict[float, list[float]] = {}
         rows = _laguerre_rows(gamma, l, t, size + 1)

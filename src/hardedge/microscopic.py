@@ -53,8 +53,10 @@ __all__ = ["gap_micro", "smallest_micro", "micro_density"]
 
 logger = logging.getLogger(__name__)
 
-# Numerical slack for distribution values: they are accurate to ~1e-10
-# relative, so violations beyond this are structural, not rounding.
+# Numerical slack for distribution values.  At k <= 4 they are accurate to
+# ~1e-10 relative, so violations beyond this are structural, not rounding;
+# at k >= 5, small p and large u they keep about five digits (a last-bit
+# change moved gap_finite(FiniteSpec(11, 6, 300/44)) by 8.8e-6; ROADMAP item 6).
 VALUE_TOL = 1e-9
 
 

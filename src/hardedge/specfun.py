@@ -15,8 +15,8 @@ tridiagonal solve.  That Gauss-Legendre loop is the only one in the
 package: the limiting kernel quadrature in ``microscopic`` runs through it
 as well, with its own tolerance, both on one ladder of the five orders 48,
 96, ..., 768.  A chain's arrays without t are one read-only layout per
-(a0, b, n), cached (:func:`_chain_layout`).  The oracles' own special
-functions live in ``hardedge.reference.specfun``.
+(a0, b, n) (:class:`_ChainLayout`), which its caller builds and keeps.
+The oracles' own special functions live in ``hardedge.reference.specfun``.
 
 Quantities such as Gamma((p+1)/2) * U(...) pair enormous factors that cancel
 only at the very end of an assembly, so U leaves this module as a plain
@@ -26,7 +26,6 @@ to a plain float happens at final assembly where ratios are O(1).
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -227,18 +226,49 @@ def _ln_tricomi(rows: list[tuple[float, float, float]]) -> list[float]:
     return logs
 
 
-def tricomi_u_chain(a0: float, b: float, t: np.ndarray, n: int,
-                    count: int) -> list[tuple[np.ndarray, np.ndarray]]:
+class _ChainLayout:
+    """The t-free arrays of the chains U(a0 + i, b + j, t), i = 0..n, all
+    read-only: a = a0 + i, and at n >= 2 the lowest chain's interior rows.
+
+    Those are the recurrence's superdiagonal a (a - b + 1) / (a + 1), the
+    n - 1 rows of one point's block of the tridiagonal system without t
+    (the diagonal b - 2a, from which a point subtracts its t, and the
+    off-diagonals, each closed by the zero that couples the block to the
+    next point's), and the long-double coefficients of the refinement
+    residual: wide = a, wide b / (wide + 1) and b / (wide + 1).  The bulk
+    route keeps one in each cached kernels._Layout.
+    """
+
+    def __init__(self, a0: float, b: float, n: int) -> None:
+        self.a0, self.b, self.n = a0, b, n
+        self.a = a0 + np.arange(n + 1.0)
+        if n >= 2:
+            a = self.a[1:-1]
+            self.upper = a * (a - b + 1.0) / (a + 1.0)
+            self.diagonal = b - 2.0 * a
+            self.below, self.above = np.zeros(n - 1), np.zeros(n - 1)
+            self.below[:-1] = a[1:]
+            self.above[:-1] = self.upper[:-1]
+            self.wide = a.astype(np.longdouble)
+            above_wide = self.wide + 1.0
+            self.wide_b = self.wide * b / above_wide
+            self.b_over = b / above_wide
+        _frozen(*[x for x in vars(self).values() if isinstance(x, np.ndarray)])
+
+
+def tricomi_u_chain(layout: _ChainLayout, t: np.ndarray,
+                    count: int) -> tuple[np.ndarray, list[float]]:
     """Tricomi U(a0 + i, b + j, t) for i = 0..n and j = 0..count-1 at once,
-    at every point of the 1-D array t, in scaled form.
+    at every point of the 1-D array t, in scaled form; (a0, b, n) and the
+    arrays without t are those of `layout`.
 
-    Returns one (w, log_scale) per b + j, lowest first, with
+    Returns the chains w at [j, q, i] and one log scale per point, with
 
-        U(a0 + i, b + j, t[q]) = w[q, i] * exp(log_scale[q]) / Gamma(a0 + i + 1),
+        U(a0 + i, b + j, t[q]) = w[j, q, i] * exp(log_scale[q]) / Gamma(a0 + i + 1),
 
     so ratios along the chain and between chains of equal length stay
     accurate where the log of U itself runs into the thousands.  All chains
-    of a point share the log_scale of its lowest one.
+    of a point share the log scale of its lowest one.
 
     Only the anchors are evaluated, every point's in one pass of
     :func:`_ln_tricomi`: both ends of the lowest chain and the top of each
@@ -280,6 +310,7 @@ def tricomi_u_chain(a0: float, b: float, t: np.ndarray, n: int,
     double range; in a batch that point may be an innocent neighbour of
     the one that left it (see :func:`_solved_chain`).
     """
+    a0, b, n = layout.a0, layout.b, layout.n
     t = np.asarray(t, dtype=float)
     if a0 < 0.0 or n < 0 or count < 1 or t.ndim != 1 or not len(t):
         raise ValueError("tricomi_u_chain requires a0 >= 0, n >= 0, count >= 1 and "
@@ -294,14 +325,13 @@ def tricomi_u_chain(a0: float, b: float, t: np.ndarray, n: int,
     # Per point, the logs of its bottom and of its chains' tops.
     ends = [ln_w[i:i + len(anchors)] for i in range(0, len(ln_w), len(anchors))]
     tops = [point_ends[-count:] for point_ends in ends]
-    layout = _chain_layout(a0, b, n)
-    w, log_scale = _solved_chain(layout, a0, b, t, n, [point_ends[0] for point_ends in ends],
-                                 [point_tops[0] for point_tops in tops])
+    chains = np.empty((count, len(t), n + 1))
+    log_scale = _solved_chain(layout, t, [point_ends[0] for point_ends in ends],
+                              [point_tops[0] for point_tops in tops], chains[0])
     a = layout.a
     # The further chains, each built in place from the one below it.
-    derived = np.empty((count - 1, len(t), n + 1))
-    below = w
-    for j, chain in enumerate(derived, 1):
+    for j in range(1, count):
+        chain, below = chains[j], chains[j - 1]
         for row, point_tops, scale in zip(chain, tops, log_scale):
             row[-1] = math.exp(point_tops[j] - scale)
         chain[:, 1:-1] = below[:, 1:-1]
@@ -310,12 +340,10 @@ def tricomi_u_chain(a0: float, b: float, t: np.ndarray, n: int,
         np.add.accumulate(tail[:, ::-1], axis=1, out=tail[:, ::-1])
         tail *= a[:-1]
         np.add(below[:, :-1], tail, out=chain[:, :-1])
-        below = chain
-    if not (derived > 0.0).all():
-        for j, chain in enumerate(derived, 1):
-            _check_range(chain, a0, b + j, t, n)
-    log_scale = np.array(log_scale)
-    return [(w, log_scale)] + [(chain, log_scale) for chain in derived]
+    if not (chains[1:] > 0.0).all():
+        for j in range(1, count):
+            _check_range(chains[j], a0, b + j, t, n)
+    return chains, log_scale
 
 
 def _check_range(w: np.ndarray, a0: float, b: float, t: np.ndarray, n: int) -> None:
@@ -326,50 +354,12 @@ def _check_range(w: np.ndarray, a0: float, b: float, t: np.ndarray, n: int) -> N
                            f"a0={a0}, b={b}, t={float(t[outside.argmax()])}, n={n}")
 
 
-# Chain layouts kept at once.  A finite-p curve or CDF reuses one, a
-# `converge` call one per size, and a benchmark workload at most six.
-_LAYOUTS = 32
-
-
-class _ChainLayout:
-    """The t-free arrays of the chains U(a0 + i, b + j, t), i = 0..n, all
-    read-only: a = a0 + i, and at n >= 2 the lowest chain's interior rows.
-
-    Those are the recurrence's superdiagonal a (a - b + 1) / (a + 1), the
-    n - 1 rows of one point's block of the tridiagonal system without t
-    (the diagonal b - 2a, from which a point subtracts its t, and the
-    off-diagonals, each closed by the zero that couples the block to the
-    next point's), and the long-double coefficients of the refinement
-    residual: wide = a, wide b / (wide + 1) and b / (wide + 1).
-    """
-
-    def __init__(self, a0: float, b: float, n: int) -> None:
-        self.a = a0 + np.arange(n + 1.0)
-        if n >= 2:
-            a = self.a[1:-1]
-            self.upper = a * (a - b + 1.0) / (a + 1.0)
-            self.diagonal = b - 2.0 * a
-            self.below, self.above = np.zeros(n - 1), np.zeros(n - 1)
-            self.below[:-1] = a[1:]
-            self.above[:-1] = self.upper[:-1]
-            self.wide = a.astype(np.longdouble)
-            above_wide = self.wide + 1.0
-            self.wide_b = self.wide * b / above_wide
-            self.b_over = b / above_wide
-        _frozen(*vars(self).values())
-
-
-@functools.lru_cache(maxsize=_LAYOUTS)
-def _chain_layout(a0: float, b: float, n: int) -> _ChainLayout:
-    return _ChainLayout(a0, b, n)
-
-
-def _solved_chain(layout: _ChainLayout, a0: float, b: float, t: np.ndarray, n: int,
-                  ln_lo: list[float], ln_hi: list[float]) -> tuple[np.ndarray, list[float]]:
-    """The lowest chains of :func:`tricomi_u_chain`, one row a point, and
-    their log scales, from the logs of their end anchors w_a0 and
-    w_(a0+n): the tridiagonal solves between them, on the rows of
-    `layout`, the cached :class:`_ChainLayout` of (a0, b, n).
+def _solved_chain(layout: _ChainLayout, t: np.ndarray, ln_lo: list[float],
+                  ln_hi: list[float], w: np.ndarray) -> list[float]:
+    """The lowest chains of :func:`tricomi_u_chain`, written to w, one row
+    a point, from the logs of their end anchors w_a0 and w_(a0+n); returns
+    their log scales.  The tridiagonal solves between the ends run on the
+    rows of `layout`, the :class:`_ChainLayout` of (a0, b, n).
 
     The points' systems are the blocks of one block-diagonal system, padded
     with identity rows to the three that LAPACK's wrappers need at least.
@@ -378,15 +368,16 @@ def _solved_chain(layout: _ChainLayout, a0: float, b: float, t: np.ndarray, n: i
     neighbours are finite: a non-finite block spills NaN into the others
     (0 * inf), the earlier ones through the back substitution.
     """
+    a0, b, n = layout.a0, layout.b, layout.n
     points = len(t)
     if n == 0:
-        return np.ones((points, 1)), ln_lo
+        w[...] = 1.0
+        return ln_lo
     log_scale = [max(lo, hi) for lo, hi in zip(ln_lo, ln_hi)]
-    w = np.empty((points, n + 1))
     for w_q, lo, hi, scale in zip(w, ln_lo, ln_hi, log_scale):
         w_q[0], w_q[-1] = math.exp(lo - scale), math.exp(hi - scale)
     if n <= 1:
-        return w, log_scale
+        return log_scale
     rows = points * (n - 1)
     size = max(rows, 3)
     below, diagonal, above = np.zeros((3, size))
@@ -414,4 +405,4 @@ def _solved_chain(layout: _ChainLayout, a0: float, b: float, t: np.ndarray, n: i
                        + (layout.b_over - t[:, None]) * w[:, 1:-1]).ravel()
     w[:, 1:-1] -= dgttrs(*factors[:-1], residual)[0][:rows].reshape(points, n - 1)
     _check_range(w, a0, b, t, n)
-    return w, log_scale
+    return log_scale

@@ -4,10 +4,13 @@
 Tricomi pass, one stacked chain solve, one Laguerre solve and one kernel
 assembly per batch.  A point's value must not depend on the batch it is
 in, a batch must cost one of each of those calls, and a failing curve must
-name the point that fails alone, in grid order.
+name the point that fails alone, in grid order.  The analytic CDF of
+`hardedge mc` is such a curve too.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgttrf
 
 from hardedge import distributions, kernels, specfun
+from hardedge.cli import main
 from hardedge.distributions import FiniteSpec, gap_finite, smallest_finite, tabulate
 from hardedge.specfun import tricomi_u_chain
 
@@ -75,6 +79,27 @@ def test_curve_makes_one_of_each_call_per_batch(monkeypatch) -> None:
         if k:
             want.update(dgttrf=batches, chain=batches, dtbsv=batches)
         assert calls == want, (quantity, p, k)
+
+
+def test_mc_finite_cdf_makes_one_loop_per_batch(monkeypatch, tmp_path) -> None:
+    # The analytic CDF of `mc --compare finite` samples its 33 Chebyshev
+    # nodes as one curve: ceil(33 / 8) batches, each one quadrature loop
+    # (the batch holding t = 0 takes it for its other points).  Point by
+    # point it would take one loop per node at t > 0, 32.
+    loops = []
+    settled = specfun._settled_integral
+
+    def counted(*args, **kwargs):
+        loops.append(args)
+        return settled(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_settled_integral", counted)
+    monkeypatch.setenv("HARDEDGE_OUTDIR", str(tmp_path))
+    assert main(["mc", "--p", "10", "--nu", "4", "--samples", "2000", "--seed", "42",
+                 "--compare", "finite"]) == 0
+    manifest = (tmp_path / "mc_p10_nu4.csv.manifest").read_text()
+    assert "note: cdf_interpolation: 33 nodes," in manifest
+    assert len(loops) == math.ceil(33 / distributions._BATCH) == 5
 
 
 # Past t ~ 4 at p = 2000, k = 4 the kernel entries overflow and the Pfaffian

@@ -1,8 +1,8 @@
 """The module caches: read-only, bounded, and built once per key.
 
-A finite point reads its t-free arrays from two layout caches, one per
-Tricomi chain (specfun._chain_layout, keyed by (a0, b, n)) and one per
-(gamma, l) of the bulk route (kernels._layout); every quadrature reads its
+A finite point reads its t-free arrays from one layout cache per (gamma, l)
+of the bulk route (kernels._layout), whose layouts each hold the layout of
+their ladder's chains (specfun._ChainLayout); every quadrature reads its
 Gauss-Legendre rules from specfun._GL_CACHE and the Fredholm route its
 Nystrom layouts from microscopic._NYSTROM.
 """
@@ -48,7 +48,7 @@ def _arrays(value) -> list[np.ndarray]:
 def builds(monkeypatch: pytest.MonkeyPatch) -> dict[str, list[tuple]]:
     """Cold layout caches whose builders record every key they build."""
     built: dict[str, list[tuple]] = {"chain": [], "kernel": []}
-    chain_layout, kernel_layout = specfun._ChainLayout, kernels._Layout
+    chain_layout, kernel_layout = kernels._ChainLayout, kernels._Layout
 
     def chain(*key):
         built["chain"].append(key)
@@ -58,12 +58,10 @@ def builds(monkeypatch: pytest.MonkeyPatch) -> dict[str, list[tuple]]:
         built["kernel"].append(key)
         return kernel_layout(*key)
 
-    monkeypatch.setattr(specfun, "_ChainLayout", chain)
+    monkeypatch.setattr(kernels, "_ChainLayout", chain)
     monkeypatch.setattr(kernels, "_Layout", kernel)
-    specfun._chain_layout.cache_clear()
     kernels._layout.cache_clear()
     yield built
-    specfun._chain_layout.cache_clear()
     kernels._layout.cache_clear()
 
 
@@ -76,7 +74,7 @@ def _cached(name: str):
         return list(microscopic._NYSTROM.values())
     if name == "chain_layout":
         # The density ladder of (11, 3): gamma = 1, l = 14.
-        return specfun._chain_layout(0.5, 0.5, 8)
+        return kernels._layout(1, 14).chain
     # The hatted gap table of (11, 3), whose quotients fill its Gamma runs.
     layout = kernels._layout(0, 15)
     assert layout._runs
@@ -115,22 +113,20 @@ def test_cold_and_warm_values_are_bit_identical(builds: dict[str, list[tuple]]) 
     built = len(builds["kernel"]), len(builds["chain"])
     assert _values() == cold
     assert (len(builds["kernel"]), len(builds["chain"])) == built
-    specfun._chain_layout.cache_clear()
     kernels._layout.cache_clear()
     assert _values() == cold
 
 
 def test_layout_caches_stay_bounded(builds: dict[str, list[tuple]]) -> None:
-    # A chain is keyed by n = l // 2 here, so twice as many l.
-    for l in range(2, 2 * max(kernels._LAYOUTS, specfun._LAYOUTS) + 4):
+    # Each kernel layout builds its one chain layout, so the chain layouts
+    # kept are bounded with the kernel layouts.
+    for l in range(2, kernels._LAYOUTS + 4):
         BulkTables(0, l, [0.3], 1)
     assert len(set(builds["kernel"])) > kernels._LAYOUTS
-    assert len(set(builds["chain"])) > specfun._LAYOUTS
-    for cached, maxsize in ((kernels._layout, kernels._LAYOUTS),
-                            (specfun._chain_layout, specfun._LAYOUTS)):
-        info = cached.cache_info()
-        assert info.maxsize == maxsize
-        assert info.currsize <= maxsize
+    assert len(builds["chain"]) == len(builds["kernel"])
+    info = kernels._layout.cache_info()
+    assert info.maxsize == kernels._LAYOUTS
+    assert info.currsize <= kernels._LAYOUTS
 
 
 def test_production_code_has_no_assert() -> None:

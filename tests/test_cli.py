@@ -15,7 +15,7 @@ import pytest
 import hardedge
 from hardedge import cli, distributions, microscopic, specfun
 from hardedge.cli import main
-from hardedge.distributions import FiniteSpec, gap_finite
+from hardedge.distributions import FiniteSpec, gap_finite, tabulate
 from hardedge.microscopic import gap_micro, micro_density
 from test_microscopic import _never_settles
 
@@ -119,6 +119,24 @@ def test_gap_curve_csv_and_manifest(tmp_path: Path,
     assert f"output: {out}" in manifest
 
 
+def test_manifest_duration_ignores_wall_clock_steps(
+        tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> None:
+    # Each reading of the wall clock is an hour before the last, as if a
+    # clock synchronisation stepped it back during the run; the recorded
+    # duration must not go negative.
+    readings = []
+
+    def stepping_wall_clock() -> float:
+        readings.append(None)
+        return 1.7e9 - 3600.0 * len(readings)
+
+    monkeypatch.setattr(cli.time, "time", stepping_wall_clock)
+    assert main(["gap", "--p", "5", "--k", "1", "--points", "3"]) == 0
+    manifest = (tmp_path / "gap_p5_k1.csv.manifest").read_text()
+    duration = float(re.search(r"^duration_seconds: (\S+)$", manifest, re.MULTILINE)[1])
+    assert 0.0 <= duration < 60.0
+
+
 def test_gap_rerun_is_bit_identical(tmp_path: Path) -> None:
     args = ["gap", "--p", "6", "--k", "1", "--points", "40",
             "--out", "first.csv"]
@@ -212,18 +230,24 @@ def test_mc_run_reports_ks(tmp_path: Path,
 
 # Tops like those of real runs: the largest sample times 1.01, for 200
 # samples at p = 200 (nu = 0, 4, 8 in u; nu = 4 in lambda) and 2000 at p = 10.
-@pytest.mark.parametrize("evaluate, top", [
-    pytest.param(lambda u: gap_micro(0, u), 35.0, id="micro-k0"),
-    pytest.param(lambda u: gap_micro(2, u), 130.0, id="micro-k2"),
-    pytest.param(lambda u: gap_micro(4, u), 300.0, id="micro-k4"),
-    pytest.param(lambda t: gap_finite(FiniteSpec(p=10, k=4, t=t)), 3.5, id="finite-p10-k4"),
-    pytest.param(lambda t: gap_finite(FiniteSpec(p=200, k=2, t=t)), 0.16,
-                 id="finite-p200-k2"),
+@pytest.mark.parametrize("k, p, top", [
+    pytest.param(0, None, 35.0, id="micro-k0"),
+    pytest.param(2, None, 130.0, id="micro-k2"),
+    pytest.param(4, None, 300.0, id="micro-k4"),
+    pytest.param(4, 10, 3.5, id="finite-p10-k4"),
+    pytest.param(2, 200, 0.16, id="finite-p200-k2"),
 ])
-def test_cdf_interpolant_matches_direct_evaluation(evaluate, top: float) -> None:
-    cdf, nodes, tail = cli._interpolated_cdf(evaluate, top, "test curve")
+def test_cdf_interpolant_matches_direct_evaluation(k: int, p: int | None,
+                                                   top: float) -> None:
+    quantity = "gap_micro" if p is None else "gap"
+    cdf, nodes, tail = cli._interpolated_cdf(
+        lambda xs: tabulate(quantity, k, xs, p=p).values, top, "test curve")
     assert nodes <= cli.CDF_MAX_NODES
     assert tail <= cli.CDF_TAIL
+
+    def evaluate(x: float) -> float:
+        return gap_micro(k, x) if p is None else gap_finite(FiniteSpec(p=p, k=k, t=x))
+
     xs = np.linspace(0.0, top, 99)[1:-1]
     worst = max(abs(cdf(x) - (1.0 - evaluate(x))) for x in xs)
     assert worst <= 1e-9, f"worst error {worst:.2e} at {nodes} nodes"
@@ -232,20 +256,26 @@ def test_cdf_interpolant_matches_direct_evaluation(evaluate, top: float) -> None
 def test_cdf_interpolant_rejects_a_step() -> None:
     calls = []
 
-    def step(x: float) -> float:
-        calls.append(x)
-        return float(x < 0.3)
+    def step(xs: list[float]) -> list[float]:
+        calls.append(list(xs))
+        return [float(x < 0.3) for x in xs]
 
     with pytest.raises(RuntimeError, match=r"step curve, top=1 .* at 257 Chebyshev nodes"):
         cli._interpolated_cdf(step, 1.0, "step curve")
-    # The point sets nest, so each doubling evaluates only the new points.
-    assert len(calls) == len(set(calls)) == 257
+    # One call per node set, each increasing, the first from x = 0.  The
+    # sets nest, so each doubling evaluates only the new points.
+    assert [len(xs) for xs in calls] == [33, 32, 64, 128]
+    assert calls[0][0] == 0.0
+    assert all(xs == sorted(set(xs)) for xs in calls)
+    points = [x for xs in calls for x in xs]
+    assert len(points) == len(set(points)) == 257
 
 
 def test_mc_unsettled_cdf_fails_validation(
         tmp_path: Path, monkeypatch: pytest.MonkeyPatch,
         capsys: pytest.CaptureFixture[str]) -> None:
-    monkeypatch.setattr(cli, "gap_micro", lambda k, u: float(u < 2.0))
+    monkeypatch.setitem(distributions._CURVES, "gap_micro",
+                        lambda p, k, us: [float(u < 2.0) for u in us])
     assert main(["mc", "--p", "5", "--nu", "2", "--samples", "50",
                  "--compare", "micro"]) == 3
     err = capsys.readouterr().err
@@ -273,11 +303,21 @@ def test_threads_option_is_gone() -> None:
 
 
 def test_mc_seeded_reruns_are_identical(tmp_path: Path) -> None:
-    base = ["mc", "--p", "5", "--nu", "2", "--samples", "300",
-            "--seed", "7", "--compare", "micro"]
-    assert main(base + ["--out", "a.csv"]) == 0
-    assert main(base + ["--out", "b.csv"]) == 0
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    # The samples and every note on them (the KS distance, the CDF's nodes
+    # and tail) repeat for either analytic curve.
+    def notes(name: str) -> list[str]:
+        manifest = (tmp_path / f"{name}.manifest").read_text()
+        return [line for line in manifest.splitlines() if line.startswith("note: ")]
+
+    for compare in ("micro", "finite"):
+        base = ["mc", "--p", "5", "--nu", "2", "--samples", "300",
+                "--seed", "7", "--compare", compare]
+        first, second = f"a_{compare}.csv", f"b_{compare}.csv"
+        assert main(base + ["--out", first]) == 0
+        assert main(base + ["--out", second]) == 0
+        assert (tmp_path / first).read_bytes() == (tmp_path / second).read_bytes()
+        assert len(notes(first)) == 4
+        assert notes(first) == notes(second)
 
 
 def test_mc_rejects_zero_samples() -> None:

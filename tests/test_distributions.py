@@ -246,7 +246,7 @@ def test_prefactor_closed_form_matches_gamma_ratios(p: int) -> None:
             for gamma in (0, 1):
                 for t in (1e-3, 0.3, 4.0):
                     want = _ln_prefactor_gamma_ratios(gamma, p, k, t)
-                    got = distributions._ln_prefactor(gamma, FiniteSpec(p=p, k=k, t=t))
+                    got = distributions._ln_prefactor(gamma, p, k, t)
                     assert abs(got - want) <= 2e-12, (gamma, k, t)
 
 
@@ -429,6 +429,13 @@ def test_tabulate_rejects_bad_grids() -> None:
         tabulate("gap_micro", 1, (0.5, 1.0), p=5)
     with pytest.raises(ValueError):
         tabulate("spacing", 1, (0.5, 1.0), p=5)
+    # Grids that pass the request checks with a point no evaluation takes:
+    # the batch rejects it, and the point-by-point rerun names it.
+    for quantity, grid in (("gap", [0.5, math.inf]), ("smallest", [0.5, math.inf]),
+                           ("gap", [math.nan])):
+        with pytest.raises(ValueError, match=rf"{quantity} evaluation failed at "
+                                             rf"abscissa {grid[-1]}: .*a finite t >= 0"):
+            tabulate(quantity, 1, grid, p=5)
 
 
 def test_tabulated_values_breaking_the_curve_raise_runtime_error(monkeypatch) -> None:

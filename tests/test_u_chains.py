@@ -21,7 +21,7 @@ from hardedge import kernels, specfun
 from hardedge.distributions import FiniteSpec, gap_finite, smallest_finite
 from hardedge.kernels import BulkTables
 from hardedge.reference.specfun import tricomi_u
-from hardedge.specfun import tricomi_u_chain
+from hardedge.specfun import _ChainLayout, tricomi_u_chain
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -35,8 +35,10 @@ def _hyperu(a: float, b: float, z: float):
 
 
 def _chains(a0: float, b: float, z: float, n: int, count: int = 1):
-    # The chains of the one point z, as (w, log_scale) rows.
-    return [(w[0], log_scale[0]) for w, log_scale in tricomi_u_chain(a0, b, [z], n, count)]
+    # The chains of the one point z, as (w, log_scale) rows, on a layout
+    # built for the call.
+    chains, log_scale = tricomi_u_chain(_ChainLayout(a0, b, n), [z], count)
+    return [(w[0], log_scale[0]) for w in chains]
 
 
 @pytest.mark.parametrize("a0", [0.0, 0.5])
@@ -198,7 +200,7 @@ def test_unsettled_pass_names_every_row(monkeypatch) -> None:
     # U(1/2, 1/2, t) takes none and is not named.
     monkeypatch.setattr(specfun, "_gauss_legendre", _never_settles)
     with pytest.raises(RuntimeError) as raised:
-        tricomi_u_chain(0.5, 0.5, [2.0], 4, 3)
+        tricomi_u_chain(_ChainLayout(0.5, 0.5, 4), [2.0], 3)
     message = str(raised.value)
     for b in ("0.5", "1.5", "2.5"):
         assert f"a=4.5, b={b}, t=2.0" in message
