@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -63,17 +64,18 @@ class FiniteSpec:
     """Matrix dimensions and spectral point of one finite-size evaluation."""
 
     p: int
-    """Number of eigenvalues, at least 1."""
+    """Number of eigenvalues, an integer, at least 1."""
 
     k: int
-    """Half the topology index: nu = 2k, non-negative."""
+    """Half the topology index: nu = 2k, k a non-negative integer."""
 
     t: float
     """Spectral point, non-negative."""
 
     def __post_init__(self) -> None:
-        if self.p < 1 or self.k < 0 or not (math.isfinite(self.t) and self.t >= 0.0):
-            raise ValueError(f"need p >= 1, k >= 0 and a finite t >= 0, got {self}")
+        if not (isinstance(self.p, numbers.Integral) and isinstance(self.k, numbers.Integral)
+                and self.p >= 1 and self.k >= 0 and math.isfinite(self.t) and self.t >= 0.0):
+            raise ValueError(f"need integers p >= 1, k >= 0 and a finite t >= 0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -223,17 +225,18 @@ _BATCH = 8
 def _check_request(quantity: str, p: int | None, k: int,
                    abscissae: tuple[float, ...]) -> None:
     """Reject a curve request that no evaluation can meet: an unknown
-    quantity, a p that does not fit its regime, a negative k, or a grid
-    that is empty, not strictly increasing or outside the domain."""
+    quantity, a p that does not fit its regime, a k that is not a
+    non-negative integer, or a grid that is empty, not strictly increasing
+    or outside the domain."""
     if quantity not in _CURVES:
         raise ValueError(f"unknown quantity {quantity!r}")
     if quantity in FINITE_QUANTITIES:
-        if p is None or p < 1:
-            raise ValueError(f"{quantity} requires a matrix size p >= 1")
+        if not isinstance(p, numbers.Integral) or p < 1:
+            raise ValueError(f"{quantity} requires an integer matrix size p >= 1, got {p!r}")
     elif p is not None:
         raise ValueError(f"{quantity} is a limit quantity, p must be None")
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
+    if not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"k must be a non-negative integer, got {k!r}")
     if not abscissae:
         raise ValueError("grid must not be empty")
     if not all(lo < hi for lo, hi in zip(abscissae[:-1], abscissae[1:])):
@@ -249,7 +252,9 @@ def _check_request(quantity: str, p: int | None, k: int,
 def tabulate(quantity: str, k: int, grid: Sequence[float],
              p: int | None = None) -> DistributionCurve:
     """Evaluate one quantity over a grid into a validated curve, the one
-    way the package evaluates a grid (mc's CDF and selftest's stencil too).
+    way the package evaluates a grid (mc's CDF and selftest's stencil too)
+    but for the CLI's `micro --quantity density`: the level density is no
+    curve quantity, since curves carry k = nu/2 and it also takes odd nu.
 
     The grid must be strictly increasing, non-negative for gap quantities
     and strictly positive for densities.  Points are evaluated in grid

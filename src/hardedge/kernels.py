@@ -21,13 +21,13 @@ positive terms, so matrices remain accurate for polynomial counts in the
 thousands where factorial-laden expressions overflow.  Every Tricomi U
 ratio is read off whole chains U(1/2 + i, b, t/2), one call of
 specfun.tricomi_u_chain (one block-diagonal tridiagonal solve) per batch
-of evaluation points; the integer-a values map onto that ladder through
-Kummer's transformation.  The chains are built with the Laguerre rows,
-one banded solve for the batch, in one BulkTables per batch, and every
-table, matrix and column carries a leading point axis; each point's
-values are the ones it has in a batch of its own.  What the points share,
-everything without t, the ladder's chain layout included, is one
-read-only layout per (gamma, l), cached (_layout).
+of evaluation points; an integer-a value is a ladder value times a power
+of t/2 (Kummer's transformation).  The chains are built with the
+Laguerre rows, one banded solve for the batch, in one BulkTables per
+batch, and every table, matrix and column carries a leading point axis;
+each point's values are the ones it has in a batch of its own.  What the
+points share, everything without t, the ladder's chain layout included,
+is one read-only layout per (gamma, l), cached (_layout).
 The independent routes the tests check these entries against (the
 polynomial pair sum and the closed Christoffel-Darboux form) live in
 hardedge.reference.kernels.
@@ -54,17 +54,6 @@ logger = logging.getLogger(__name__)
 _RECURRENCE_ENVELOPE = 1.2e5
 
 
-def _gamma_run(x: float, d: float, count: int) -> np.ndarray:
-    """Gamma(x + i) / Gamma(x + i + d) for i = 0..count-1, d != 0.
-
-    A running product from i = 0: differences of log-gamma would lose
-    ~|ln Gamma| ulps at the top of a chain.
-    """
-    i = np.arange(count - 1)
-    first = math.exp(math.lgamma(x) - math.lgamma(x + d))
-    return first * np.concatenate(([1.0], np.cumprod((x + i) / (x + i + d))))
-
-
 # Layouts kept at once.  A finite-p curve or CDF reuses one, a
 # `converge` call one per size, and a benchmark workload at most six.
 _LAYOUTS = 32
@@ -74,11 +63,9 @@ class _Layout:
     """The t-free arrays of the bulk route at one (gamma, l), all read-only,
     for every t and size: the band of the Laguerre recurrence without its
     t entries (:func:`_laguerre_rows`), kernel_matrix's index coefficients
-    and poch factors, the Gamma-ratio runs (:func:`_gamma_run`) that
-    BulkTables.quotient multiplies by, each made at its first read, and
-    the layout of BulkTables' ladder (`chain`).  Each array is the
-    expression its reader would otherwise evaluate per point, so every
-    value is unchanged.
+    and poch factors, and the layout of BulkTables' ladder (`chain`).  Each
+    array is the expression its reader would otherwise evaluate per point,
+    so every value is unchanged.
     """
 
     def __init__(self, gamma: int, l: int) -> None:
@@ -109,14 +96,6 @@ class _Layout:
         _frozen(*[x for x in vars(self).values() if isinstance(x, np.ndarray)])
         low = min(gamma - 0.5, 0.5 - gamma) if self.hatted else gamma - 0.5
         self.chain = _ChainLayout(0.5, low, gamma + l // 2)
-        self._runs: dict[tuple[float, float, int], np.ndarray] = {}
-
-    def run(self, x: float, d: float, count: int) -> np.ndarray:
-        """_gamma_run(x, d, count), made once per layout."""
-        key = (x, d, count)
-        if key not in self._runs:
-            self._runs[key], = _frozen(_gamma_run(x, d, count))
-        return self._runs[key]
 
 
 @functools.lru_cache(maxsize=_LAYOUTS)
@@ -173,9 +152,10 @@ class BulkTables:
         U(a, b, z) = z^(1 - b) U(a - b + 1, 2 - b, z),
 
     which at the b = h and h + 1 the route reads lands on half-integer a
-    and on b = gamma + 3/2 and gamma + 1/2.  The prefactor
-    U(a, gamma + 3/2, t/2) of the finite-p assembly lies on the ladder too
-    (ln_u): at even l directly, at odd l through the same map onto b = h.
+    and on b = gamma + 3/2 and gamma + 1/2: a ladder value times z^(1 - b).
+    The prefactor U(a, gamma + 3/2, t/2) of the finite-p assembly lies on
+    the ladder too (ln_u): at even l directly, at odd l through the same
+    map onto b = h.
     The Laguerre rows L_n^(2 gamma + m)(-t), m <= size, are laid out once
     in the skewed copy that the kernel reads in strided blocks.  Every read
     carries a leading axis over the points, in the order of t, and each
@@ -212,58 +192,58 @@ class BulkTables:
         chains, self._log_scale = tricomi_u_chain(self._layout.chain, t / 2.0,
                                                   int(gamma + 2.5 - low))
         self._chains = {low + j: w for j, w in enumerate(chains)}
-        # Per point, the log scale all chains share (_log_scale), and the
-        # one a Kummer read at b shifts it to by (1 - b) ln z, made at its
-        # first read: floats, in math's rounding.
+        # Per point, the log of z, whose powers Kummer reads carry: floats,
+        # in math's rounding, as is the log scale all chains share.
         self._ln_z = [math.log(x / 2.0) for x in t.tolist()]
-        self._kummer_scales: dict[float, list[float]] = {}
         rows = _laguerre_rows(gamma, l, t, size + 1)
         self._skewed = np.zeros((len(t), size + 1, l + size + 3))
         for m in range(size + 1):
             self._skewed[:, m, m + 2:m + l + 3] = rows[:, m]
 
     def _segment(self, a: float, b: float,
-                 count: int) -> tuple[np.ndarray, list[float], float]:
-        """U(a + i, b, z[q]) = w[q, i] exp(log_scale[q]) / Gamma(a' + i + 1),
-        i < count, as (w, log_scale, a'): a' = a on the ladder, a - b + 1
-        off it."""
+                 count: int) -> tuple[np.ndarray, float, float]:
+        """U(a + i, b, z[q]) = w[q, i] z[q]^e exp(log_scale[q]) / Gamma(a' + i + 1),
+        i < count, as (w, e, a'): e = 0 and a' = a on the ladder, e = 1 - b
+        and a' = a - b + 1 for a Kummer read."""
         if a % 1.0 == 0.0:
             w, _, a_half = self._segment(a - b + 1.0, 2.0 - b, count)
-            if b not in self._kummer_scales:
-                self._kummer_scales[b] = [s + (1.0 - b) * ln_z
-                                          for s, ln_z in zip(self._log_scale, self._ln_z)]
-            return w, self._kummer_scales[b], a_half
+            return w, 1.0 - b, a_half
         w = self._chains[b]
         start = int(a)
         if start + count > w.shape[1]:
             raise IndexError(f"U({a} + {count - 1}, {b}) is past the chain top")
-        return w[:, start:start + count], self._log_scale, a
+        return w[:, start:start + count], 0.0, a
 
     def ln_u(self, a: float, b: float) -> np.ndarray:
         """ln U(a, b, t/2) read off the ladder at each point; a an integer
         or half-integer."""
-        w, log_scale, a_read = self._segment(a, b, 1)
+        w, e, a_read = self._segment(a, b, 1)
         ln_gamma = math.lgamma(a_read + 1.0)
-        return np.array([math.log(x) + s - ln_gamma for x, s in zip(w[:, 0].tolist(), log_scale)])
+        return np.array([math.log(x) + (s + e * ln_z) - ln_gamma
+                         for x, s, ln_z in zip(w[:, 0].tolist(), self._log_scale, self._ln_z)])
 
     def quotient(self, num: tuple[float, float], den: tuple[float, float],
                  count: int) -> np.ndarray:
         """U(a_n + i, b_n, t/2) / U(a_d + i, b_d, t/2) at [q, i], i < count.
 
         num = (a_n, b_n) and den = (a_d, b_d); a_n and a_d are integers or
-        half-integers.
+        half-integers whose ladder values a' (_segment) lie at most one step
+        apart, so that the Gamma ratio between the reads is one factor; else
+        ValueError.
         """
-        w_num, s_num, a_num = self._segment(*num, count)
-        w_den, s_den, a_den = self._segment(*den, count)
+        w_num, e_num, a_num = self._segment(*num, count)
+        w_den, e_den, a_den = self._segment(*den, count)
+        if abs(a_num - a_den) > 1.0:
+            raise ValueError(f"U{num} / U{den} reads the ladder at a = {a_num} and "
+                             f"{a_den}, more than one step apart")
         ratio = w_num / w_den
-        if s_num is not s_den:
-            shifts = [x - y for x, y in zip(s_num, s_den)]
-            # exp(0) = 1 would leave the ratio as it is.
-            if any(shifts):
-                ratio *= np.array([math.exp(x) for x in shifts])[:, None]
-        if a_num == a_den:
-            return ratio
-        return ratio * self._layout.run(a_den + 1.0, a_num - a_den, count)
+        if e_num != e_den:
+            ratio *= np.array([math.exp((e_num - e_den) * ln_z) for ln_z in self._ln_z])[:, None]
+        if a_num > a_den:
+            ratio /= a_num + np.arange(count)
+        elif a_num < a_den:
+            ratio *= a_den + np.arange(count)
+        return ratio
 
     def border_mix(self) -> np.ndarray:
         """U(a, gamma + 1/2, t/2) / U(a, gamma + 3/2, t/2) at a = gamma + (l-1)/2,
@@ -305,29 +285,20 @@ def kernel_matrix(tables: BulkTables) -> np.ndarray:
     def block(c: int, d: int) -> np.ndarray:
         return tables.laguerre_block(c, d, count)
 
-    def buffer() -> np.ndarray:
-        # An [q, a, j] view of a C-ordered [q, j, a] array: the layout in
-        # which the matrix products take their operands, since BLAS rounds
-        # by the layout.
-        return np.empty((len(t), count, size)).swapaxes(1, 2)
-
     # rho_j, sigma_j: b-shifts of U(j + gamma + 1/2, ., t/2); at j = 0 they
     # multiply Laguerre values of negative degree only.  The hatted set also
     # reads rho at j = count, for its top polynomial.
     rho_all = tables.quotient((half, half), (half, half + 1.0), count + hatted)
     rho = rho_all[:, None, :count]
     sig = tables.quotient((half, half - 1.0), (half, half + 1.0), count)[:, None]
-    even_vals = np.add(block(0, 0), rho * block(-1, 1), out=buffer())
+    even_vals = block(0, 0) + rho * block(-1, 1)
     mid = (rho + two_j * rho ** 2 - layout.two_j_next * sig) / odd
-    odd_vals = np.subtract(block(1, 0)
-                           - layout.coupling_over_odd * block(-1, 0)
-                           + mid * block(-1, 1)
-                           + two_j * rho / odd * block(0, 1),
-                           layout.coupling * rho / odd * block(-2, 1), out=buffer())
+    odd_vals = block(1, 0) - layout.coupling_over_odd * block(-1, 0) + mid * block(-1, 1) \
+        + two_j * rho / odd * block(0, 1) - layout.coupling * rho / odd * block(-2, 1)
 
     u = tables.quotient((1.0, h), (0.0, h), count)
     norm_w = 0.5 / (u * layout.norm_poch)
-    matrix = odd_vals @ np.multiply(norm_w[:, None], even_vals, out=buffer()).swapaxes(1, 2)
+    matrix = odd_vals @ (norm_w[:, None] * even_vals).swapaxes(1, 2)
     matrix = matrix.swapaxes(1, 2) - matrix
 
     if hatted:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -53,10 +54,12 @@ __all__ = ["gap_micro", "smallest_micro", "micro_density"]
 
 logger = logging.getLogger(__name__)
 
-# Numerical slack for distribution values.  At k <= 4 they are accurate to
-# ~1e-10 relative, so violations beyond this are structural, not rounding;
-# at k >= 5, small p and large u they keep about five digits (a last-bit
-# change moved gap_finite(FiniteSpec(11, 6, 300/44)) by 8.8e-6; ROADMAP item 6).
+# Numerical slack for distribution values, absolute.  At k <= 4 finite
+# values keep ~8 digits at u = 4pt = 300 (last-bit changes in the U ratios
+# moved them by up to 4.9e-9 relative, and they lie within 3.0e-9 of an
+# assembly on 30-digit ratios), so a violation beyond it is structural.  At
+# k >= 5 and large u they keep few or none: the same changes moved the gap
+# at (p, k, u) = (1, 6, 300) by 2.2e-2 (ROADMAP item 6).
 VALUE_TOL = 1e-9
 
 
@@ -329,8 +332,8 @@ def _micro_value(gamma: int, k: int, u: float) -> float:
     plus (2k - 1)/2 ln u + ln((sqrt(u) + 2)/8) for the density, which holds
     the unbalancing power of u, or -2 ln 2 for the gap at odd k.
     """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
+    if not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"k must be a non-negative integer, got {k!r}")
     if u == 0.0:
         return 1.0
     declined = ""

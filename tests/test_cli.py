@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import re
 import subprocess
 import sys
@@ -192,7 +193,7 @@ def test_overflowing_tail_prints_only_the_error_line(tmp_path: Path) -> None:
          "smallest", "--p", "500", "--k", "4", "--t-min", "19", "--t-max", "21",
          "--points", "3"],
         capture_output=True, text=True, timeout=120,
-        env={"PYTHONPATH": src, "HARDEDGE_OUTDIR": str(tmp_path)})
+        env={**os.environ, "PYTHONPATH": src, "HARDEDGE_OUTDIR": str(tmp_path)})
     assert done.returncode == 3, done.stderr
     lines = done.stderr.splitlines()
     assert len(lines) == 1, done.stderr
@@ -508,7 +509,7 @@ def test_cli_import_leaves_oracles_unloaded() -> None:
               "       if m in sys.modules])\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120, env={"PYTHONPATH": src})
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 
@@ -522,7 +523,7 @@ def test_cli_import_needs_no_root_finder() -> None:
               "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120, env={"PYTHONPATH": src})
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 

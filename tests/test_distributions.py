@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import re
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from hardedge.distributions import (
     smallest_finite,
     tabulate,
 )
-from hardedge.microscopic import gap_micro
+from hardedge.microscopic import gap_micro, smallest_micro
 from hardedge.reference.distributions import closed_form_k0, closed_form_k1
 from hardedge.reference.sop import half_power_average, partition_z
 
@@ -75,6 +76,26 @@ def test_finite_spec_validation() -> None:
         FiniteSpec(p=3, k=0, t=-0.5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: FiniteSpec(p=10, k=2.5, t=0.3), lambda: FiniteSpec(p=10.5, k=2, t=0.3),
+    lambda: gap_micro(2.5, 10.0), lambda: smallest_micro(1.5, 10.0),
+    lambda: tabulate("gap_micro", 2.5, [1.0]), lambda: tabulate("gap", 2, [0.3], p=10.5),
+    lambda: tabulate("smallest", 1.5, [0.3], p=10),
+], ids=["spec-k", "spec-p", "gap-micro", "smallest-micro", "tabulate-k", "tabulate-p",
+        "tabulate-finite-k"])
+def test_non_integral_p_and_k_raise(call) -> None:
+    # Odd topologies and fractional sizes are no input the package serves.
+    with pytest.raises(ValueError, match="integer"):
+        call()
+
+
+def test_numpy_integer_p_and_k_pass() -> None:
+    p, k = np.int64(10), np.int32(3)
+    assert gap_finite(FiniteSpec(p=p, k=k, t=0.3)) == gap_finite(FiniteSpec(p=10, k=3, t=0.3))
+    assert gap_micro(k, 10.0) == gap_micro(3, 10.0)
+    assert tabulate("smallest", k, [0.3], p=p).values == tabulate("smallest", 3, [0.3], p=10).values
+
+
 def test_validation_holds_under_optimization() -> None:
     # The checks must not depend on assertions being enabled.
     script = (
@@ -93,7 +114,7 @@ def test_validation_holds_under_optimization() -> None:
     )
     src = str(Path(distributions.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, timeout=120, env={"PYTHONPATH": src})
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stdout + done.stderr
 
 
@@ -380,6 +401,13 @@ def test_overflowing_pfaffian_raises(quantity: str) -> None:
         tabulate(quantity, 4, (4.1,), p=2000)
 
 
+def _negated_finite_block(monkeypatch) -> None:
+    # Negating a 2 x 2 block negates its Pfaffian, and the gap there, 0.389,
+    # carries about 13 digits, so the value is negative for certain.
+    matrices = distributions.kernel_matrix
+    monkeypatch.setattr(distributions, "kernel_matrix", lambda tables: -matrices(tables))
+
+
 def _negated_limit_pfaffian(monkeypatch) -> None:
     # The determinant serves this point, so the Pfaffian route is forced.
     # Negating its 14 x 14 block negates the value, 3.79 here (itself out of
@@ -392,16 +420,16 @@ def _negated_limit_pfaffian(monkeypatch) -> None:
 
 @pytest.mark.parametrize("evaluate, point, force", [
     (lambda: gap_micro(14, 0.01), "gamma=0, k=14, u=0.01", _negated_limit_pfaffian),
-    (lambda: gap_finite(FiniteSpec(p=1000, k=8, t=0.125)),
-     "gamma=0, p=1000, k=8, t=0.125", None),
+    (lambda: gap_finite(FiniteSpec(p=1000, k=2, t=0.01)),
+     "gamma=0, p=1000, k=2, t=0.01", _negated_finite_block),
 ], ids=["gap-limit-k14", "gap-finite-k8"])
 def test_impossible_values_raise(monkeypatch, evaluate, point: str, force) -> None:
     # Where the assembly loses every digit it returns a probability outside
     # [0, 1] or a negative density; that must fail by name instead of
-    # leaving the library.  The finite point does so by itself; in the
-    # limit the determinant now serves k = 14, and the guard is forced.
-    if force is not None:
-        force(monkeypatch)
+    # leaving the library.  Both guards are forced, since which wrong
+    # values land outside the range is a rounding accident.  (The finite
+    # case keeps the id of its old k = 8 point.)
+    force(monkeypatch)
     with pytest.raises(RuntimeError, match="impossible at " + re.escape(point)):
         evaluate()
 

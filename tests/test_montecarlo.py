@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -96,7 +97,7 @@ def test_validation_holds_under_optimization() -> None:
     )
     src = str(Path(montecarlo.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, timeout=120, env={"PYTHONPATH": src})
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stdout + done.stderr
 
 

@@ -8,6 +8,7 @@ from mpmath instead of the chains.
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -224,7 +225,7 @@ def test_tricomi_u_nonconvergence_raises_under_optimization() -> None:
     )
     src = str(Path(specfun.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, timeout=120, env={"PYTHONPATH": src})
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     assert "order 768" in done.stdout
 
@@ -268,7 +269,7 @@ def test_tricomi_u_rejects_bad_arguments_under_optimization() -> None:
     )
     src = str(Path(specfun.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, timeout=120, env={"PYTHONPATH": src})
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stdout + done.stderr
 
 
@@ -298,7 +299,7 @@ def test_tables_reject_bad_parameters_under_optimization() -> None:
     )
     src = str(Path(kernels.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, timeout=120, env={"PYTHONPATH": src})
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stdout + done.stderr
 
 
@@ -316,9 +317,20 @@ def test_reading_past_the_chain_top_raises_under_optimization() -> None:
     )
     src = str(Path(kernels.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, timeout=120, env={"PYTHONPATH": src})
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stdout + done.stderr
     assert "past the chain top" in done.stdout
+
+
+def test_quotient_rejects_reads_two_steps_apart() -> None:
+    # A quotient applies at most one Gamma factor of the ladder's a; a
+    # farther read fails by name instead of coming back a factor short.
+    tables = BulkTables(0, 12, [0.5], 1)
+    with pytest.raises(ValueError, match=r"U\(2\.5, 0\.5\) / U\(0\.5, 0\.5\)"):
+        tables.quotient((2.5, 0.5), (0.5, 0.5), 1)
+    # So does an integer-a read two steps off its denominator's ladder a.
+    with pytest.raises(ValueError, match="more than one step apart"):
+        tables.quotient((2.0, 0.5), (0.5, 0.5), 1)
 
 
 @pytest.mark.parametrize("gamma", [0, 1])
