@@ -11,12 +11,15 @@ Phys. 43, 5830, 2002).  Up to _CHUNK such samples are solved together:
 Laguerre steps on the differential stationary qd transform of B B^T - tau I
 (Dhillon-Parlett, Linear Algebra Appl. 387, 1, 2004), vectorized along the
 sample axis, approach lambda_min from below and converge cubically, a few
-O(p) sweeps per sample.  Two Sturm counts of the same transform certify
-each value to 1e-14 relative; a value they do not certify is the (p+1)-th
-eigenvalue of the Golub-Kahan tridiagonal, found by LAPACK bisection
-(`dstebz`) to full relative accuracy (Demmel-Kahan, SIAM J. Sci. Stat.
-Comput. 11, 873, 1990).  A scalar correlation C = c 1 takes the same path,
-since then W = sqrt(c) G.
+O(p) sweeps per sample.  A sweep runs three first-order recurrences row by
+row over all samples, the pivots and their first two tau-derivatives over
+the pivots, 8 numpy calls a row; its sums over the rows are whole-array
+operations.  Two Sturm counts of the same transform, 4 calls a row for
+both shifts, certify each value to 1e-14 relative; a value they do not
+certify is the (p+1)-th eigenvalue of the Golub-Kahan tridiagonal, found
+by LAPACK bisection (`dstebz`) to full relative accuracy (Demmel-Kahan,
+SIAM J. Sci. Stat. Comput. 11, 873, 1990).  A scalar correlation C = c 1
+takes the same path, since then W = sqrt(c) G.
 Any other C = V D V^T takes the triangular path: W W^T has the spectrum of
 D^1/2 G G^T D^1/2, and G G^T the law of R^T R, R upper triangular with
 R_ii = chi_(n-i+1) and N(0, 1) above the diagonal (Bartlett; Muirhead 1982,
@@ -24,9 +27,11 @@ section 3.2).  Lanczos finds sigma_min(T)^2, T = R D^1/2, in O(p^2) per
 step, and an SVD of T where it does not settle.
 
 Samples are drawn serially, each on its own counter-based Philox stream
-keyed by (seed, sample index), and no sample's value depends on the samples
-solved with it, so the first m samples of any batch equal the batch of m
-samples with the same parameters and seed, bit for bit.
+keyed by (seed, sample index): one bit generator per run, re-keyed for each
+sample, draws what a new generator on that key would.  No sample's value
+depends on the samples solved with it, so the first m samples of any batch
+equal the batch of m samples with the same parameters and seed, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -56,19 +61,25 @@ logger = logging.getLogger(__name__)
 
 RNG_ALGORITHM = "Philox4x64"
 RNG_KEY_SCHEME = "(seed, sample_index)"
+# Philox's counter and output buffer at the start of every stream.
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
 
 # LAPACK's absolute tolerance for bisection to full relative accuracy.
 _BISECTION_TOL = 2.0 * np.finfo(float).tiny
 
 # Bidiagonal samples solved together; their draws fill one (2p - 1) x _CHUNK
-# array, 3.3 MB at p = 200.  Measured at p = 200, the solve takes 36-43,
-# 22-26 and 18-20 us a sample in chunks of 512, 1,024 and 2,048, as numpy's
-# per-call cost spreads over more samples, and 1.9, 1.2 and 1.0 us at p = 10.
+# array, 3.3 MB at p = 200, and a sweep's rows four p x _CHUNK ones.  Measured
+# (solve alone, best of 3, two runs), the solve takes 35-51, 30-40, 27-36 and
+# 28-42 us a sample at p = 200 in chunks of 256, 512, 1,024 and 2,048, and
+# 209-239, 199-223, 186-219 and 215-259 us at p = 1000: past 1,024 the rows'
+# element cost outgrows the per-call cost saved.  At p = 10 it is 3.3-4.1,
+# 2.1-2.5, 1.4-1.7 and 1.2-1.3 us.
 _CHUNK = 1024
 # Laguerre sweeps before a sample takes the bisection; a sample settles once its
-# step is at most _SETTLE tau, and tau is certified by Sturm counts at
+# step is at most _SETTLE tau, after which the next, cubically smaller, step
+# would lie below rounding, and tau is certified by Sturm counts at
 # tau (1 -/+ _CERTIFY).
-_LAGUERRE_SWEEPS, _SETTLE, _CERTIFY = 16, 1e-15, 1e-14
+_LAGUERRE_SWEEPS, _SETTLE, _CERTIFY = 16, 1e-9, 1e-14
 
 # Lanczos steps before the SVD takes over; relative error of an accepted Ritz value.
 _LANCZOS_STEPS, _RITZ_TOL = 40, 1e-15
@@ -78,6 +89,11 @@ def _check_correlation(matrix: np.ndarray, p: int) -> np.ndarray:
     arr = np.asarray(matrix, dtype=float)
     if arr.shape != (p, p):
         raise ValueError(f"correlation must be {p}x{p}, got {arr.shape}")
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        named = ", ".join(f"[{i}, {j}] = {arr[i, j]}" for i, j in bad[:4])
+        more = f" and {len(bad) - 4} more" if len(bad) > 4 else ""
+        raise ValueError(f"correlation has non-finite entries: {named}{more}")
     if not np.all(np.abs(arr - arr.T) <= 1e-12):
         raise ValueError("correlation matrix is not symmetric to 1e-12")
     if not np.linalg.eigvalsh(arr)[0] > 0.0:
@@ -151,11 +167,6 @@ class SampleBatch:
             raise ValueError("smallest eigenvalues must be finite and positive")
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _scalar_correlation(correlation: np.ndarray | None) -> float | None:
     """The c of a correlation equal to c 1 (1.0 when absent), else None."""
     if correlation is None:
@@ -194,65 +205,110 @@ def _largest_inverse_eigenvalue(triangle: np.ndarray, start: np.ndarray) -> floa
     return None
 
 
+def _pivots(q: list[np.ndarray], e: list[np.ndarray], shift: np.ndarray,
+            pivots: list[np.ndarray]) -> None:
+    """Write the pivots of B B^T - shift I into the rows `pivots`.
+
+    The differential stationary qd transform (Dhillon-Parlett, Linear
+    Algebra Appl. 387, 1, 2004): D+_i = q_i + s_i, r_i = e_i / D+_i and
+    s_(i+1) = r_i s_i - shift from s_1 = -shift, four numpy calls a row on
+    the row views q, e and pivots.  `shift` may carry leading axes of its
+    own, which the rows of q and e broadcast against.
+    """
+    s, ratio = np.negative(shift), np.empty_like(shift)
+    add, divide, multiply, subtract = np.add, np.divide, np.multiply, np.subtract
+    for qi, ei, di in zip(q, e, pivots):
+        add(qi, s, out=di)
+        divide(ei, di, out=ratio)
+        multiply(ratio, s, out=s)
+        subtract(s, shift, out=s)
+    add(q[-1], s, out=pivots[-1])
+
+
+class _Sweep:
+    """One Laguerre sweep over every column of a chunk, on preallocated rows.
+
+    Three first-order recurrences run row by row over all columns at once,
+    on (p x count) buffers addressed through lists of row views: the qd
+    pivots D+_i (`_pivots`, 4 calls a row), u_i = s'_i / D+_i and
+    v_i = s''_i / D+_i, the pivots' first two tau-derivatives over the
+    pivots (2 calls a row each),
+
+        u_1 = -1/D+_1,  u_(i+1) = K_i u_i - 1/D+_(i+1),
+        v_1 = 0,        v_(i+1) = K_i (v_i - 2 u_i^2),
+
+    with K_i = e_i q_i / (D+_i D+_(i+1)).  Everything else is whole-array
+    operations, a few calls a sweep: 1/D+, the pivot minimum, K,
+    2 K_i u_i^2, G = -sum u and H = sum u^2 - sum v.
+    """
+
+    def __init__(self, q: np.ndarray, e: np.ndarray) -> None:
+        p, count = q.shape
+        self.q, self.e = q, e
+        # pivots holds D+, then 1/D+, then v; u holds u, then u^2, then 2 K u^2.
+        self.pivots, self.u = np.empty((p, count)), np.empty((p, count))
+        self.k = np.empty((p - 1, count))
+        self.q_rows, self.e_rows, self.pivot_rows, self.u_rows, self.k_rows = (
+            list(array) for array in (q, e, self.pivots, self.u, self.k))
+
+    def __call__(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The smallest pivot of B B^T - tau I, G = sum 1/(lambda_j - tau)
+        and H = sum 1/(lambda_j - tau)^2 of every column at its tau."""
+        pivots, u, k = self.pivots, self.u, self.k
+        rows, u_rows, k_rows = self.pivot_rows, self.u_rows, self.k_rows
+        multiply, subtract = np.multiply, np.subtract
+        _pivots(self.q_rows, self.e_rows, tau, rows)
+        low = pivots.min(axis=0)
+        np.divide(1.0, pivots, out=pivots)
+        np.multiply(self.e, pivots[:-1], out=k)
+        k *= self.q[:-1]
+        k *= pivots[1:]
+        np.negative(rows[0], out=u_rows[0])
+        for ki, ui, un, inverse in zip(k_rows, u_rows, u_rows[1:], rows[1:]):
+            multiply(ki, ui, out=un)
+            subtract(un, inverse, out=un)
+        g = -u.sum(axis=0)
+        u *= u
+        h = u.sum(axis=0)
+        u[:-1] *= k
+        u += u
+        rows[0].fill(0.0)  # the rows of 1/D+ now take v
+        for ki, twice, vi, vn in zip(k_rows, u_rows, rows, rows[1:]):
+            multiply(ki, vi, out=vn)
+            subtract(vn, twice, out=vn)
+        h -= pivots.sum(axis=0)
+        return low, g, h
+
+
 def _laguerre_smallest(squares: np.ndarray) -> np.ndarray:
     """lambda_min(B B^T) of every column's bidiagonal; NaN where not certified.
 
     Column j holds a_1^2, b_1^2, a_2^2, ..., a_p^2: B has the diagonal a and
-    the subdiagonal b, and B B^T = L D L^T with D = diag(a^2).  One sweep of
-    the differential stationary qd transform (Dhillon-Parlett, Linear
-    Algebra Appl. 387, 1, 2004) gives the pivots D+_i of B B^T - tau I, and
-    with their derivatives in tau, G = sum 1/(lambda_j - tau) and
-    H = sum 1/(lambda_j - tau)^2.  Laguerre steps from tau = 0,
+    the subdiagonal b, and B B^T = L D L^T with D = diag(a^2).  One sweep
+    (`_Sweep`: three row-by-row recurrences, 8 numpy calls a row over all
+    columns, and whole-array sums) gives the pivots of B B^T - tau I and
+    G = sum 1/(lambda_j - tau), H = sum 1/(lambda_j - tau)^2.  Laguerre
+    steps from tau = 0,
 
         tau <- tau + p / (G + sqrt((p - 1)(p H - G^2))),
 
-    approach lambda_min from below and converge cubically.  A sweep is a few
-    numpy operations per row over all columns, and every decision is taken
-    per column, so a column's value does not depend on its neighbours.  A
-    column stops after a step of at most _SETTLE tau, or stays at its tau
-    when a pivot is not positive or the step is negative or not finite.  Two
-    Sturm counts of the same transform certify the result: no eigenvalue
-    below tau (1 - _CERTIFY), one below tau (1 + _CERTIFY).
+    approach lambda_min from below and converge cubically.  Every decision
+    is taken per column, so a column's value does not depend on its
+    neighbours.  A column stops after a step of at most _SETTLE tau, or
+    stays at its tau when a pivot is not positive or the step is negative
+    or not finite.  Two Sturm counts of the same transform certify the
+    result (`_certified`): no eigenvalue below tau (1 - _CERTIFY), one below
+    tau (1 + _CERTIFY).
     """
     q, e = squares[0::2], squares[1::2]
     p, count = q.shape
     tau = np.zeros(count)
     active = np.ones(count, dtype=bool)
-    s, ds, dds, g, h, low = (np.empty(count) for _ in range(6))
-    pivot, inverse, u, square, ratio, work = (np.empty(count) for _ in range(6))
-    # Bound once: a sweep makes 7p of these calls.
-    add, divide, multiply, minimum = np.add, np.divide, np.multiply, np.minimum
     with np.errstate(all="ignore"):
+        sweep = _Sweep(q, e)
         for _ in range(_LAGUERRE_SWEEPS):
-            np.negative(tau, out=s)
-            ds.fill(-1.0)
-            for array in (dds, g, h):
-                array.fill(0.0)
-            low.fill(np.inf)
-            for i in range(p):
-                add(q[i], s, out=pivot)
-                minimum(low, pivot, out=low)
-                divide(1.0, pivot, out=inverse)
-                multiply(ds, inverse, out=u)  # u = s'/D+
-                g -= u
-                multiply(u, u, out=square)
-                multiply(dds, inverse, out=work)
-                work -= square
-                h -= work  # H += u^2 - s''/D+
-                if i == p - 1:
-                    break
-                # s <- e s / D+ - tau, s'' <- (e q / D+)(s''/D+ - 2 u^2),
-                # s' <- (e q / D+^2) s' - 1.
-                work -= square
-                multiply(e[i], inverse, out=ratio)
-                s *= ratio
-                s -= tau
-                ratio *= q[i]
-                multiply(ratio, work, out=dds)
-                ratio *= inverse
-                ds *= ratio
-                ds -= 1.0
-            np.multiply(h, p, out=work)
+            low, g, h = sweep(tau)
+            work = h * p
             work -= g * g
             np.maximum(work, 0.0, out=work)
             work *= p - 1
@@ -266,27 +322,25 @@ def _laguerre_smallest(squares: np.ndarray) -> np.ndarray:
             np.add(tau, step, out=tau, where=moving)
             if not active.any():
                 break
+        del sweep  # its rows make room for the certification's
         certified = ~active & _certified(q, e, tau)
     return np.where(certified, tau, np.nan)
 
 
 def _certified(q: np.ndarray, e: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Whether B B^T - x I has no negative pivot at x = tau (1 - _CERTIFY)
-    and exactly one, with the rest positive, at x = tau (1 + _CERTIFY)."""
+    and exactly one, with the rest positive, at x = tau (1 + _CERTIFY).
+
+    Both shifts run through one `_pivots` pass, 4 numpy calls a row on
+    (2 x count) rows, and each sign is counted with one `count_nonzero`.
+    """
     p = len(q)
     shift = np.multiply.outer([1.0 - _CERTIFY, 1.0 + _CERTIFY], tau)
-    s = -shift
-    positive = np.zeros(shift.shape, dtype=np.int64)
-    negative = np.zeros(shift.shape, dtype=np.int64)
-    for i in range(p):
-        pivot = q[i] + s
-        positive += pivot > 0.0
-        negative += pivot < 0.0
-        if i < p - 1:
-            s *= e[i]
-            s /= pivot
-            s -= shift
-    return (positive[0] == p) & (positive[1] == p - 1) & (negative[1] == 1)
+    pivots = np.empty((p,) + shift.shape)
+    _pivots(list(q), list(e), shift, list(pivots))
+    positive = np.count_nonzero(pivots > 0.0, axis=0)
+    negative = np.count_nonzero(pivots[:, 1] < 0.0, axis=0)
+    return (positive[0] == p) & (positive[1] == p - 1) & (negative == 1)
 
 
 class _Draws:
@@ -301,6 +355,8 @@ class _Draws:
     def __init__(self, config: SamplerConfig) -> None:
         p, n = config.p, config.n
         self.seed, self.p = config.seed, p
+        self.bits = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
+        self.generator = np.random.Generator(self.bits)
         self.scale = _scalar_correlation(config.correlation)
         self.triangular = self.scale is None
         self.dof = np.empty(2 * p - 1)
@@ -312,13 +368,28 @@ class _Draws:
         else:
             self.diagonal = np.zeros(2 * p)
 
+    def _stream(self, index: int) -> np.random.Generator:
+        """The generator at the start of sample `index`'s stream.
+
+        The one bit generator is re-keyed to (seed, index) with counter 0
+        and nothing buffered, the state a new Philox(key=(seed, index))
+        starts in, without the OS entropy its construction draws.
+        """
+        self.bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO_WORDS,
+                      "key": np.array([self.seed, index], dtype=np.uint64)},
+            "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return self.generator
+
     def squares(self, index: int) -> np.ndarray:
         """Squared bidiagonal entries of sample `index`."""
-        return _stream(self.seed, index).chisquare(self.dof)
+        return self._stream(index).chisquare(self.dof)
 
     def triangle(self, index: int) -> tuple[np.ndarray, np.random.Generator]:
-        """T = R D^1/2 of sample `index`, with its stream positioned after T."""
-        stream = _stream(self.seed, index)
+        """T = R D^1/2 of sample `index`, with its stream positioned after T
+        (until the next draw of this `_Draws`, which re-keys it)."""
+        stream = self._stream(index)
         triangle = np.zeros((self.p, self.p))
         triangle.flat[::self.p + 1] = np.sqrt(stream.chisquare(self.dof[0::2]))
         triangle[self.above] = stream.standard_normal(self.p * (self.p - 1) // 2)

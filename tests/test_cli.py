@@ -339,6 +339,20 @@ def test_mc_rejects_invalid_correlation(tmp_path: Path,
     assert "positive definite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [math.inf, math.nan])
+def test_mc_rejects_non_finite_correlation(tmp_path: Path, entry: float,
+                                           capsys: pytest.CaptureFixture[str]) -> None:
+    # A parameter error naming the entry, with no warning on the way (a
+    # RuntimeWarning is an error under this suite's settings).
+    bad = tmp_path / "bad.csv"
+    matrix = np.eye(4)
+    matrix[2, 2] = entry
+    np.savetxt(bad, matrix, delimiter=",")
+    assert main(["mc", "--p", "4", "--nu", "2", "--samples", "10",
+                 "--c-file", str(bad), "--compare", "micro"]) == 2
+    assert f"non-finite entries: [2, 2] = {entry}" in capsys.readouterr().err
+
+
 def test_mc_correlation_needs_hard_edge_comparison(
         tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
     # The finite-p law is that of uncorrelated samples; only the hard-edge
