@@ -288,10 +288,10 @@ def _fredholm_value(gamma: int, nu: int, u: float) -> float:
     dA/du = J_nu(sqrt(u) r) / (4 sqrt(u)) + (r/4) J_nu'(sqrt(u) r) and
     r = sqrt(xy).  J_nu' = (nu/z) J_nu - J_(nu+1) folds into
     ((1 + nu) J_nu / sqrt(u) - r J_(nu+1)) / 4.  Only the upper triangle is
-    evaluated: jv gives J_nu, and for the density J_(nu+1), at the
-    Chebyshev points of _nystrom(*_fredholm_rule(nu, u)) in one call, and
-    its interpolation matrix carries them to every r.  Raises _Declined
-    where the point is not served.
+    evaluated: jv gives J_nu at the Chebyshev points of
+    _nystrom(*_fredholm_rule(nu, u)), and J_(nu+1) there once a density's E
+    passes _FREDHOLM_MIN_GAP; the interpolation matrix carries them to
+    every r.  Raises _Declined where the point is not served.
     """
     rule = _fredholm_rule(nu, u)
     if rule is None:
@@ -300,9 +300,9 @@ def _fredholm_value(gamma: int, nu: int, u: float) -> float:
     m, d = rule
     r, root_w, upper, points, interpolation = _nystrom(m, d)
     root = math.sqrt(u)
-    bessel = jv(np.arange(nu, nu + gamma + 1)[:, None], root * points) @ interpolation.T
+    bessel = jv(nu, root * points) @ interpolation.T
     matrix = np.identity(m)
-    matrix[upper] -= 0.5 * root * bessel[0] * root_w
+    matrix[upper] -= 0.5 * root * bessel * root_w
     factor, info = dpotrf(matrix, overwrite_a=True)
     if info:
         raise _Declined(f"has no Cholesky factor (dpotrf info {info})")
@@ -312,7 +312,8 @@ def _fredholm_value(gamma: int, nu: int, u: float) -> float:
     if gamma == 0:
         return gap
     derivative = np.empty((m, m))
-    derivative[upper] = ((1.0 + nu) / root * bessel[0] - r * bessel[1]) * (0.25 * root_w)
+    above = jv(nu + 1, root * points) @ interpolation.T
+    derivative[upper] = ((1.0 + nu) / root * bessel - r * above) * (0.25 * root_w)
     derivative.T[upper] = derivative[upper]
     solved, _ = dpotrs(factor, derivative, overwrite_b=True)
     return gap * np.trace(solved)

@@ -14,17 +14,17 @@ sample axis, approach lambda_min from below and converge cubically, a few
 O(p) sweeps per sample.  A sweep runs three first-order recurrences row by
 row over all samples, the pivots and their first two tau-derivatives over
 the pivots, 8 numpy calls a row; its sums over the rows are whole-array
-operations.  Two Sturm counts of the same transform, 4 calls a row for
-both shifts, certify each value to 1e-14 relative; a value they do not
-certify is the (p+1)-th eigenvalue of the Golub-Kahan tridiagonal, found
-by LAPACK bisection (`dstebz`) to full relative accuracy (Demmel-Kahan,
-SIAM J. Sci. Stat. Comput. 11, 873, 1990).  A scalar correlation C = c 1
-takes the same path, since then W = sqrt(c) G.
-Any other C = V D V^T takes the triangular path: W W^T has the spectrum of
-D^1/2 G G^T D^1/2, and G G^T the law of R^T R, R upper triangular with
-R_ii = chi_(n-i+1) and N(0, 1) above the diagonal (Bartlett; Muirhead 1982,
-section 3.2).  Lanczos finds sigma_min(T)^2, T = R D^1/2, in O(p^2) per
-step, and an SVD of T where it does not settle.
+operations.  Two Sturm counts on the sweep's pivot rows, 4 calls a row
+each, certify each value to 1e-14 relative; a value they do not certify is
+the (p+1)-th eigenvalue of the Golub-Kahan tridiagonal, found by LAPACK
+bisection (`dstebz`) to full relative accuracy (Demmel-Kahan, SIAM J. Sci.
+Stat. Comput. 11, 873, 1990).  A scalar correlation C = c 1 takes the same
+path, since then W = sqrt(c) G.  Any other C = V D V^T takes the
+triangular path: W W^T has the spectrum of D^1/2 G G^T D^1/2, D the
+spectrum found when C was validated, and G G^T the law of R^T R, R upper
+triangular with R_ii = chi_(n-i+1) and N(0, 1) above the diagonal
+(Bartlett; Muirhead 1982, section 3.2).  Lanczos finds sigma_min(T)^2,
+T = R D^1/2, in O(p^2) per step, and an SVD of T where it does not settle.
 
 Samples are drawn serially, each on its own counter-based Philox stream
 keyed by (seed, sample index): one bit generator per run, re-keyed for each
@@ -39,7 +39,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -85,7 +85,7 @@ _LAGUERRE_SWEEPS, _SETTLE, _CERTIFY = 16, 1e-9, 1e-14
 _LANCZOS_STEPS, _RITZ_TOL = 40, 1e-15
 
 
-def _check_correlation(matrix: np.ndarray, p: int) -> np.ndarray:
+def _check_correlation(matrix: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(matrix, dtype=float)
     if arr.shape != (p, p):
         raise ValueError(f"correlation must be {p}x{p}, got {arr.shape}")
@@ -96,9 +96,9 @@ def _check_correlation(matrix: np.ndarray, p: int) -> np.ndarray:
         raise ValueError(f"correlation has non-finite entries: {named}{more}")
     if not np.all(np.abs(arr - arr.T) <= 1e-12):
         raise ValueError("correlation matrix is not symmetric to 1e-12")
-    if not np.linalg.eigvalsh(arr)[0] > 0.0:
+    if not (spectrum := np.linalg.eigvalsh(arr))[0] > 0.0:
         raise ValueError("correlation matrix is not positive definite")
-    return arr
+    return arr, spectrum
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,9 @@ class SamplerConfig:
     correlation: np.ndarray | None = None
     """Optional symmetric positive-definite p x p row correlation."""
 
+    spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    """Ascending eigenvalues of `correlation`, kept from its validation; None without one."""
+
     def __post_init__(self) -> None:
         for name in ("p", "n", "num_samples", "seed"):
             value = getattr(self, name)
@@ -132,8 +135,9 @@ class SamplerConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit an unsigned 64-bit integer, got {self.seed}")
         if self.correlation is not None:
-            object.__setattr__(
-                self, "correlation", _check_correlation(self.correlation, self.p))
+            for name, value in zip(("correlation", "spectrum"),
+                                   _check_correlation(self.correlation, self.p)):
+                object.__setattr__(self, name, value)
 
     @property
     def nu(self) -> int:
@@ -212,8 +216,7 @@ def _pivots(q: list[np.ndarray], e: list[np.ndarray], shift: np.ndarray,
     The differential stationary qd transform (Dhillon-Parlett, Linear
     Algebra Appl. 387, 1, 2004): D+_i = q_i + s_i, r_i = e_i / D+_i and
     s_(i+1) = r_i s_i - shift from s_1 = -shift, four numpy calls a row on
-    the row views q, e and pivots.  `shift` may carry leading axes of its
-    own, which the rows of q and e broadcast against.
+    the row views q, e and pivots.
     """
     s, ratio = np.negative(shift), np.empty_like(shift)
     add, divide, multiply, subtract = np.add, np.divide, np.multiply, np.subtract
@@ -245,7 +248,7 @@ class _Sweep:
     def __init__(self, q: np.ndarray, e: np.ndarray) -> None:
         p, count = q.shape
         self.q, self.e = q, e
-        # pivots holds D+, then 1/D+, then v; u holds u, then u^2, then 2 K u^2.
+        # pivots holds D+, 1/D+, then v; u holds u, u^2, 2 K u^2, then certified's signs.
         self.pivots, self.u = np.empty((p, count)), np.empty((p, count))
         self.k = np.empty((p - 1, count))
         self.q_rows, self.e_rows, self.pivot_rows, self.u_rows, self.k_rows = (
@@ -279,6 +282,17 @@ class _Sweep:
         h -= pivots.sum(axis=0)
         return low, g, h
 
+    def certified(self, tau: np.ndarray) -> np.ndarray:
+        """Whether B B^T - x I has no negative pivot at x = tau (1 - _CERTIFY)
+        and exactly one, the rest positive, at x = tau (1 + _CERTIFY), on
+        the sweep's own rows: one `_pivots` pass a shift, the signs in u."""
+        pivots, signs, p = self.pivots, self.u, len(self.pivots)
+        _pivots(self.q_rows, self.e_rows, tau * (1.0 - _CERTIFY), self.pivot_rows)
+        below = pivots.min(axis=0) > 0.0
+        _pivots(self.q_rows, self.e_rows, tau * (1.0 + _CERTIFY), self.pivot_rows)
+        one = np.less(pivots, 0.0, out=signs).sum(axis=0) == 1
+        return below & one & (np.greater(pivots, 0.0, out=signs).sum(axis=0) == p - 1)
+
 
 def _laguerre_smallest(squares: np.ndarray) -> np.ndarray:
     """lambda_min(B B^T) of every column's bidiagonal; NaN where not certified.
@@ -296,9 +310,9 @@ def _laguerre_smallest(squares: np.ndarray) -> np.ndarray:
     is taken per column, so a column's value does not depend on its
     neighbours.  A column stops after a step of at most _SETTLE tau, or
     stays at its tau when a pivot is not positive or the step is negative
-    or not finite.  Two Sturm counts of the same transform certify the
-    result (`_certified`): no eigenvalue below tau (1 - _CERTIFY), one below
-    tau (1 + _CERTIFY).
+    or not finite.  Two Sturm counts of the same transform, on the sweep's
+    pivot rows, certify the result (`_Sweep.certified`): no eigenvalue below
+    tau (1 - _CERTIFY), one below tau (1 + _CERTIFY).
     """
     q, e = squares[0::2], squares[1::2]
     p, count = q.shape
@@ -322,25 +336,8 @@ def _laguerre_smallest(squares: np.ndarray) -> np.ndarray:
             np.add(tau, step, out=tau, where=moving)
             if not active.any():
                 break
-        del sweep  # its rows make room for the certification's
-        certified = ~active & _certified(q, e, tau)
+        certified = ~active & sweep.certified(tau)
     return np.where(certified, tau, np.nan)
-
-
-def _certified(q: np.ndarray, e: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Whether B B^T - x I has no negative pivot at x = tau (1 - _CERTIFY)
-    and exactly one, with the rest positive, at x = tau (1 + _CERTIFY).
-
-    Both shifts run through one `_pivots` pass, 4 numpy calls a row on
-    (2 x count) rows, and each sign is counted with one `count_nonzero`.
-    """
-    p = len(q)
-    shift = np.multiply.outer([1.0 - _CERTIFY, 1.0 + _CERTIFY], tau)
-    pivots = np.empty((p,) + shift.shape)
-    _pivots(list(q), list(e), shift, list(pivots))
-    positive = np.count_nonzero(pivots > 0.0, axis=0)
-    negative = np.count_nonzero(pivots[:, 1] < 0.0, axis=0)
-    return (positive[0] == p) & (positive[1] == p - 1) & (negative == 1)
 
 
 class _Draws:
@@ -363,7 +360,7 @@ class _Draws:
         self.dof[0::2] = np.arange(n, n - p, -1)
         self.dof[1::2] = np.arange(p - 1, 0, -1)
         if self.triangular:
-            self.root = np.sqrt(np.linalg.eigvalsh(config.correlation))
+            self.root = np.sqrt(config.spectrum)
             self.above = np.triu(np.ones((p, p), dtype=bool), 1)
         else:
             self.diagonal = np.zeros(2 * p)
@@ -486,14 +483,15 @@ def hard_edge_scale(config: SamplerConfig) -> float:
 
     Without correlation this is the familiar 4p.  A correlation matrix
     stretches the eigenvalue density at the origin by the harmonic mean of
-    its spectrum, so the scale generalizes to 4 tr(C^-1); only under this
-    rescaling is the limiting law independent of C.  A scalar correlation
-    C = c 1 gives 4p/c, which exactly undoes the sampler's scaling of the
-    eigenvalues, leaving u invariant.
+    its spectrum, so the scale generalizes to 4 tr(C^-1) = 4 sum 1/lambda_j
+    over the configuration's spectrum; only under this rescaling is the
+    limiting law independent of C.  A scalar correlation C = c 1 gives
+    4p/c, which exactly undoes the sampler's scaling of the eigenvalues,
+    leaving u invariant.
     """
-    if config.correlation is None:
+    if config.spectrum is None:
         return 4.0 * config.p
-    return 4.0 * float(np.trace(np.linalg.inv(config.correlation)))
+    return 4.0 * float(np.sum(1.0 / config.spectrum))
 
 
 def microscopic_rescale(batch: SampleBatch) -> SampleBatch:
@@ -521,4 +519,4 @@ def load_correlation(path: str, p: int) -> np.ndarray:
     1e-12 and positive definite.
     """
     arr = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
-    return _check_correlation(arr, p)
+    return _check_correlation(arr, p)[0]

@@ -204,11 +204,43 @@ def test_hard_edge_scale_accounts_for_correlation() -> None:
     shrunk = SamplerConfig(p=6, n=8, num_samples=40, seed=21,
                            correlation=0.5 * np.eye(6))
     assert hard_edge_scale(shrunk) == pytest.approx(48.0, rel=1e-14)
+    correlation = exponential_correlation(30)
+    banded = SamplerConfig(p=30, n=32, num_samples=1, seed=21, correlation=correlation)
+    expected = 4.0 * np.trace(np.linalg.inv(correlation))
+    assert hard_edge_scale(banded) == pytest.approx(expected, rel=1e-13)
     # A scalar correlation rescales the eigenvalues and the hard-edge
     # factor inversely, so the microscopic variable is unchanged.
     u_plain = microscopic_rescale(sample_batch(plain)).smallest_eigenvalues
     u_shrunk = microscopic_rescale(sample_batch(shrunk)).smallest_eigenvalues
     assert np.allclose(u_shrunk, u_plain, rtol=1e-12)
+
+
+def test_correlation_is_decomposed_once(monkeypatch) -> None:
+    # The configuration keeps the spectrum its check computes; the draws and
+    # the hard-edge scale read it instead of factoring C again.
+    calls = {"eigvalsh": 0, "inv": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    config = SamplerConfig(p=20, n=22, num_samples=3, seed=5,
+                           correlation=exponential_correlation(20))
+    microscopic_rescale(sample_batch(config))
+    assert calls == {"eigvalsh": 1, "inv": 0}
+
+
+def test_spectrum_is_derived_not_configured() -> None:
+    correlation = exponential_correlation(4)
+    config = SamplerConfig(p=4, n=6, num_samples=1, seed=0, correlation=correlation)
+    assert np.array_equal(config.spectrum, np.linalg.eigvalsh(correlation))
+    assert SamplerConfig(p=4, n=6, num_samples=1, seed=0).spectrum is None
+    assert "spectrum" not in repr(config)
+    with pytest.raises(TypeError):
+        SamplerConfig(p=4, n=6, num_samples=1, seed=0, spectrum=np.ones(4))
 
 
 def test_trace_moment_matches_correlation_diagonal() -> None:
@@ -544,11 +576,11 @@ def test_certification_rejects_misplaced_values() -> None:
     # The two Sturm counts pass the solved values and fail the same values
     # moved by 1e-13 relative either way.
     squares = _columns(SamplerConfig(p=50, n=52, num_samples=40, seed=43))
-    q, e = squares[0::2], squares[1::2]
+    sweep = montecarlo._Sweep(squares[0::2], squares[1::2])
     values = montecarlo._laguerre_smallest(squares)
-    assert montecarlo._certified(q, e, values).all()
+    assert sweep.certified(values).all()
     for factor in (1.0 - 1e-13, 1.0 + 1e-13):
-        assert not montecarlo._certified(q, e, values * factor).any()
+        assert not sweep.certified(values * factor).any()
 
 
 def _counted_dstebz(monkeypatch) -> list[int]:
@@ -568,8 +600,8 @@ def test_forced_fallback_gives_bisection_values(monkeypatch, force: str) -> None
     config = SamplerConfig(p=30, n=33, num_samples=50, seed=17)
     expected = np.array([_dstebz_smallest(column) for column in _columns(config).T])
     if force == "uncertified":
-        monkeypatch.setattr(montecarlo, "_certified",
-                            lambda q, e, tau: np.zeros(tau.shape, dtype=bool))
+        monkeypatch.setattr(montecarlo._Sweep, "certified",
+                            lambda sweep, tau: np.zeros(tau.shape, dtype=bool))
     else:
         monkeypatch.setattr(montecarlo, "_LAGUERRE_SWEEPS", 1)
     calls = _counted_dstebz(monkeypatch)
