@@ -30,9 +30,9 @@ from .distributions import FiniteSpec, gap_finite, smallest_finite, tabulate
 from .microscopic import gap_micro, micro_density, smallest_micro
 from .montecarlo import (
     SamplerConfig,
+    _read_matrix,
     empirical_gap,
     ks_distance,
-    load_correlation,
     microscopic_rescale,
     sample_batch,
 )
@@ -170,15 +170,15 @@ def _interpolated_cdf(curve, top: float, label: str):
 def _cmd_mc(args: argparse.Namespace) -> int:
     if args.nu % 2 != 0:
         raise ValueError(f"only even topology is supported, got nu={args.nu}")
-    correlation = None
-    if args.c_file is not None:
-        correlation = load_correlation(args.c_file, args.p)
-        if args.compare != "micro":
-            raise ValueError("--c-file needs --compare micro: the finite-p law "
-                             "holds only for uncorrelated samples")
+    # The configuration validates the file's matrix, once, and before the
+    # comparison is checked, so a bad file is reported first.
     config = SamplerConfig(p=args.p, n=args.p + args.nu,
                            num_samples=args.samples, seed=args.seed,
-                           correlation=correlation)
+                           correlation=None if args.c_file is None
+                           else _read_matrix(args.c_file))
+    if args.c_file is not None and args.compare != "micro":
+        raise ValueError("--c-file needs --compare micro: the finite-p law "
+                         "holds only for uncorrelated samples")
     batch = sample_batch(config)
     k = args.nu // 2
 

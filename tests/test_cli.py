@@ -368,6 +368,26 @@ def test_mc_correlation_needs_hard_edge_comparison(
                  "--c-file", str(good), "--compare", "micro"]) == 0
 
 
+def test_mc_correlation_file_is_factored_once(tmp_path: Path,
+                                              monkeypatch: pytest.MonkeyPatch) -> None:
+    # The file's matrix is validated once, by the sampler's configuration,
+    # whose spectrum the draws and the hard-edge scale then read.
+    good = tmp_path / "good.csv"
+    np.savetxt(good, 0.5 ** np.abs(np.subtract.outer(np.arange(6), np.arange(6))),
+               delimiter=",")
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert main(["mc", "--p", "6", "--nu", "2", "--samples", "10",
+                 "--c-file", str(good), "--compare", "micro"]) == 0
+    assert calls == [(6, 6)]
+
+
 @pytest.mark.parametrize("argv, seeds, notes", [
     (["gap", "--p", "6", "--k", "1", "--points", "5"], "none", 0),
     (["smallest", "--p", "6", "--k", "1", "--points", "5"], "none", 0),

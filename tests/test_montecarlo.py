@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import mpmath
@@ -692,3 +693,98 @@ def test_sweep_derivatives_match_eigenvalue_sums(p: int, fraction: float) -> Non
     assert np.all(low > 0.0), "a pivot is not positive below lambda_min"
     assert np.all(np.abs(g / inverse.sum(axis=0) - 1.0) <= bound), "G"
     assert np.all(np.abs(h / (inverse ** 2).sum(axis=0) - 1.0) <= bound), "H"
+
+
+def _counted_thread_starts(monkeypatch) -> list[threading.Thread]:
+    """The threads started from now on, recorded as they start."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def _force_workers(monkeypatch, workers: int) -> None:
+    """Make every triangular batch run on `workers` (1 or 2) workers."""
+    monkeypatch.setattr(montecarlo, "_PARALLEL_P", 1 if workers == 2 else 2**62)
+    monkeypatch.setattr(montecarlo, "_PARALLEL_SAMPLES", 1)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+
+
+# The thread tests (`-k workers`) are also run with a multi-threaded BLAS in CI.
+@pytest.mark.parametrize("p, count, seed", [(200, 201, 3), (800, 24, 2**64 - 9)])
+def test_two_workers_equal_one_worker(monkeypatch, p: int, count: int, seed: int) -> None:
+    config = SamplerConfig(p=p, n=p + 4, num_samples=count, seed=seed,
+                           correlation=exponential_correlation(p))
+    started = _counted_thread_starts(monkeypatch)
+    _force_workers(monkeypatch, 1)
+    serial = sample_batch(config).smallest_eigenvalues
+    assert started == []
+    _force_workers(monkeypatch, 2)
+    parallel = sample_batch(config).smallest_eigenvalues
+    assert len(started) == 1 and not started[0].is_alive()
+    assert np.array_equal(parallel, serial)
+
+
+def test_two_workers_raise_the_serial_error(monkeypatch) -> None:
+    # Every sample falls back to an SVD that fails: both halves fail, and the
+    # error is the serial loop's, at sample 0, with no thread left running.
+    config = SamplerConfig(p=6, n=8, num_samples=20, seed=31,
+                           correlation=exponential_correlation(6))
+
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(montecarlo, "_LANCZOS_STEPS", 1)
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    messages = []
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            sample_batch(config)
+        assert threading.active_count() == before
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        messages.append(str(info.value))
+    assert messages == ["singular values failed at sample 0"] * 2
+
+
+def test_two_workers_raise_the_lowest_failing_index(monkeypatch) -> None:
+    # Only the second half fails, at samples 12 and 17: the error is 12's.
+    config = SamplerConfig(p=6, n=8, num_samples=20, seed=31,
+                           correlation=exponential_correlation(6))
+    original = _Draws.triangular_smallest
+
+    def failing(draws, index):
+        if index in (12, 17):
+            raise RuntimeError(f"sample {index} failed")
+        return original(draws, index)
+
+    monkeypatch.setattr(_Draws, "triangular_smallest", failing)
+    _force_workers(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="^sample 12 failed$"):
+        sample_batch(config)
+
+
+def test_workers_start_no_thread_below_thresholds(monkeypatch) -> None:
+    p, count = montecarlo._PARALLEL_P, montecarlo._PARALLEL_SAMPLES
+    started = _counted_thread_starts(monkeypatch)
+    for size, samples in ((p - 1, count), (p, count - 1)):
+        sample_batch(SamplerConfig(p=size, n=size + 2, num_samples=samples, seed=1,
+                                   correlation=exponential_correlation(size)))
+    sample_batch(SamplerConfig(p=p, n=p + 2, num_samples=count, seed=1))
+    sample_batch(SamplerConfig(p=p, n=p + 2, num_samples=count, seed=1,
+                               correlation=0.5 * np.eye(p)))
+    assert started == []
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    sample_batch(SamplerConfig(p=p, n=p + 2, num_samples=count, seed=1,
+                               correlation=exponential_correlation(p)))
+    assert started == []
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    sample_batch(SamplerConfig(p=p, n=p + 2, num_samples=count, seed=1,
+                               correlation=exponential_correlation(p)))
+    assert len(started) == 1
