@@ -145,7 +145,10 @@ class BulkTables:
     consecutive b from gamma - 1/2 up to gamma + 3/2, extended down to
     h = 1/2 - gamma for the hatted set of odd l, in one tricomi_u_chain
     call for the whole batch: one block-diagonal tridiagonal solve, and one
-    quadrature pass for the anchors of all chains and points together.  The
+    quadrature pass for the anchors of all chains and points together, in
+    which a point integrates two of its 3 or 4 chain tops (the others
+    follow by the contiguous relation in b) and its ladder bottom only past
+    t/2 = 32 (below it, closed forms).  The
     integer-a values map onto it through Kummer's transformation (DLMF
     13.2.40)
 

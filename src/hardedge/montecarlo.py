@@ -33,7 +33,9 @@ depends on the samples solved with it, so the first m samples of any batch
 equal the batch of m samples with the same parameters and seed, bit for
 bit.  A large triangular batch is therefore split over two threads, each
 with its own bit generator, without changing a value; everything else is
-drawn serially.
+drawn serially.  Seeded triangular values repeat bit for bit only at a
+fixed BLAS thread count: `eigvalsh` of C, whose spectrum gives D^1/2,
+rounds differently on one and on two OpenBLAS threads.
 """
 
 from __future__ import annotations
@@ -495,7 +497,9 @@ def sample_batch(config: SamplerConfig) -> SampleBatch:
     correlation takes the triangular path, O(p^2) per Lanczos step, one
     sample after another, or on two threads, each over one half of the
     samples, from p = _PARALLEL_P and _PARALLEL_SAMPLES samples when two
-    CPUs are usable.  Either way every value is the same.
+    CPUs are usable.  Either way every value is the same, at a fixed BLAS
+    thread count: the spectrum of C (`eigvalsh`) rounds differently on one
+    and on two OpenBLAS threads, and with it every triangular value.
     """
     draws = _Draws(config)
     count = config.num_samples

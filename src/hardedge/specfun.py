@@ -3,15 +3,18 @@
 The finite-size kernels and distributions are assembled from Tricomi's
 confluent hypergeometric function U(a, b, t), as whole chains in a
 (:func:`tricomi_u_chain`) and as the logs of single values.  U is a closed
-form at the chain bottoms a = 1/2 and otherwise a quadrature over a window
-found without a root finder: the peak in closed form, the edges by
-doubling out from the Laplace estimate.  One pass evaluates any number of
-rows (a, b, t), each in its own window, through one order-doubling loop:
-the chains of a batch of points evaluate all their anchors in one pass,
-and so does the k = 0 prefactor of the finite-p assembly.  Each row
-settles and is contracted on its own, so its value does not depend on the
-rows beside it.  The lowest chains of a batch are one block-diagonal
-tridiagonal solve.  That Gauss-Legendre loop is the only one in the
+form at the chain bottoms a = 1/2 (at b = -1/2 up to t = 32), and at
+three or more chain tops all but two follow from their neighbours by the
+contiguous relation in b, in positive terms only.  Every other value is a
+quadrature over a window found without a root finder: the peak in closed
+form, the edges by doubling out from the Laplace estimate.  One pass
+evaluates any number of rows (a, b, t), each in its own window, through
+one order-doubling loop: the chains of a batch of points evaluate all
+their anchors in one pass, two or three rows a point, and so does the
+k = 0 prefactor of the finite-p assembly.  Each row settles and is
+contracted on its own, so its value does not depend on the rows beside
+it.  The lowest chains of a batch are one block-diagonal tridiagonal
+solve.  That Gauss-Legendre loop is the only one in the
 package: the limiting kernel quadrature in ``microscopic`` runs through it
 as well, with its own tolerance, both on one ladder of the five orders 48,
 96, ..., 768.  A chain's arrays without t are one read-only layout per
@@ -95,8 +98,18 @@ def _settled_integral(integrand, tol: float, floor: float, describe):
 _WINDOW_DROP = 60.0
 
 
+# Where U(1/2, -1/2, t) stops being closed-form.  Past t = 1/2 its two
+# terms cancel to about t^(-1/2), so the closed form loses about log10(t)
+# digits.  Measured against 60-digit mpmath on 4,000 geometric t in
+# [1/2, 300]: at most 1.6e-14 relative up to t = 32, 1.7e-14 at 32.5 and
+# 1.0e-13 at 230, where the quadrature it replaces is off by 1.6-1.7e-13
+# at every t.
+_HALF_ANCHOR_REACH = 32.0
+
+
 def _half_anchor(b: float, t: float) -> float | None:
-    """ln U(1/2, b, t) in closed form where one exists without cancellation.
+    """ln U(1/2, b, t) in closed form where one exists without a loss of
+    more than a tenth of the quadrature's digits.
 
     A bulk ladder evaluates only the bottom of its lowest chain: b = -1/2
     at gamma = 0 and at gamma = 1 with odd l, b = 1/2 at gamma = 1 with even
@@ -106,9 +119,11 @@ def _half_anchor(b: float, t: float) -> float | None:
 
         (b - a - 1) U(a, b - 1, t) + (1 - b - t) U(a, b, t) + t U(a, b + 1, t) = 0
 
-    (DLMF 13.3) gives U(1/2, 5/2, t) = (t + 1/2) t^(-3/2) and
+    (DLMF 13.3.8) gives U(1/2, 5/2, t) = (t + 1/2) t^(-3/2) and
     U(1/2, -1/2, t) = (1/2 - t) sqrt(pi) erfcx(sqrt(t)) + sqrt(t), a sum of
-    two positive terms only for t <= 1/2.  Returns None otherwise.
+    two positive terms for t <= 1/2 and a cancelling difference above,
+    taken up to t = _HALF_ANCHOR_REACH (32), where it is still within
+    1.6e-14 of the true value.  Returns None otherwise.
     """
     root = math.sqrt(t)
     if b == 1.5:
@@ -117,7 +132,7 @@ def _half_anchor(b: float, t: float) -> float | None:
         return math.log(t + 0.5) - 1.5 * math.log(t)
     if b == 0.5:
         return math.log(math.sqrt(math.pi) * erfcx(root))
-    if b == -0.5 and t <= 0.5:
+    if b == -0.5 and t <= _HALF_ANCHOR_REACH:
         return math.log((0.5 - t) * math.sqrt(math.pi) * erfcx(root) + root)
     return None
 
@@ -271,10 +286,17 @@ def tricomi_u_chain(layout: _ChainLayout, t: np.ndarray,
     of a point share the log scale of its lowest one.
 
     Only the anchors are evaluated, every point's in one pass of
-    :func:`_ln_tricomi`: both ends of the lowest chain and the top of each
-    further one, count + 1 rows a point (count at n = 0), one
-    order-doubling loop for them all.  The bottoms U(0, b, t) = 1 and the
-    closed-form U(1/2, b, t) take no quadrature.  The interior of the
+    :func:`_ln_tricomi`, one order-doubling loop for them all: the bottom
+    of the lowest chain (at n >= 1) and the tops of the chains.  At
+    count >= 3 only two adjacent tops b + j, b + j + 1 are rows of the
+    pass; the others follow from them by the contiguous relation in b
+    (:func:`_derived_tops`), whose terms are all positive for the j that
+    :func:`_first_top` picks from the point's t, as long as
+    a0 + n + 3 > b + count (else every top is a row).  The bottoms
+    U(0, b, t) = 1 and the closed-form U(1/2, b, t) take no quadrature; at
+    b = -1/2 the bottom is a quadrature only past t = 32
+    (:func:`_half_anchor`).  So a bulk point integrates two rows, and
+    three past t = 32.  The interior of the
     lowest chain solves the three-term recurrence in a (DLMF 13.3.7) as a
     boundary-value problem (Olver 1967; Gil, Segura and Temme 2007, ch. 4):
     with w_a = Gamma(a + 1) U(a, b, t) it reads
@@ -317,17 +339,31 @@ def tricomi_u_chain(layout: _ChainLayout, t: np.ndarray,
                          f"a non-empty 1-D t, got a0={a0}, n={n}, count={count}, "
                          f"t of shape {t.shape}")
     top_a = a0 + n
-    # Per point, the lowest chain's bottom, then the top of every chain (the
-    # bottom is also the lowest top at n = 0), as ln w = ln U + ln Gamma(a + 1).
-    anchors = [(a0, b)] + [(top_a, b + j) for j in range(0 if n else 1, count)]
-    rows = [(a, b_row, x) for x in t.tolist() for a, b_row in anchors]
-    ln_w = [ln_u + math.lgamma(a + 1.0) for (a, _, _), ln_u in zip(rows, _ln_tricomi(rows))]
-    # Per point, the logs of its bottom and of its chains' tops.
-    ends = [ln_w[i:i + len(anchors)] for i in range(0, len(ln_w), len(anchors))]
-    tops = [point_ends[-count:] for point_ends in ends]
+    # Per point, the rows of the pass: the lowest chain's bottom (at n >= 1;
+    # at n = 0 it is the lowest top), then the tops taken by quadrature,
+    # either two adjacent ones, from which the rest follow (_derived_tops),
+    # or all of them where the relation would subtract.
+    derive = count >= 3 and top_a + 3.0 > b + count
+    width = 2 if derive else count
+    ts = t.tolist()
+    firsts = [_first_top(x, b, count) if derive else 0 for x in ts]
+    rows = []
+    for x, first in zip(ts, firsts):
+        if n:
+            rows.append((a0, b, x))
+        rows += [(top_a, b + j, x) for j in range(first, first + width)]
+    logs = iter(_ln_tricomi(rows))
+    # Per point, the logs of its bottom and of its chains' tops, as
+    # ln w = ln U + ln Gamma(a + 1).
+    bottoms, tops = [], []
+    for x, first in zip(ts, firsts):
+        bottom = next(logs) + math.lgamma(a0 + 1.0) if n else None
+        ln_w = [next(logs) + math.lgamma(top_a + 1.0) for _ in range(width)]
+        tops.append(_derived_tops(ln_w, first, top_a, b, x, count) if derive else ln_w)
+        bottoms.append(tops[-1][0] if bottom is None else bottom)
     chains = np.empty((count, len(t), n + 1))
-    log_scale = _solved_chain(layout, t, [point_ends[0] for point_ends in ends],
-                              [point_tops[0] for point_tops in tops], chains[0])
+    log_scale = _solved_chain(layout, t, bottoms, [point_tops[0] for point_tops in tops],
+                              chains[0])
     a = layout.a
     # The further chains, each built in place from the one below it.
     for j in range(1, count):
@@ -344,6 +380,42 @@ def tricomi_u_chain(layout: _ChainLayout, t: np.ndarray,
         for j in range(1, count):
             _check_range(chains[j], a0, b + j, t, n)
     return chains, log_scale
+
+
+def _first_top(z: float, b: float, count: int) -> int:
+    """The j of the quadrature pair b + j, b + j + 1 of a chain's tops at z:
+    the lattice point -z <= b + j <= 1 - z, clamped to 0..count - 2, so
+    that :func:`_derived_tops` adds only positive terms."""
+    return min(max(math.ceil(-z - b), 0), count - 2)
+
+
+def _derived_tops(pair: list[float], first: int, a: float, b: float, z: float,
+                  count: int) -> list[float]:
+    """ln w(b + j) for j < count, w(b) = Gamma(a + 1) U(a, b, z), from the
+    pair j = first and first + 1, by the contiguous relation in b (DLMF
+    13.3.8), which holds for w as for U at fixed a:
+
+        w(c + 1) = ((c + z - 1) w(c) + (a + 1 - c) w(c - 1)) / z         upward,
+        w(c - 1) = (z w(c + 1) + (1 - c - z) w(c)) / (a + 1 - c)          downward.
+
+    With the pair of :func:`_first_top`, c + z - 1 >= 0 on every upward step
+    and 1 - c - z >= 0 on every downward one, and a + 1 - c > 0 wherever
+    the caller derives (a + 3 > b + count): every term is positive, so
+    nothing cancels.  Each step adds the log of one ratio to the log beside
+    it, so it rounds once at the size of ln w, far below that of ln U at
+    large a (20.5 against -5,916 at a = 1003.5, b = 5/2, z = 1e-4).
+    """
+    logs = [0.0] * count
+    logs[first:first + 2] = pair
+    for j in range(first + 2, count):
+        c = b + j - 1.0
+        logs[j] = logs[j - 1] + math.log(
+            ((c + z - 1.0) + (a + 1.0 - c) * math.exp(logs[j - 2] - logs[j - 1])) / z)
+    for j in range(first - 1, -1, -1):
+        c = b + j + 1.0
+        logs[j] = logs[j + 1] + math.log(
+            (z * math.exp(logs[j + 2] - logs[j + 1]) + (1.0 - c - z)) / (a + 1.0 - c))
+    return logs
 
 
 def _check_range(w: np.ndarray, a0: float, b: float, t: np.ndarray, n: int) -> None:

@@ -19,7 +19,7 @@ from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgttrf
 
 from hardedge import kernels, specfun
-from hardedge.distributions import FiniteSpec, gap_finite, smallest_finite
+from hardedge.distributions import FiniteSpec, gap_finite, smallest_finite, tabulate
 from hardedge.kernels import BulkTables
 from hardedge.reference.specfun import tricomi_u
 from hardedge.specfun import _ChainLayout, tricomi_u_chain
@@ -149,15 +149,106 @@ def test_half_anchors_match_mpmath(b: float) -> None:
         assert abs(float(got.log_magnitude - want)) <= 8 * eps * max(1.0, abs(float(want))), z
 
 
-@pytest.mark.parametrize("z", [0.25, 0.5, float(np.nextafter(0.5, 1.0)), 0.75])
+def test_half_anchor_past_one_half_matches_mpmath() -> None:
+    # Past z = 1/2 the closed form of U(1/2, -1/2, z) is a difference that
+    # cancels to about z^(-1/2).  Measured on 4,000 geometric z up to 32:
+    # at most 1.6e-14, against 1.6-1.7e-13 for the quadrature, which this
+    # bound would refuse.
+    for z in np.geomspace(0.5, 32.0, 13)[1:].tolist():
+        got = tricomi_u(0.5, -0.5, z).log_magnitude
+        want = mpmath.log(_u_integral(0.5, -0.5, z))
+        assert abs(float(mpmath.expm1(got - want))) <= 2e-14, z
+
+
+REACH = specfun._HALF_ANCHOR_REACH
+
+
+@pytest.mark.parametrize("z", [0.25, 0.5, float(np.nextafter(0.5, 1.0)), 0.75, 16.0, REACH,
+                               float(np.nextafter(REACH, math.inf)), 48.0])
 def test_half_anchor_switch_agrees_with_quadrature(z: float, monkeypatch) -> None:
-    # U(1/2, -1/2, z) is closed-form up to z = 1/2 and a quadrature above:
+    # U(1/2, -1/2, z) is closed-form up to the reach and a quadrature above:
     # both sides of the switch agree with mpmath to the quadrature's
-    # tolerance, and so does the quadrature where the closed form serves.
+    # tolerance, and so does the quadrature where the closed form serves,
+    # also where the closed form turns from a sum into a difference (z = 1/2).
     got = tricomi_u(0.5, -0.5, z).log_magnitude
     assert abs(float(mpmath.expm1(got - mpmath.log(_u_integral(0.5, -0.5, z))))) <= 5e-13
     monkeypatch.setattr(specfun, "_half_anchor", lambda b, t: None)
     assert abs(math.expm1(tricomi_u(0.5, -0.5, z).log_magnitude - got)) <= 5e-13
+
+
+def _u_value(a: float, b: float, z: float):
+    # hyperu, or the integral where its series does not converge.
+    try:
+        return _hyperu(a, b, z)
+    except ValueError:
+        return _u_integral(a, b, z)
+
+
+@pytest.mark.parametrize("count", [3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 250])
+@pytest.mark.parametrize("b", [-1.5, -0.5])
+def test_derived_tops_match_mpmath(count: int, n: int, b: float) -> None:
+    # At count >= 3 two tops are integrated and the others derived by the
+    # contiguous relation in b.  The pair moves at z = 1/2 (both b) and at
+    # z = 3/2 (b = -3/2, count 4); it is clamped to the lowest pair at
+    # z = 100, and to the highest at z = 1e-6 for b = -3/2, count 3.
+    a0 = 0.5
+    indices = sorted({0, 1, n // 2, n - 1, n})
+    for z in (1e-6, 0.4, 0.6, 1.4, 1.6, 100.0):
+        for j, (w, log_scale) in enumerate(_chains(a0, b, z, n, count)):
+            assert np.all(w > 0.0)
+            ref = {i: _u_value(a0 + i, b + j, z) for i in indices}
+            for i in indices:
+                got = math.log(w[i]) + log_scale - math.lgamma(a0 + i + 1.0)
+                want = float(mpmath.log(ref[i]))
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (z, j, i, got, want)
+            for i in (i for i in indices if i + 1 in ref):
+                ratio = w[i + 1] / (w[i] * (a0 + i + 1.0))
+                want = float(ref[i + 1] / ref[i])
+                assert ratio == pytest.approx(want, rel=1e-12, abs=0.0), (z, j, i)
+
+
+def test_pass_integrates_two_tops_and_a_bottom_only_past_the_reach(monkeypatch) -> None:
+    # One pass a call: per point the two tops of the pair, and the bottom
+    # U(1/2, -1/2, z), which is a quadrature only past the closed form's reach.
+    passes, windows = [], []
+    ln_tricomi, window = specfun._ln_tricomi, specfun._window
+
+    def recorded(rows):
+        passes.append(rows)
+        return ln_tricomi(rows)
+
+    def walked(a, b, t):
+        windows.append((a, b, t))
+        return window(a, b, t)
+
+    monkeypatch.setattr(specfun, "_ln_tricomi", recorded)
+    monkeypatch.setattr(specfun, "_window", walked)
+    zs = [1e-6, 0.3, 0.5, 0.7, 5.0, REACH, 2.0 * REACH]
+    for count in (3, 4):
+        passes.clear()
+        windows.clear()
+        tricomi_u_chain(_ChainLayout(0.5, -0.5, 20), zs, count)
+        assert len(passes) == 1
+        for z in zs:
+            tops = [b for a, b, t in windows if t == z and a == 20.5]
+            bottoms = [b for a, b, t in windows if t == z and a == 0.5]
+            assert len(tops) == 2 and tops[1] == tops[0] + 1.0, (count, z)
+            assert bottoms == ([-0.5] if z > REACH else []), (count, z)
+        assert len(passes[0]) == 3 * len(zs)
+
+
+def test_mixed_batch_chains_equal_lone_chains() -> None:
+    # The pair is chosen per point, so a batch whose points straddle z = 1/2
+    # (where the pair moves) and the reach gives each point its lone chains.
+    zs = [0.1, 0.49, 0.5, float(np.nextafter(0.5, 1.0)), 0.51, 3.0, REACH, 40.0]
+    for b, count in ((-0.5, 3), (-0.5, 4), (0.5, 3)):
+        layout = _ChainLayout(0.5, b, 12)
+        chains, log_scale = tricomi_u_chain(layout, zs, count)
+        for q, z in enumerate(zs):
+            alone, alone_scale = tricomi_u_chain(layout, [z], count)
+            assert log_scale[q] == alone_scale[0]
+            assert chains[:, q].tobytes() == alone[:, 0].tobytes(), (b, count, z)
 
 
 def test_chain_rejects_bad_arguments() -> None:
@@ -197,14 +288,16 @@ def test_tricomi_u_nonconvergence_raises(monkeypatch) -> None:
 
 
 def test_unsettled_pass_names_every_row(monkeypatch) -> None:
-    # The chain's three anchors share one pass; the closed-form bottom
-    # U(1/2, 1/2, t) takes none and is not named.
+    # The chain's two integrated tops share one pass; the top at b = 2.5,
+    # derived from them, and the closed-form bottom U(1/2, 1/2, t) take
+    # none and are not named.
     monkeypatch.setattr(specfun, "_gauss_legendre", _never_settles)
     with pytest.raises(RuntimeError) as raised:
         tricomi_u_chain(_ChainLayout(0.5, 0.5, 4), [2.0], 3)
     message = str(raised.value)
-    for b in ("0.5", "1.5", "2.5"):
+    for b in ("0.5", "1.5"):
         assert f"a=4.5, b={b}, t=2.0" in message
+    assert "b=2.5" not in message
     assert "a=0.5" not in message and "order 768" in message
 
 
@@ -363,9 +456,9 @@ FINITE_LARGE = ((gap_finite, 500, 4), (gap_finite, 1000, 3),
 
 def test_finite_point_needs_few_quadratures(monkeypatch) -> None:
     # One order-doubling loop per point at k >= 1: the ladder's anchors
-    # share one pass and the prefactor is read off the ladder.  On the
-    # converge point (p = 40, k = 4, u = 375) the ladder bottom
-    # U(1/2, -1/2, t/2 > 1/2) has no closed form and joins the pass.
+    # share one pass and the prefactor is read off the ladder.  The
+    # converge point (p = 40, k = 4, u = 375) has its ladder bottom
+    # U(1/2, -1/2, t/2 > 1/2) in closed form.
     loops = []
     settled = specfun._settled_integral
 
@@ -411,6 +504,16 @@ def test_finite_point_quadratures_settle_at_order_96(settling_orders) -> None:
     for quantity, p, k in FINITE_LARGE:
         for u in np.linspace(30.0, 350.0, 10):
             quantity(FiniteSpec(p=p, k=k, t=u / (4 * p)))
+    assert settling_orders and set(settling_orders) == {96}
+
+
+def test_converge_quadratures_settle_at_order_96(settling_orders) -> None:
+    # The density curves of `hardedge converge` at p = 10, 20, 40 over the
+    # bulks of k = 3 and 4: every bottom U(1/2, -1/2, t/2) lies within the
+    # closed form's reach, and the two integrated tops settle at 96.
+    for k, low, high in ((3, 20.0, 250.0), (4, 40.0, 400.0)):
+        for p in (10, 20, 40):
+            tabulate("smallest", k, np.linspace(low, high, 3) / (4 * p), p=p)
     assert settling_orders and set(settling_orders) == {96}
 
 
