@@ -30,7 +30,6 @@ from .distributions import FiniteSpec, gap_finite, smallest_finite, tabulate
 from .microscopic import gap_micro, micro_density, smallest_micro
 from .montecarlo import (
     SamplerConfig,
-    _read_matrix,
     empirical_gap,
     ks_distance,
     microscopic_rescale,
@@ -165,6 +164,15 @@ def _interpolated_cdf(curve, top: float, label: str):
         return chebval(np.sqrt(x) / half - 1.0, coef)
 
     return cdf, nodes, tail
+
+
+def _read_matrix(path: str) -> np.ndarray:
+    """The rows of comma-separated reals in the CSV file at `path`."""
+    with open(path, encoding="utf-8") as handle:
+        rows = [line for line in handle if line.split("#", 1)[0].strip()]
+    if not rows:  # numpy would only warn
+        raise ValueError(f"correlation file {path} holds no matrix")
+    return np.atleast_2d(np.loadtxt(rows, delimiter=",", dtype=float))
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:

@@ -36,18 +36,14 @@ hardedge.reference.kernels.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
-from scipy.special import poch
 
 from .specfun import _ChainLayout, _frozen, tricomi_u_chain
 
 __all__ = ["BulkTables", "kernel_matrix", "border_column"]
-
-logger = logging.getLogger(__name__)
 
 # The forward Laguerre recurrence at argument -t grows like e^(2 sqrt(n t));
 # beyond this product the values leave the double range.
@@ -63,9 +59,9 @@ class _Layout:
     """The t-free arrays of the bulk route at one (gamma, l), all read-only,
     for every t and size: the band of the Laguerre recurrence without its
     t entries (:func:`_laguerre_rows`), kernel_matrix's index coefficients
-    and poch factors, and the layout of BulkTables' ladder (`chain`).  Each
-    array is the expression its reader would otherwise evaluate per point,
-    so every value is unchanged.
+    and rising factorials, and the layout of BulkTables' ladder (`chain`).
+    Each array is the expression its reader would otherwise evaluate per
+    point, so every value is unchanged.
     """
 
     def __init__(self, gamma: int, l: int) -> None:
@@ -88,11 +84,14 @@ class _Layout:
         self.two_j, self.two_j_next, self.odd = 2.0 * js, 2.0 * (js + 1), 2.0 * js + 1.0
         self.coupling = 2.0 * (gamma + js)
         self.coupling_over_odd = 2.0 * (gamma + js) / (2 * js + 1)
-        self.norm_poch = poch(2.0 * js + 2.0, 2 * gamma)
+        # (x)_gamma and (x)_(2 gamma) as exact products, scipy's poch to the bit.
+        x = 2.0 * np.arange(self.count + 1.0) + 2.0
+        rising = x * (x + 1.0) if gamma else np.ones(self.count + 1)
+        self.norm_poch = rising[:-1]
         if self.hatted:
-            self.moment_poch = poch(np.arange(self.count + 1) + 1.5, gamma)
+            self.moment_poch = np.arange(self.count + 1) + 1.5 if gamma else rising
             self.js_half = js + 0.5
-            self.top_poch = poch(2.0 * self.count + 2.0, 2 * gamma)
+            self.top_poch = float(rising[-1])
         _frozen(*[x for x in vars(self).values() if isinstance(x, np.ndarray)])
         low = min(gamma - 0.5, 0.5 - gamma) if self.hatted else gamma - 0.5
         self.chain = _ChainLayout(0.5, low, gamma + l // 2)
@@ -174,8 +173,8 @@ class BulkTables:
 
     def __init__(self, gamma: int, l: int, t: np.ndarray, size: int) -> None:
         t = np.array(t, dtype=float)
-        if gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {gamma}")
+        if gamma not in (0, 1):
+            raise ValueError(f"gamma must be 0 or 1, got {gamma}")
         if l < 2:
             raise ValueError(f"need at least two polynomials, got l={l}")
         if t.ndim != 1 or not len(t):

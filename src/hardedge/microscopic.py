@@ -38,7 +38,6 @@ origin where the raw entries vanish like u^(a+b+1).
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 
@@ -51,8 +50,6 @@ from .pfaffian import AntisymmetricMatrix, pfaffian
 from .specfun import _settled_integral
 
 __all__ = ["gap_micro", "smallest_micro", "micro_density"]
-
-logger = logging.getLogger(__name__)
 
 # Numerical slack for distribution values, absolute.  At k <= 4 finite
 # values keep ~8 digits at u = 4pt = 300 (last-bit changes in the U ratios

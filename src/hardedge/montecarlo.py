@@ -60,13 +60,10 @@ __all__ = [
     "hard_edge_scale",
     "microscopic_rescale",
     "exponential_correlation",
-    "load_correlation",
 ]
 
 logger = logging.getLogger(__name__)
 
-RNG_ALGORITHM = "Philox4x64"
-RNG_KEY_SCHEME = "(seed, sample_index)"
 # Philox's counter and output buffer at the start of every stream.
 _ZERO_WORDS = np.zeros(4, dtype=np.uint64)
 
@@ -172,10 +169,10 @@ class SampleBatch:
     smallest_eigenvalues: np.ndarray
     """One strictly positive eigenvalue per sample, in sample order."""
 
-    algorithm: ClassVar[str] = RNG_ALGORITHM
+    algorithm: ClassVar[str] = "Philox4x64"
     """Name of the counter-based RNG behind the streams."""
 
-    key_scheme: ClassVar[str] = RNG_KEY_SCHEME
+    key_scheme: ClassVar[str] = "(seed, sample_index)"
     """How each sample's stream key was derived."""
 
     def __post_init__(self) -> None:
@@ -578,17 +575,3 @@ def exponential_correlation(p: int, decay: float = 0.5) -> np.ndarray:
         raise ValueError(f"need an integer p >= 1 and |decay| < 1, got p={p!r}, decay={decay}")
     indices = np.arange(p)
     return decay ** np.abs(np.subtract.outer(indices, indices))
-
-
-def _read_matrix(path: str) -> np.ndarray:
-    """The rows of comma-separated reals in the CSV file at `path`."""
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
-
-
-def load_correlation(path: str, p: int) -> np.ndarray:
-    """Read a p x p correlation matrix from CSV and validate it.
-
-    The file must hold p rows of p comma-separated reals, symmetric to
-    1e-12 and positive definite.
-    """
-    return _check_correlation(_read_matrix(path), p)[0]

@@ -9,14 +9,11 @@ partial pivoting, which is numerically stable and costs O(dim^3).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["AntisymmetricMatrix", "pfaffian"]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)

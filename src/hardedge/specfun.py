@@ -113,23 +113,20 @@ def _half_anchor(b: float, t: float) -> float | None:
 
     A bulk ladder evaluates only the bottom of its lowest chain: b = -1/2
     at gamma = 0 and at gamma = 1 with odd l, b = 1/2 at gamma = 1 with even
-    l.  b = 3/2 serves the skew-orthogonal oracle; no caller takes 5/2.
-    U(a, a + 1, t) = t^-a and U(1/2, 1/2, t) = sqrt(pi)
+    l; b = 3/2 serves the skew-orthogonal oracle, and every other b is a
+    quadrature.  U(a, a + 1, t) = t^-a and U(1/2, 1/2, t) = sqrt(pi)
     erfcx(sqrt(t)) (DLMF 13.6); the contiguous relation
 
         (b - a - 1) U(a, b - 1, t) + (1 - b - t) U(a, b, t) + t U(a, b + 1, t) = 0
 
-    (DLMF 13.3.8) gives U(1/2, 5/2, t) = (t + 1/2) t^(-3/2) and
-    U(1/2, -1/2, t) = (1/2 - t) sqrt(pi) erfcx(sqrt(t)) + sqrt(t), a sum of
-    two positive terms for t <= 1/2 and a cancelling difference above,
-    taken up to t = _HALF_ANCHOR_REACH (32), where it is still within
-    1.6e-14 of the true value.  Returns None otherwise.
+    (DLMF 13.3.8) gives U(1/2, -1/2, t) = (1/2 - t) sqrt(pi) erfcx(sqrt(t))
+    + sqrt(t), a sum of two positive terms for t <= 1/2 and a cancelling
+    difference above, taken up to t = _HALF_ANCHOR_REACH (32), where it is
+    still within 1.6e-14 of the true value.  Returns None otherwise.
     """
     root = math.sqrt(t)
     if b == 1.5:
         return -0.5 * math.log(t)
-    if b == 2.5:
-        return math.log(t + 0.5) - 1.5 * math.log(t)
     if b == 0.5:
         return math.log(math.sqrt(math.pi) * erfcx(root))
     if b == -0.5 and t <= _HALF_ANCHOR_REACH:
@@ -287,12 +284,11 @@ def tricomi_u_chain(layout: _ChainLayout, t: np.ndarray,
 
     Only the anchors are evaluated, every point's in one pass of
     :func:`_ln_tricomi`, one order-doubling loop for them all: the bottom
-    of the lowest chain (at n >= 1) and the tops of the chains.  At
-    count >= 3 only two adjacent tops b + j, b + j + 1 are rows of the
-    pass; the others follow from them by the contiguous relation in b
-    (:func:`_derived_tops`), whose terms are all positive for the j that
-    :func:`_first_top` picks from the point's t, as long as
-    a0 + n + 3 > b + count (else every top is a row).  The bottoms
+    of the lowest chain (n >= 1) and two adjacent tops b + j, b + j + 1
+    (one at count = 1).  The other tops follow from them by the contiguous
+    relation in b (:func:`_derived_tops`), whose terms are all positive
+    for the j that :func:`_first_top` picks from the point's t, as long as
+    a0 + n + 3 > b + count; another shape raises ValueError.  The bottoms
     U(0, b, t) = 1 and the closed-form U(1/2, b, t) take no quadrature; at
     b = -1/2 the bottom is a quadrature only past t = 32
     (:func:`_half_anchor`).  So a bulk point integrates two rows, and
@@ -334,33 +330,29 @@ def tricomi_u_chain(layout: _ChainLayout, t: np.ndarray,
     """
     a0, b, n = layout.a0, layout.b, layout.n
     t = np.asarray(t, dtype=float)
-    if a0 < 0.0 or n < 0 or count < 1 or t.ndim != 1 or not len(t):
-        raise ValueError("tricomi_u_chain requires a0 >= 0, n >= 0, count >= 1 and "
-                         f"a non-empty 1-D t, got a0={a0}, n={n}, count={count}, "
-                         f"t of shape {t.shape}")
     top_a = a0 + n
-    # Per point, the rows of the pass: the lowest chain's bottom (at n >= 1;
-    # at n = 0 it is the lowest top), then the tops taken by quadrature,
-    # either two adjacent ones, from which the rest follow (_derived_tops),
-    # or all of them where the relation would subtract.
-    derive = count >= 3 and top_a + 3.0 > b + count
-    width = 2 if derive else count
+    if (a0 < 0.0 or n < 1 or count < 1 or count >= 3 and top_a + 3.0 <= b + count
+            or t.ndim != 1 or not len(t)):
+        raise ValueError("tricomi_u_chain requires a0 >= 0, n >= 1, count >= 1, "
+                         "a0 + n + 3 > b + count at count >= 3 and a non-empty 1-D t, "
+                         f"got a0={a0}, b={b}, n={n}, count={count}, t of shape {t.shape}")
+    # Per point, the rows of the pass: the lowest chain's bottom, then two
+    # adjacent tops (one at count = 1), from which the rest follow.
+    width = min(count, 2)
     ts = t.tolist()
-    firsts = [_first_top(x, b, count) if derive else 0 for x in ts]
+    firsts = [_first_top(x, b, count) for x in ts]
     rows = []
     for x, first in zip(ts, firsts):
-        if n:
-            rows.append((a0, b, x))
+        rows.append((a0, b, x))
         rows += [(top_a, b + j, x) for j in range(first, first + width)]
     logs = iter(_ln_tricomi(rows))
     # Per point, the logs of its bottom and of its chains' tops, as
     # ln w = ln U + ln Gamma(a + 1).
     bottoms, tops = [], []
     for x, first in zip(ts, firsts):
-        bottom = next(logs) + math.lgamma(a0 + 1.0) if n else None
+        bottoms.append(next(logs) + math.lgamma(a0 + 1.0))
         ln_w = [next(logs) + math.lgamma(top_a + 1.0) for _ in range(width)]
-        tops.append(_derived_tops(ln_w, first, top_a, b, x, count) if derive else ln_w)
-        bottoms.append(tops[-1][0] if bottom is None else bottom)
+        tops.append(_derived_tops(ln_w, first, top_a, b, x, count))
     chains = np.empty((count, len(t), n + 1))
     log_scale = _solved_chain(layout, t, bottoms, [point_tops[0] for point_tops in tops],
                               chains[0])
@@ -371,7 +363,7 @@ def tricomi_u_chain(layout: _ChainLayout, t: np.ndarray,
         for row, point_tops, scale in zip(chain, tops, log_scale):
             row[-1] = math.exp(point_tops[j] - scale)
         chain[:, 1:-1] = below[:, 1:-1]
-        # S_{a+1} for a = a0..a0+n-1, as a reverse cumulative sum (empty at n = 0).
+        # S_{a+1} for a = a0..a0+n-1, as a reverse cumulative sum.
         tail = chain[:, 1:] / a[1:]
         np.add.accumulate(tail[:, ::-1], axis=1, out=tail[:, ::-1])
         tail *= a[:-1]
@@ -384,9 +376,9 @@ def tricomi_u_chain(layout: _ChainLayout, t: np.ndarray,
 
 def _first_top(z: float, b: float, count: int) -> int:
     """The j of the quadrature pair b + j, b + j + 1 of a chain's tops at z:
-    the lattice point -z <= b + j <= 1 - z, clamped to 0..count - 2, so
-    that :func:`_derived_tops` adds only positive terms."""
-    return min(max(math.ceil(-z - b), 0), count - 2)
+    the lattice point -z <= b + j <= 1 - z, clamped to 0..max(count - 2, 0),
+    so that :func:`_derived_tops` adds only positive terms."""
+    return min(max(math.ceil(-z - b), 0), max(count - 2, 0))
 
 
 def _derived_tops(pair: list[float], first: int, a: float, b: float, z: float,
@@ -429,9 +421,9 @@ def _check_range(w: np.ndarray, a0: float, b: float, t: np.ndarray, n: int) -> N
 def _solved_chain(layout: _ChainLayout, t: np.ndarray, ln_lo: list[float],
                   ln_hi: list[float], w: np.ndarray) -> list[float]:
     """The lowest chains of :func:`tricomi_u_chain`, written to w, one row
-    a point, from the logs of their end anchors w_a0 and w_(a0+n); returns
-    their log scales.  The tridiagonal solves between the ends run on the
-    rows of `layout`, the :class:`_ChainLayout` of (a0, b, n).
+    a point, from the logs of their end anchors w_a0 and w_(a0+n), n >= 1;
+    returns their log scales.  The tridiagonal solves between the ends run
+    on the rows of `layout`, the :class:`_ChainLayout` of (a0, b, n).
 
     The points' systems are the blocks of one block-diagonal system, padded
     with identity rows to the three that LAPACK's wrappers need at least.
@@ -442,9 +434,6 @@ def _solved_chain(layout: _ChainLayout, t: np.ndarray, ln_lo: list[float],
     """
     a0, b, n = layout.a0, layout.b, layout.n
     points = len(t)
-    if n == 0:
-        w[...] = 1.0
-        return ln_lo
     log_scale = [max(lo, hi) for lo, hi in zip(ln_lo, ln_hi)]
     for w_q, lo, hi, scale in zip(w, ln_lo, ln_hi, log_scale):
         w_q[0], w_q[-1] = math.exp(lo - scale), math.exp(hi - scale)

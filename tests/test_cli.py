@@ -18,6 +18,7 @@ from hardedge import cli, distributions, microscopic, specfun
 from hardedge.cli import main
 from hardedge.distributions import FiniteSpec, gap_finite, tabulate
 from hardedge.microscopic import gap_micro, micro_density
+from hardedge.montecarlo import SamplerConfig, exponential_correlation
 from test_microscopic import _never_settles
 
 
@@ -351,6 +352,63 @@ def test_mc_rejects_non_finite_correlation(tmp_path: Path, entry: float,
     assert main(["mc", "--p", "4", "--nu", "2", "--samples", "10",
                  "--c-file", str(bad), "--compare", "micro"]) == 2
     assert f"non-finite entries: [2, 2] = {entry}" in capsys.readouterr().err
+
+
+def _file_correlation(path: Path, p: int) -> np.ndarray:
+    # What mc does with --c-file: read the file, then validate its matrix.
+    return SamplerConfig(p=p, n=p, num_samples=1, seed=0,
+                         correlation=cli._read_matrix(str(path))).correlation
+
+
+def test_read_correlation_file(tmp_path: Path) -> None:
+    good = tmp_path / "corr.csv"
+    matrix = exponential_correlation(4, decay=0.3)
+    np.savetxt(good, matrix, delimiter=",")
+    loaded = _file_correlation(good, 4)
+    assert np.allclose(loaded, matrix, atol=1e-12)
+
+    wrong_size = tmp_path / "wrong.csv"
+    np.savetxt(wrong_size, np.eye(3), delimiter=",")
+    with pytest.raises(ValueError):
+        _file_correlation(wrong_size, 4)
+
+    asymmetric = tmp_path / "asym.csv"
+    skew = np.eye(4)
+    skew[0, 1] = 1e-3
+    np.savetxt(asymmetric, skew, delimiter=",")
+    with pytest.raises(ValueError):
+        _file_correlation(asymmetric, 4)
+
+    indefinite = tmp_path / "indef.csv"
+    bad = np.eye(4)
+    bad[0, 1] = bad[1, 0] = 2.0
+    np.savetxt(indefinite, bad, delimiter=",")
+    with pytest.raises(ValueError):
+        _file_correlation(indefinite, 4)
+
+
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+def test_non_finite_correlation_file_is_named(tmp_path: Path, entry: float) -> None:
+    matrix = np.eye(3)
+    matrix[0, 0] = matrix[1, 2] = entry
+    path = tmp_path / "corr.csv"
+    np.savetxt(path, matrix, delimiter=",")
+    named = rf"non-finite entries: \[0, 0\] = {entry}, \[1, 2\] = {entry}$"
+    with pytest.raises(ValueError, match=named):
+        _file_correlation(path, 3)
+
+
+@pytest.mark.parametrize("text", ["", " \n\t\n\n", "# no rows\n\n"])
+def test_mc_rejects_an_empty_correlation_file(text: str, tmp_path: Path,
+                                              capsys: pytest.CaptureFixture[str]) -> None:
+    # A parameter error naming the file; numpy's no-data warning, which
+    # this suite's settings make an error, is never reached.
+    empty = tmp_path / "empty.csv"
+    empty.write_text(text, encoding="utf-8")
+    assert main(["mc", "--p", "2", "--nu", "0", "--samples", "10",
+                 "--c-file", str(empty), "--compare", "micro"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"parameter error: correlation file {empty} holds no matrix\n"
 
 
 def test_mc_correlation_needs_hard_edge_comparison(

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
+from scipy.special import poch
 
+from hardedge import kernels
 from hardedge.kernels import BulkTables, border_column, kernel_matrix
 from hardedge.reference.kernels import KernelSpec, kernel_cd, kernel_sum, xi_big, xi_small
 from hardedge.reference.sop import WeightParams, partition_z_t, weight
@@ -212,3 +214,16 @@ def test_size_one_matrix_is_zero() -> None:
         for l in (4, 5, 1001):
             matrix = kernel_matrix(BulkTables(gamma, l, [0.3], 1))[0]
             assert matrix.shape == (1, 1) and matrix[0, 0] == 0.0, (gamma, l)
+
+
+@pytest.mark.parametrize("gamma", [0, 1])
+@pytest.mark.parametrize("l", [12, 13, 404, 405])
+def test_layout_rising_factorials_equal_poch(gamma: int, l: int) -> None:
+    # The layout's exact products must be scipy's poch to the bit.
+    layout = kernels._Layout(gamma, l)
+    js = np.arange(l // 2)
+    assert layout.norm_poch.tobytes() == poch(2.0 * js + 2.0, 2 * gamma).tobytes()
+    if l % 2:
+        moments = poch(np.arange(l // 2 + 1) + 1.5, gamma)
+        assert layout.moment_poch.tobytes() == moments.tobytes()
+        assert layout.top_poch == poch(2.0 * (l // 2) + 2.0, 2 * gamma)

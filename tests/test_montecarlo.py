@@ -27,7 +27,6 @@ from hardedge.montecarlo import (
     exponential_correlation,
     hard_edge_scale,
     ks_distance,
-    load_correlation,
     microscopic_rescale,
     sample_batch,
     _Draws,
@@ -446,33 +445,6 @@ def test_exponential_correlation_shape() -> None:
     np.linalg.cholesky(corr)
 
 
-def test_load_correlation(tmp_path: Path) -> None:
-    good = tmp_path / "corr.csv"
-    matrix = exponential_correlation(4, decay=0.3)
-    np.savetxt(good, matrix, delimiter=",")
-    loaded = load_correlation(str(good), 4)
-    assert np.allclose(loaded, matrix, atol=1e-12)
-
-    wrong_size = tmp_path / "wrong.csv"
-    np.savetxt(wrong_size, np.eye(3), delimiter=",")
-    with pytest.raises(ValueError):
-        load_correlation(str(wrong_size), 4)
-
-    asymmetric = tmp_path / "asym.csv"
-    skew = np.eye(4)
-    skew[0, 1] = 1e-3
-    np.savetxt(asymmetric, skew, delimiter=",")
-    with pytest.raises(ValueError):
-        load_correlation(str(asymmetric), 4)
-
-    indefinite = tmp_path / "indef.csv"
-    bad = np.eye(4)
-    bad[0, 1] = bad[1, 0] = 2.0
-    np.savetxt(indefinite, bad, delimiter=",")
-    with pytest.raises(ValueError):
-        load_correlation(str(indefinite), 4)
-
-
 @pytest.mark.parametrize("call", [
     lambda: SamplerConfig(p=3, n=5, num_samples=3, seed=1.5),
     lambda: SamplerConfig(p=3, n=5.5, num_samples=3, seed=1),
@@ -612,7 +584,7 @@ def test_forced_fallback_gives_bisection_values(monkeypatch, force: str) -> None
 
 
 @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
-def test_non_finite_correlation_is_named(tmp_path: Path, entry: float) -> None:
+def test_non_finite_correlation_is_named(entry: float) -> None:
     # Checked before symmetry, whose subtraction would warn on inf and NaN
     # and then misreport the matrix as asymmetric.
     matrix = np.eye(3)
@@ -620,10 +592,6 @@ def test_non_finite_correlation_is_named(tmp_path: Path, entry: float) -> None:
     named = rf"non-finite entries: \[0, 0\] = {entry}, \[1, 2\] = {entry}$"
     with pytest.raises(ValueError, match=named):
         SamplerConfig(p=3, n=3, num_samples=1, seed=0, correlation=matrix)
-    path = tmp_path / "corr.csv"
-    np.savetxt(path, matrix, delimiter=",")
-    with pytest.raises(ValueError, match=named):
-        load_correlation(str(path), 3)
     with pytest.raises(ValueError, match=r"\[1, 0\] = nan and 5 more$"):
         SamplerConfig(p=3, n=3, num_samples=1, seed=0, correlation=np.full((3, 3), math.nan))
 

@@ -65,7 +65,7 @@ def test_chain_matches_mpmath(a0: float, z: float, b: float) -> None:
             assert ratio == pytest.approx(want, rel=1e-12, abs=0.0), i
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_short_chains_match_mpmath(n: int) -> None:
     for a0, b, z in ((0.0, 0.5, 0.3), (0.5, -0.5, 2.0), (0.5, 2.5, 1e-4)):
         chains = _chains(a0, b, z, n, 2)
@@ -139,7 +139,7 @@ def _u_integral(a: float, b: float, z: float):
         return mpmath.quad(integrand, [0, 1, mpmath.inf]) / mpmath.gamma(a)
 
 
-@pytest.mark.parametrize("b", [-0.5, 0.5, 1.5, 2.5])
+@pytest.mark.parametrize("b", [-0.5, 0.5, 1.5])
 def test_half_anchors_match_mpmath(b: float) -> None:
     eps = np.finfo(float).eps
     for z in np.geomspace(1e-6, 0.5, 13).tolist():
@@ -258,6 +258,16 @@ def test_chain_rejects_bad_arguments() -> None:
         _chains(0.5, 0.5, 1.0, -1)
     with pytest.raises(ValueError):
         _chains(0.5, 0.5, 1.0, 4, 0)
+
+
+@pytest.mark.parametrize("a0, b, n, count", [(0.5, -0.5, 0, 2), (0.0, 0.5, 0, 1),
+                                             (0.5, 0.5, 1, 4), (0.5, 1.5, 1, 4)])
+def test_chain_refuses_shapes_without_a_bottom_or_derived_tops(a0: float, b: float, n: int,
+                                                               count: int) -> None:
+    # A chain needs n >= 1, and at count >= 3 a0 + n + 3 > b + count, so that
+    # its bottom is a row of the pass and its tops follow from two.
+    with pytest.raises(ValueError, match=rf"a0={a0}, b={b}, n={n}, count={count}"):
+        _chains(a0, b, 1.0, n, count)
 
 
 def test_chain_leaving_the_double_range_names_its_b(monkeypatch) -> None:
